@@ -127,13 +127,13 @@ def _stage_entry(stage) -> dict[str, Any]:
 
 
 def _multiplicative_label(brace: Brace) -> dict[str, Any]:
+    """Classification entry; kind "no-match" marks a check failure."""
     try:
         cls = classify_multiplicative_group(brace)
-    except (InputShapeMismatch, NoMatch) as exc:
-        if isinstance(exc, NoMatch):
-            raise
-        abelian = brace.is_circ_abelian()
-        return {"kind": "out-of-family", "abelian": abelian}
+    except InputShapeMismatch:
+        return {"kind": "out-of-family", "abelian": brace.is_circ_abelian()}
+    except NoMatch as exc:
+        return {"kind": "no-match", "error": str(exc)}
     entry: dict[str, Any] = {"kind": cls.kind, "label": cls.label()}
     if cls.matched_tags:
         entry["matched_tags"] = list(cls.matched_tags)
@@ -180,11 +180,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except PreconditionMismatch as exc:
             results["certify"] = {"skipped": str(exc)}
     if "classify" in suites:
-        try:
-            results["classify"] = _multiplicative_label(brace)
-        except NoMatch as exc:
-            results["classify"] = {"kind": "no-match", "error": str(exc)}
-            failed = True
+        results["classify"] = _multiplicative_label(brace)
+        failed |= results["classify"]["kind"] == "no-match"
     if "pa-bound" in suites:
         try:
             rep = pa_bound_check(brace)
@@ -321,24 +318,31 @@ def cmd_report(args: argparse.Namespace) -> int:
     if rejected:
         return _finish(doc, EXIT_INPUT_ERROR, args.out, started)
 
+    invariants = ("mpl_iff_right_nilpotent", "right_nilpotent_implies_certificate", "strong_iff_left_and_right")
+    broken: set[str] = set()
     violations: list[str] = []
+
+    def violation(invariant: str | None, text: str) -> None:
+        if invariant:
+            broken.add(invariant)
+        violations.append(text)
+
     for row in rows:
-        finite_mpl = row["multipermutation_level"] is not None
-        if finite_mpl != row["right_nilpotent"]:
-            violations.append(f"{row['file']}: finite mpl != right nilpotent")
-        has_cert = row["certificate"] is not None
-        if has_cert != row["right_nilpotent"]:
-            violations.append(f"{row['file']}: certificate != right nilpotent")
+        fname = row["file"]
+        if (row["multipermutation_level"] is not None) != row["right_nilpotent"]:
+            violation("mpl_iff_right_nilpotent", f"{fname}: finite mpl != right nilpotent")
+        # only this direction holds at prime-power order: a one-step
+        # certificate can exist without the right series reaching zero
+        if row["right_nilpotent"] and row["certificate"] is None:
+            violation("right_nilpotent_implies_certificate", f"{fname}: right nilpotent without a certificate")
         strong_finite = row["strong_class"] is not None
         both = row["right_nilpotent"] and row["left_class"] is not None
         if strong_finite != both:
-            violations.append(f"{row['file']}: strong class finite != (left and right nilpotent)")
-    results["corpus_invariants"] = {
-        "mpl_iff_right_nilpotent": not any("mpl" in v for v in violations),
-        "certificate_iff_right_nilpotent": not any("certificate" in v for v in violations),
-        "strong_iff_left_and_right": not any("strong" in v for v in violations),
-        "violations": violations,
-    }
+            violation("strong_iff_left_and_right", f"{fname}: strong class finite != (left and right nilpotent)")
+        if row["multiplicative"]["kind"] == "no-match":
+            violation(None, f"{fname}: circle group matches no model")
+    results["corpus_invariants"] = {key: key not in broken for key in invariants}
+    results["corpus_invariants"]["violations"] = violations
     return _finish(doc, EXIT_CHECK_FAILURE if violations else EXIT_PASS, args.out, started)
 
 

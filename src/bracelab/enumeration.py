@@ -4,9 +4,10 @@ independent holomorph-based count as a cross-check.
 A lambda table is a map A -> Aut(A,+) with lambda_0 = id satisfying the
 cocycle law lambda_{a + lambda_a(b)} = lambda_a . lambda_b; the search
 branches over automorphism choices for the smallest-rank undetermined
-element and propagates the law to a fixed point, pruning contradictions.
-Candidates are tried in increasing automorphism rank (lexicographic column
-order), so the representative list is deterministic.
+element and propagates the law from each new assignment, pruning
+contradictions.  Candidates are tried in increasing automorphism rank
+(lexicographic column order), so the representative list is deterministic.
+Isomorphism classes are marked as whole Aut(A,+)-orbits of tables.
 
 The oracle counts regular subgroups of Hol(A) = A x| Aut(A): valid lambda
 tables correspond exactly to regular subgroups, and brace isomorphism
@@ -17,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import AbelianGroup, all_automorphisms, identity_automorphism
-from .brace import Brace, BraceError, is_isomorphic
+from .abelian import AbelianGroup, StructuralAnomaly, all_automorphisms, identity_automorphism
+from .brace import Brace, BraceError
 
 
 class GuardExceeded(BraceError):
@@ -52,6 +53,11 @@ def enumerate_braces(
 
     Guarded by group order and |Aut(A,+)| (automorphism counts explode long
     before the order does, e.g. |Aut(C_2^4)| = 20160); ``force`` overrides.
+
+    Isomorphism classes are the orbits of the tables under conjugation by
+    Aut(A,+), lambda -> alpha . lambda_{alpha^-1(.)} . alpha^-1.  Tables are
+    walked in search order and each one not yet in a known orbit becomes the
+    next representative, so every class is named after its first table.
     """
     group = AbelianGroup(moduli)
     if not force and group.order > max_order:
@@ -61,77 +67,94 @@ def enumerate_braces(
         raise GuardExceeded(f"|Aut| = {len(auts)} exceeds guard {max_aut}; use force")
 
     n = group.order
+    k = len(auts)
     perms = [f.perm(group) for f in auts]
-    aut_index = {f.columns: i for i, f in enumerate(auts)}
-    comp: dict[tuple[int, int], int] = {}
+    perm_index = {p: i for i, p in enumerate(perms)}
+    inv = [perm_index[f.inv_perm(group)] for f in auts]
+    comp: dict[int, int] = {}  # i * k + j -> index of auts[i] . auts[j], filled on demand
 
     def compose(i: int, j: int) -> int:
-        key = (i, j)
+        key = i * k + j
         out = comp.get(key)
         if out is None:
-            out = aut_index[auts[i].compose(auts[j]).columns]
-            comp[key] = out
+            pi, pj = perms[i], perms[j]
+            out = comp[key] = perm_index[tuple(pi[x] for x in pj)]
         return out
 
-    add = group.add_rank
-    identity_id = aut_index[identity_automorphism(group).columns]
+    add = group.add_flat
+    identity_id = perm_index[identity_automorphism(group).perm(group)]
 
-    tables: list[list[int]] = []
+    tables: list[tuple[int, ...]] = []
     nodes = 0
 
-    def close(assign: list[int]) -> bool:
-        """Full fixed-point closure; simpler than tracking pair frontiers."""
-        changed = True
-        while changed:
-            changed = False
-            known = [x for x in range(n) if assign[x] >= 0]
-            for x in known:
-                px = perms[assign[x]]
-                ax = assign[x]
-                for y in known:
-                    c = add(x, px[y])
-                    want = compose(ax, assign[y])
-                    if assign[c] < 0:
+    def close(assign: list[int], known: list[int], todo: list[int]) -> bool:
+        """Propagate the cocycle law from the newly assigned ranks in ``todo``.
+
+        Every pair of the other known ranks already satisfies the law, so
+        each new x is checked in both orders against every known y, x itself
+        included; ranks assigned on the way join ``known`` and ``todo``.
+        """
+        while todo:
+            x = todo.pop()
+            for y in known:
+                for s, t in ((x, y), (y, x)):
+                    a_s, a_t = assign[s], assign[t]
+                    c = add[s * n + perms[a_s][t]]
+                    want = comp.get(a_s * k + a_t)
+                    if want is None:
+                        want = compose(a_s, a_t)
+                    have = assign[c]
+                    if have < 0:
                         assign[c] = want
-                        changed = True
-                    elif assign[c] != want:
+                        known.append(c)
+                        todo.append(c)
+                    elif have != want:
                         return False
         return True
 
-    def dfs(assign: list[int]) -> None:
+    def dfs(assign: list[int], known: list[int]) -> None:
         nonlocal nodes
         nodes += 1
         u = next((x for x in range(n) if assign[x] < 0), None)
         if u is None:
-            tables.append(list(assign))
+            tables.append(tuple(assign))
             return
-        for cand in range(len(auts)):
+        for cand in range(k):
             trial = list(assign)
             trial[u] = cand
-            if close(trial):
-                dfs(trial)
+            trial_known = known + [u]
+            if close(trial, trial_known, [u]):
+                dfs(trial, trial_known)
 
     start = [-1] * n
     start[0] = identity_id
-    if close(start):
-        dfs(start)
+    if close(start, [0], [0]):
+        dfs(start, [0])
 
-    braces = [
-        Brace(group, table, auts, name=f"enum{tuple(group.moduli)}#{i}")
-        for i, table in enumerate(tables)
-    ]
+    index = {t: i for i, t in enumerate(tables)}
+    marked = [False] * len(tables)
     reps: list[Brace] = []
     sizes: list[int] = []
-    for b in braces:
-        for i, r in enumerate(reps):
-            if is_isomorphic(b, r) is not None:
-                sizes[i] += 1
-                break
-        else:
-            reps.append(b)
-            sizes.append(1)
-    for i, r in enumerate(reps):
-        r.name = f"enum{tuple(group.moduli)}-{i:03d}"
+    for i, table in enumerate(tables):
+        if marked[i]:
+            continue
+        orbit = set()
+        for alpha in range(k):
+            pa, ia = perms[alpha], inv[alpha]
+            conj = [0] * n
+            for a in range(n):
+                conj[pa[a]] = compose(compose(alpha, table[a]), ia)
+            j = index.get(tuple(conj))
+            if j is None or marked[j]:
+                raise StructuralAnomaly(
+                    f"conjugate of table {i} by automorphism {alpha} is not an unmarked enumerated table"
+                )
+            orbit.add(j)
+        for j in orbit:
+            marked[j] = True
+        name = f"enum{tuple(group.moduli)}-{len(reps):03d}"
+        reps.append(Brace(group, list(table), auts, name=name))
+        sizes.append(len(orbit))
     return EnumerationResult(
         group.moduli, tuple(reps), len(tables), len(reps), tuple(sizes), nodes
     )
@@ -152,8 +175,9 @@ def holomorph_count_oracle(moduli, max_order: int = DEFAULT_MAX_ORDER, max_aut: 
     """Count regular subgroups of Hol(A) and their Aut(A,+)-conjugacy classes.
 
     Independent of the lambda-table search: subgroups of order |A| are found
-    by breadth-first generator extension inside the holomorph, then filtered
-    for regularity (first coordinates exactly A).
+    by breadth-first generator extension inside the holomorph, keeping only
+    subgroups whose first coordinates are distinct, then filtered for
+    regularity (first coordinates exactly A).
     """
     group = AbelianGroup(moduli)
     if group.order > max_order:
@@ -170,51 +194,56 @@ def holomorph_count_oracle(moduli, max_order: int = DEFAULT_MAX_ORDER, max_aut: 
     identity_id = aut_index[identity_automorphism(group).columns]
     inv_aut = [row.index(identity_id) for row in comp_table]
 
-    add = group.add_rank
+    add = group.add_flat
 
     def hmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         (a, m), (b, mm) = x, y
-        return (add(a, perms[m][b]), comp_table[m][mm])
+        return (add[a * n + perms[m][b]], comp_table[m][mm])
 
     ident = (0, identity_id)
     elements = [(a, m) for a in range(n) for m in range(k)]
 
-    def closure(seed: frozenset) -> frozenset:
-        """Subgroup generated by the seed, aborting once it exceeds n."""
-        members = {ident} | set(seed)
-        changed = True
-        while changed and len(members) <= n:
-            changed = False
-            snapshot = list(members)
-            for x in snapshot:
-                for y in snapshot:
-                    z = hmul(x, y)
-                    if z not in members:
-                        members.add(z)
-                        changed = True
-                        if len(members) > n:
-                            return frozenset(members)
+    def closure(gens: tuple[tuple[int, int], ...]) -> frozenset | None:
+        """Subgroup generated by ``gens``, or None once two of its elements
+        share an A-coordinate (no subgroup of a regular subgroup does)."""
+        members = {ident}
+        covered = {ident[0]}
+        frontier = [ident]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                z = hmul(x, g)
+                if z not in members:
+                    if z[0] in covered:
+                        return None
+                    members.add(z)
+                    covered.add(z[0])
+                    frontier.append(z)
         return frozenset(members)
 
-    # BFS over subgroups of order <= n by single-generator extension
+    # BFS over subgroups that project injectively onto A (every subgroup of a
+    # regular subgroup does), by single-generator extension
     seen: set[frozenset] = set()
     found: set[frozenset] = set()
     base = frozenset([ident])
-    queue = [base]
+    queue: list[tuple[frozenset, tuple[tuple[int, int], ...]]] = [(base, ())]
     seen.add(base)
     while queue:
-        h = queue.pop()
+        h, gens = queue.pop()
         if len(h) == n:
             found.add(h)
             continue
+        covered = {a for a, _ in h}
+        tried: set[tuple[int, int]] = set()
         for g in elements:
-            if g in h:
+            if g[0] in covered or g in tried:
                 continue
-            kq = closure(h | {g})
-            if len(kq) > n or kq in seen:
+            tried.update(hmul(x, g) for x in h)  # <h, x g> = <h, g> for x in h
+            kq = closure(gens + (g,))
+            if kq is None or kq in seen:
                 continue
             seen.add(kq)
-            queue.append(kq)
+            queue.append((kq, gens + (g,)))
             if len(kq) == n:
                 found.add(kq)
 

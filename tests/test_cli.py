@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from bracelab.abelian import AbelianGroup
+from bracelab.brace import validate_brace
 from bracelab.cli import main
-from bracelab.fileformat import load_brace
+from bracelab.fileformat import load_brace, save_brace
 
 
 def run_cli(args: list[str]) -> int:
@@ -117,7 +119,37 @@ def test_report_corpus(tmp_path, capsys):
     assert [r["file"] for r in rows] == sorted(r["file"] for r in rows)
     assert all(r["right_nilpotent"] for r in rows)
     inv = doc["results"]["corpus_invariants"]
-    assert inv["mpl_iff_right_nilpotent"] and inv["certificate_iff_right_nilpotent"]
+    assert inv["mpl_iff_right_nilpotent"] and inv["right_nilpotent_implies_certificate"]
+
+
+def test_report_certificate_without_right_nilpotency(enumerations, tmp_path):
+    # C4 x C4 representative 049 has the one-step certificate (2,0) but its
+    # right series stalls; only "right nilpotent implies certificate" holds
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_brace(enumerations[(4, 4)].representatives[49], corpus / "c4c4-049.json")
+    out = tmp_path / "report.json"
+    assert run_cli(["report", "--corpus", str(corpus), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    (row,) = doc["results"]["rows"]
+    assert row["certificate"] == [2, 0] and not row["right_nilpotent"]
+    assert doc["results"]["corpus_invariants"]["right_nilpotent_implies_certificate"]
+
+
+def test_report_no_match_row_fails_with_report(tmp_path):
+    # the table of ring_brace((5,5,5,5), {(0,1): (0,0,1,0)}), lambda_a(b) = b + a.b,
+    # written out directly; its circle group has exponent 5 and no model matches it
+    group = AbelianGroup((5, 5, 5, 5))
+    table = [[(1, 0, 0, 0), (0, 1, a[0], 0), (0, 0, 1, 0), (0, 0, 0, 1)] for a in group.elements]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_brace(validate_brace(group, table, name="exponent-5"), corpus / "exp5.json")
+    out = tmp_path / "report.json"
+    assert run_cli(["report", "--corpus", str(corpus), "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    (row,) = doc["results"]["rows"]
+    assert row["multiplicative"]["kind"] == "no-match"
+    assert doc["results"]["corpus_invariants"]["violations"] == ["exp5.json: circle group matches no model"]
 
 
 def test_report_empty_corpus(tmp_path, capsys):

@@ -4,8 +4,76 @@ from __future__ import annotations
 
 import pytest
 
-from bracelab.brace import brace_report, is_isomorphic, trivial_brace
+from functools import cache
+
+from bracelab.abelian import AbelianGroup, all_automorphisms, identity_automorphism
+from bracelab.brace import Brace, brace_report, is_isomorphic, trivial_brace
 from bracelab.enumeration import GuardExceeded, enumerate_braces, holomorph_count_oracle
+
+
+def _pairwise_reference(moduli):
+    """The same search with a full fixed-point closure at every node and a
+    pairwise ``is_isomorphic`` dedupe, as a reference for the orbit marking.
+
+    Returns the representative tables, the class sizes and the node count.
+    """
+    group = AbelianGroup(moduli)
+    auts = all_automorphisms(group)
+    n = group.order
+    perms = [f.perm(group) for f in auts]
+    index = {f.columns: i for i, f in enumerate(auts)}
+
+    @cache
+    def compose(i, j):
+        return index[auts[i].compose(auts[j]).columns]
+
+    def close(assign):
+        changed = True
+        while changed:
+            changed = False
+            known = [x for x in range(n) if assign[x] >= 0]
+            for x in known:
+                for y in known:
+                    c = group.add_rank(x, perms[assign[x]][y])
+                    want = compose(assign[x], assign[y])
+                    if assign[c] < 0:
+                        assign[c] = want
+                        changed = True
+                    elif assign[c] != want:
+                        return False
+        return True
+
+    tables, nodes = [], 0
+
+    def dfs(assign):
+        nonlocal nodes
+        nodes += 1
+        if -1 not in assign:
+            tables.append(assign)
+            return
+        u = assign.index(-1)
+        for cand in range(len(auts)):
+            trial = list(assign)
+            trial[u] = cand
+            if close(trial):
+                dfs(trial)
+
+    start = [-1] * n
+    start[0] = index[identity_automorphism(group).columns]
+    if close(start):
+        dfs(start)
+
+    reps, sizes = [], []
+    for table in tables:
+        b = Brace(group, table, auts)
+        for i, r in enumerate(reps):
+            if is_isomorphic(b, r) is not None:
+                sizes[i] += 1
+                break
+        else:
+            reps.append(b)
+            sizes.append(1)
+    return [r.lambda_ids for r in reps], sizes, nodes
 
 
 @pytest.mark.parametrize(
@@ -19,12 +87,38 @@ def test_small_counts(enumerations, moduli, tables, classes):
     assert sum(res.class_sizes) == res.total_tables
 
 
-@pytest.mark.parametrize("moduli", [(2,), (3,), (4,), (2, 2)])
+@pytest.mark.parametrize("moduli", [(2,), (3,), (4,), (2, 2), (8,), (9,), (2, 4), (3, 3)])
 def test_oracle_agreement(enumerations, moduli):
     res = enumerations[moduli]
     orc = holomorph_count_oracle(moduli)
     assert orc.regular_subgroups == res.total_tables
     assert orc.aut_conjugacy_classes == res.isomorphism_classes
+
+
+@pytest.mark.parametrize("moduli", [(2, 8), (2, 2, 2), (2, 4), (3, 3)])
+def test_orbit_classes_match_pairwise_reference(moduli):
+    res = enumerate_braces(moduli)
+    reps, sizes, nodes = _pairwise_reference(moduli)
+    assert [b.lambda_ids for b in res.representatives] == reps
+    assert list(res.class_sizes) == sizes
+    assert res.nodes_explored == nodes
+    assert [b.name for b in res.representatives] == [f"enum{moduli}-{i:03d}" for i in range(len(reps))]
+
+
+def test_order_16_noncyclic_counts(enumerations):
+    aut_counts = {(4, 4): 96, (2, 2, 4): 192}
+    for moduli, tables, classes in (((4, 4), 880, 83), ((2, 2, 4), 3152, 161)):
+        res = enumerations[moduli] if moduli in enumerations else enumerate_braces(moduli)
+        assert (res.total_tables, res.isomorphism_classes) == (tables, classes)
+        assert sum(res.class_sizes) == tables
+        aut = len(all_automorphisms(AbelianGroup(moduli)))
+        assert aut == aut_counts[moduli]
+        assert all(aut % size == 0 for size in res.class_sizes)
+
+
+def test_oracle_c4xc4():
+    orc = holomorph_count_oracle((4, 4))
+    assert (orc.regular_subgroups, orc.aut_conjugacy_classes) == (880, 83)
 
 
 def test_oracle_structure():
