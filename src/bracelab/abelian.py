@@ -9,6 +9,7 @@ immutable after construction, so concurrent reads are safe.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, prod
 from typing import Callable, Iterable, Iterator, Sequence
@@ -263,7 +264,8 @@ class Subgroup:
         return frozenset(self.ranks)
 
     def __contains__(self, rank: int) -> bool:
-        return rank in self.members()
+        i = bisect_left(self.ranks, rank)
+        return i < len(self.ranks) and self.ranks[i] == rank
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.ranks)

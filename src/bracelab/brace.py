@@ -299,6 +299,36 @@ def _check_cocycle(brace: Brace) -> tuple[Element, Element] | None:
     return None
 
 
+def _table_violations(
+    group: AbelianGroup, lambda_columns: Sequence[Sequence[Sequence[int]]], name: str
+) -> tuple[Brace, list[tuple[BraceError, tuple]]]:
+    """Check every lambda, lambda_0 = id and, when those hold, the cocycle law.
+
+    Returns the brace (a lambda that fails is replaced by the identity) and
+    (error, witness) pairs in the order found; the table size is the
+    caller's check.
+    """
+    found: list[tuple[BraceError, tuple]] = []
+    lambdas: list[Automorphism] = []
+    for i, cols in enumerate(lambda_columns):
+        try:
+            lambdas.append(validate_automorphism(group, cols))
+        except (NotHomomorphism, NotBijective) as exc:
+            err = NotAutomorphism(i, str(exc))
+            err.__cause__ = exc
+            found.append((err, (i, str(exc))))
+            lambdas.append(identity_automorphism(group))
+    if not lambdas[0].is_identity():
+        found.append((BadLambdaZero("lambda at rank 0 must be the identity"), (0,)))
+    ids, auts = _dedupe_lambdas(group, lambdas)
+    brace = Brace(group, ids, auts, name=name)
+    if not found:
+        witness = _check_cocycle(brace)
+        if witness is not None:
+            found.append((CocycleViolation(*witness), witness))
+    return brace, found
+
+
 def validate_brace(
     group: AbelianGroup,
     lambda_columns: Sequence[Sequence[Sequence[int]]],
@@ -307,19 +337,9 @@ def validate_brace(
     """Validate a full lambda table and return the brace; raise on violation."""
     if len(lambda_columns) != group.order:
         raise BraceError(f"expected {group.order} lambda entries, got {len(lambda_columns)}")
-    lambdas: list[Automorphism] = []
-    for i, cols in enumerate(lambda_columns):
-        try:
-            lambdas.append(validate_automorphism(group, cols))
-        except (NotHomomorphism, NotBijective) as exc:
-            raise NotAutomorphism(i, str(exc)) from exc
-    if not lambdas[0].is_identity():
-        raise BadLambdaZero("lambda at rank 0 must be the identity")
-    ids, auts = _dedupe_lambdas(group, lambdas)
-    brace = Brace(group, ids, auts, name=name)
-    witness = _check_cocycle(brace)
-    if witness is not None:
-        raise CocycleViolation(*witness)
+    brace, found = _table_violations(group, lambda_columns, name)
+    if found:
+        raise found[0][0]
     return brace
 
 
@@ -334,40 +354,25 @@ def brace_report(
     Also spot-verifies the distributivity law a o (b+c) + a = a o b + a o c on
     seeded triples as a self-test; it is implied by the lambda representation.
     """
-    violations: list[tuple[str, tuple]] = []
-    checks = 0
-    if len(lambda_columns) != group.order:
-        return BraceReport(group.order, (("TableSize", (len(lambda_columns),)),), 1)
-    lambdas: list[Automorphism] = []
-    for i, cols in enumerate(lambda_columns):
-        checks += 1
-        try:
-            lambdas.append(validate_automorphism(group, cols))
-        except (NotHomomorphism, NotBijective) as exc:
-            violations.append(("NotAutomorphism", (i, str(exc))))
-            lambdas.append(identity_automorphism(group))
-    if not lambdas[0].is_identity():
-        violations.append(("BadLambdaZero", (0,)))
-    ids, auts = _dedupe_lambdas(group, lambdas)
-    brace = Brace(group, ids, auts)
-    if not violations:
-        witness = _check_cocycle(brace)
-        checks += group.order * group.order
-        if witness is not None:
-            violations.append(("CocycleViolation", witness))
+    n = group.order
+    if len(lambda_columns) != n:
+        return BraceReport(n, (("TableSize", (len(lambda_columns),)),), 1)
+    brace, found = _table_violations(group, lambda_columns, "")
+    violations = [(type(err).__name__, witness) for err, witness in found]
+    # one check per lambda, and the n^2 cocycle scan when every lambda passed
+    checks = n + (n * n if all(isinstance(err, CocycleViolation) for err, _ in found) else 0)
     if not violations:
         rng = random.Random(seed)
-        n = group.order
+        add = group.add_rank
         for _ in range(spot_triples):
             a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            add = group.add_rank
             lhs = add(brace.circ_r(a, add(b, c)), a)
             rhs = add(brace.circ_r(a, b), brace.circ_r(a, c))
             checks += 1
             if lhs != rhs:
                 violations.append(("DistributivityViolation", (a, b, c)))
                 break
-    return BraceReport(group.order, tuple(violations), checks)
+    return BraceReport(n, tuple(violations), checks)
 
 
 def brace_from_lambda_ranks(group: AbelianGroup, images: Sequence[Sequence[int]], name: str = "") -> Brace:

@@ -8,7 +8,10 @@ A brace file carries the moduli plus exactly one of:
   * ``mul_table``: the n x n circle table over ranks.
 
 Deserialization always re-validates; a file is only "accepted" when the
-resulting table passes the full brace axioms.
+resulting table passes the full brace axioms.  The schema is strict: every
+number is a JSON integer (not a boolean or a float), each lambda entry has
+exactly k columns of k coordinates, and each mul_table row has n ranks in
+0..n-1; anything else is a ``BraceFileError``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,15 @@ VERSION = 1
 
 class BraceFileError(BraceError):
     """Malformed or rejected brace file."""
+
+
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(value: Any, length: int) -> bool:
+    """A JSON list of exactly ``length`` integers."""
+    return isinstance(value, list) and len(value) == length and all(_is_int(x) for x in value)
 
 
 def brace_to_doc(brace: Brace, name: str | None = None, construction: str | None = None) -> dict[str, Any]:
@@ -55,7 +67,7 @@ def doc_to_brace(doc: dict[str, Any]) -> Brace:
     if doc.get("version") != VERSION:
         raise BraceFileError(f"unsupported version {doc.get('version')!r}")
     moduli = doc.get("moduli")
-    if not isinstance(moduli, list) or not all(isinstance(d, int) for d in moduli):
+    if not isinstance(moduli, list) or not all(_is_int(d) for d in moduli):
         raise BraceFileError("moduli must be a list of integers")
     has_lambda = "lambda_table" in doc
     has_mul = "mul_table" in doc
@@ -70,15 +82,22 @@ def doc_to_brace(doc: dict[str, Any]) -> Brace:
     except ValueError as exc:
         raise BraceFileError(str(exc)) from exc
     try:
+        n, k = group.order, len(moduli)
         if has_lambda:
             table = doc["lambda_table"]
-            if not isinstance(table, list) or len(table) != group.order:
-                raise BraceFileError(f"lambda_table must have {group.order} entries")
-            columns = [[tuple(row) for row in entry] for entry in table]
+            if not isinstance(table, list) or len(table) != n:
+                raise BraceFileError(f"lambda_table must have {n} entries")
+            for i, entry in enumerate(table):
+                if not (isinstance(entry, list) and len(entry) == k and all(_int_list(col, k) for col in entry)):
+                    raise BraceFileError(f"lambda_table entry {i} must be {k} columns of {k} integers")
+            columns = [[tuple(col) for col in entry] for entry in table]
             return validate_brace(group, columns, name=name)
         mul = doc["mul_table"]
-        if not isinstance(mul, list) or len(mul) != group.order:
-            raise BraceFileError(f"mul_table must have {group.order} rows")
+        if not isinstance(mul, list) or len(mul) != n:
+            raise BraceFileError(f"mul_table must have {n} rows")
+        for i, row in enumerate(mul):
+            if not (_int_list(row, n) and all(0 <= r < n for r in row)):
+                raise BraceFileError(f"mul_table row {i} must be {n} ranks in 0..{n - 1}")
         return brace_from_circ_table(group, mul, name=name)
     except BraceFileError:
         raise

@@ -25,6 +25,7 @@ from typing import Literal, Sequence
 
 from .abelian import Element, StructuralAnomaly, Subgroup, multiples_subgroup, subgroup_closure
 from .brace import Brace, BraceError, quotient_brace
+from .pgroups import circle_group, group_closure
 
 SeriesKind = Literal["left", "right", "strong"]
 
@@ -286,6 +287,32 @@ def _c2(n: int) -> int:
     return num // 2
 
 
+_PPN_SKIP = "left series does not reach 0 by term 5"
+
+
+def _ppn_check(brace: Brace, P: int) -> tuple[int, int | None]:
+    """P*P^n = c1(n) P*(P*(P*P)) + c2(n) P*(P*P) + n P*P for n = 0..2|P|.
+
+    Returns the number of checks made and the first failing n, or None.
+    """
+    g = brace.group
+
+    def scal(t: int, x: int) -> int:
+        return g.rank(g.scalar_multiple(t, g.unrank(x)))
+
+    pp = brace.star_r(P, P)
+    ppp = brace.star_r(P, pp)
+    pppp = brace.star_r(P, ppp)
+    last = 2 * brace.circ_order_r(P)
+    pk = 0  # P^0
+    for nn in range(last + 1):
+        rhs = g.add_rank(g.add_rank(scal(_c1(nn), pppp), scal(_c2(nn), ppp)), scal(nn, pp))
+        if brace.star_r(P, pk) != rhs:
+            return nn + 1, nn
+        pk = brace.circ_r(pk, P)
+    return last + 1, None
+
+
 def p4_shape(brace: Brace) -> tuple[int, int] | None:
     """(p, m) when |A| = p^4 with additive type C_p x C_p^3 (m=2) or
     C_p^2 x C_p^2 (m=1); None otherwise."""
@@ -368,26 +395,14 @@ def theorem_stage_results(brace: Brace, ctx: TheoremContext, window: int | None 
 
     pp = srank(P, P)  # P*P
     ppp = srank(P, pp)  # P*(P*P)
-    pppp = srank(P, ppp)  # P*(P*(P*P))
 
     # ppn: P*P^n as the exact integer-coefficient combination
     if not left_class_at_most(brace, 5):
-        results.append(StageResult("ppn", "skipped", reason="left series does not reach 0 by term 5"))
+        results.append(StageResult("ppn", "skipped", reason=_PPN_SKIP))
     else:
-        checks = 0
-        witness = None
-        pk = 0  # P^0
-        for nn in range(0, 2 * ordP + 1):
-            lhs = srank(P, pk)
-            rhs = g.add_rank(g.add_rank(scal(_c1(nn), pppp), scal(_c2(nn), ppp)), scal(nn, pp))
-            checks += 1
-            if lhs != rhs:
-                witness = (nn,)
-                break
-            pk = brace.circ_r(pk, P)
-        results.append(
-            StageResult("ppn", "failed" if witness else "passed", checks, witness=witness)
-        )
+        checks, failing = _ppn_check(brace, P)
+        witness = None if failing is None else (failing,)
+        results.append(StageResult("ppn", "failed" if witness else "passed", checks, witness=witness))
 
     # prop1: p^m (P*P) in A^3 and the reduced expansion of P*P^{p^m}
     a3 = brace.subset_star(range(brace.order), brace.subset_star(range(brace.order), range(brace.order)))
@@ -536,20 +551,6 @@ def theorem1_check(brace: Brace, P: Element, Qs: Sequence[Element], m: int) -> T
     )
 
 
-def _circ_closure(brace: Brace, gens: Sequence[int]) -> set[int]:
-    """Subgroup of (A, o) generated by the given ranks."""
-    members = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = brace.circ_r(x, g)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return members
-
-
 def discover_theorem_context(brace: Brace, max_q: int = 2) -> TheoremContext | None:
     """Find (P, Q_1..Q_i) satisfying all four hypotheses, if any exist.
 
@@ -567,6 +568,7 @@ def discover_theorem_context(brace: Brace, max_q: int = 2) -> TheoremContext | N
         pm = p ** m
         n = brace.order
         a2 = brace.star_span()
+        circ = circle_group(brace)
         small = [q for q in range(1, n) if brace.circ_order_r(q) <= pm]
         for pr in range(1, n):
             c = brace.circ_power_r(pr, pm)
@@ -577,7 +579,7 @@ def discover_theorem_context(brace: Brace, max_q: int = 2) -> TheoremContext | N
             found = None
             for size in range(1, max_q + 1):
                 for qs in itertools.combinations(small, size):
-                    if len(_circ_closure(brace, [pr, *qs])) != n:
+                    if len(group_closure(circ, [pr, *qs])) != n:
                         continue
                     covered, _ = _coverage(brace, pr, list(qs))
                     if covered:
@@ -623,27 +625,13 @@ def _sample_ranks(n: int, limit: int, budget: int, seed: int) -> list[int]:
 
 def _stage_ppn(brace: Brace, scope: SuiteScope) -> StageResult:
     if not left_class_at_most(brace, 5):
-        return StageResult("ppn", "skipped", reason="left series does not reach 0 by term 5")
-    g = brace.group
+        return StageResult("ppn", "skipped", reason=_PPN_SKIP)
     checks = 0
     for P in _sample_ranks(brace.order, scope.exhaustive_limit, scope.sample_budget, scope.seed):
-        pp = brace.star_r(P, P)
-        ppp = brace.star_r(P, pp)
-        pppp = brace.star_r(P, ppp)
-        pk = 0
-        for nn in range(0, 2 * brace.circ_order_r(P) + 1):
-            lhs = brace.star_r(P, pk)
-            rhs = g.add_rank(
-                g.add_rank(
-                    g.rank(g.scalar_multiple(_c1(nn), g.unrank(pppp))),
-                    g.rank(g.scalar_multiple(_c2(nn), g.unrank(ppp))),
-                ),
-                g.rank(g.scalar_multiple(nn, g.unrank(pp))),
-            )
-            checks += 1
-            if lhs != rhs:
-                return StageResult("ppn", "failed", checks, witness=(g.unrank(P), nn))
-            pk = brace.circ_r(pk, P)
+        n_checks, failing = _ppn_check(brace, P)
+        checks += n_checks
+        if failing is not None:
+            return StageResult("ppn", "failed", checks, witness=(brace.element(P), failing))
     return StageResult("ppn", "passed", checks)
 
 

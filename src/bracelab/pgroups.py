@@ -2,10 +2,12 @@
 by the verification suites, and classification of a brace's circle group.
 
 Each model stores elements as exponent tuples over its generators and
-multiplies by collection; every built model is then validated against its
-defining relations and checked associative (exhaustively up to order 81,
-by seeded sampling above).  Collection formulas are easy to get subtly wrong,
-so the validator is the actual source of trust.
+tabulates their collection product; every built model is then validated
+against its defining relations and checked associative (exhaustively up to
+order 81, by seeded sampling above).  Collection formulas are easy to get
+subtly wrong, so the validator is the actual source of trust.  The relations
+are written once, as words in ``presentation``; classification checks
+candidate generator images against the same list.
 
 Tag summary (odd p unless noted):
 
@@ -26,7 +28,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .abelian import abelian_basis
 from .brace import Brace, BraceError
@@ -59,118 +61,6 @@ def smallest_nonresidue(p: int) -> int:
     return next(a for a in range(2, p) if a % p not in squares)
 
 
-class GroupModel:
-    """Finite group on exponent tuples with a collection-style product."""
-
-    def __init__(
-        self,
-        tag: str,
-        p: int,
-        bounds: tuple[int, ...],
-        mul: Callable[[tuple, tuple], tuple],
-        gens: dict[str, tuple],
-        alpha: int | None = None,
-    ):
-        self.tag = tag
-        self.p = p
-        self.alpha = alpha
-        self.bounds = bounds
-        self.gens = gens
-        self._mul_raw = mul
-        self.order = 1
-        for b in bounds:
-            self.order *= b
-        self.elements: list[tuple] = []
-        self._index: dict[tuple, int] = {}
-        self._fill_elements()
-        self.identity = (0,) * len(bounds)
-        self._table: list[int] | None = None
-        self._inv: list[int] | None = None
-        self._orders: list[int] | None = None
-        self._fingerprint = None
-
-    def _fill_elements(self) -> None:
-        self.elements = [
-            tuple(reversed(e))
-            for e in itertools.product(*[range(b) for b in reversed(self.bounds)])
-        ]
-        self._index = {e: i for i, e in enumerate(self.elements)}
-
-    def rank(self, e: tuple) -> int:
-        return self._index[e]
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        return self._mul_raw(a, b)
-
-    @property
-    def table(self) -> list[int]:
-        """Flat n*n product table over ranks."""
-        if self._table is None:
-            n = self.order
-            idx = self._index
-            flat = [0] * (n * n)
-            for i, a in enumerate(self.elements):
-                base = i * n
-                for j, b in enumerate(self.elements):
-                    flat[base + j] = idx[self._mul_raw(a, b)]
-            self._table = flat
-        return self._table
-
-    def mul_r(self, i: int, j: int) -> int:
-        return self.table[i * self.order + j]
-
-    @property
-    def inv(self) -> list[int]:
-        if self._inv is None:
-            n = self.order
-            inv = [-1] * n
-            for i in range(n):
-                for j in range(n):
-                    if self.mul_r(i, j) == 0:
-                        inv[i] = j
-                        break
-            self._inv = inv
-        return self._inv
-
-    def inv_r(self, i: int) -> int:
-        return self.inv[i]
-
-    def pow_r(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.inv_r(self.pow_r(i, -k))
-        acc = 0
-        base = i
-        while k:
-            if k & 1:
-                acc = self.mul_r(acc, base)
-            base = self.mul_r(base, base)
-            k >>= 1
-        return acc
-
-    @property
-    def element_orders(self) -> list[int]:
-        if self._orders is None:
-            out = [0] * self.order
-            for i in range(self.order):
-                t, y = 1, i
-                while y != 0:
-                    y = self.mul_r(y, i)
-                    t += 1
-                out[i] = t
-            self._orders = out
-        return self._orders
-
-    def gen_rank(self, name: str) -> int:
-        return self.rank(self.gens[name])
-
-    def __repr__(self) -> str:
-        a = f", alpha={self.alpha}" if self.alpha is not None else ""
-        return f"GroupModel({self.tag}, p={self.p}{a})"
-
-
-# -- table-backed group view (for circle groups of braces) ------------------------
-
-
 class TableGroup:
     """Group on ranks 0..n-1 given by a product function; identity must be 0."""
 
@@ -179,6 +69,7 @@ class TableGroup:
         self.mul_r = mul_r
         self._inv: list[int] | None = None
         self._orders: list[int] | None = None
+        self._fingerprint: GroupFingerprint | None = None
 
     @property
     def inv(self) -> list[int]:
@@ -197,14 +88,15 @@ class TableGroup:
 
     def pow_r(self, i: int, k: int) -> int:
         if k < 0:
-            return self.inv_r(self.pow_r(i, -k))
-        acc, base = 0, i
+            return self.inv[self.pow_r(i, -k)]
+        acc, base = None, i
         while k:
             if k & 1:
-                acc = self.mul_r(acc, base)
-            base = self.mul_r(base, base)
+                acc = base if acc is None else self.mul_r(acc, base)
             k >>= 1
-        return acc
+            if k:
+                base = self.mul_r(base, base)
+        return 0 if acc is None else acc
 
     @property
     def element_orders(self) -> list[int]:
@@ -218,6 +110,44 @@ class TableGroup:
                 out[i] = t
             self._orders = out
         return self._orders
+
+
+class GroupModel(TableGroup):
+    """A tagged group on exponent tuples, its collection product tabulated once.
+
+    Generators P, Q (, R) are the unit exponent tuples, in that order.  Rank
+    order is little-endian over the exponent bounds (first coordinate
+    fastest), so the identity tuple has rank 0.
+    """
+
+    def __init__(
+        self,
+        tag: str,
+        p: int,
+        bounds: tuple[int, ...],
+        mul: Callable[[tuple, tuple], tuple],
+        alpha: int | None = None,
+    ):
+        self.tag = tag
+        self.p = p
+        self.alpha = alpha
+        k = len(bounds)
+        self.gens = {g: tuple(int(i == j) for i in range(k)) for j, g in enumerate("PQR"[:k])}
+        self.elements = [tuple(reversed(e)) for e in itertools.product(*[range(b) for b in reversed(bounds)])]
+        self._index = index = {e: i for i, e in enumerate(self.elements)}
+        n = len(self.elements)
+        table = [index[mul(a, b)] for a in self.elements for b in self.elements]
+        super().__init__(n, lambda i, j: table[i * n + j])
+
+    def rank(self, e: tuple) -> int:
+        return self._index[e]
+
+    def gen_rank(self, name: str) -> int:
+        return self.rank(self.gens[name])
+
+    def __repr__(self) -> str:
+        a = f", alpha={self.alpha}" if self.alpha is not None else ""
+        return f"GroupModel({self.tag}, p={self.p}{a})"
 
 
 def circle_group(brace: Brace) -> TableGroup:
@@ -237,12 +167,10 @@ class GroupFingerprint:
     derived_order: int
 
 
-def fingerprint(group: GroupModel | TableGroup) -> GroupFingerprint:
-    """Exact invariants by full iteration."""
-    if isinstance(group, GroupModel):
-        cached = group._fingerprint
-        if cached is not None:
-            return cached
+def fingerprint(group: TableGroup) -> GroupFingerprint:
+    """Exact invariants by full iteration, cached on the group."""
+    if group._fingerprint is not None:
+        return group._fingerprint
     n = group.order
     mul = group.mul_r
     orders = group.element_orders
@@ -255,14 +183,12 @@ def fingerprint(group: GroupModel | TableGroup) -> GroupFingerprint:
     center = sum(1 for c in range(n) if all(mul(c, a) == mul(a, c) for a in range(n)))
     inv = group.inv
     comms = {mul(mul(inv[a], inv[b]), mul(a, b)) for a in range(n) for b in range(n)}
-    derived = _group_closure(group, comms)
-    fp = GroupFingerprint(n, abelian, exponent, tuple(sorted(hist.items())), center, len(derived))
-    if isinstance(group, GroupModel):
-        group._fingerprint = fp
-    return fp
+    derived = group_closure(group, comms)
+    group._fingerprint = GroupFingerprint(n, abelian, exponent, tuple(sorted(hist.items())), center, len(derived))
+    return group._fingerprint
 
 
-def _group_closure(group: GroupModel | TableGroup, seeds: set[int]) -> set[int]:
+def group_closure(group: TableGroup, seeds: Iterable[int]) -> set[int]:
     """Subgroup generated by the seeds (words suffice in a finite group)."""
     gens = sorted(seeds)
     members = {0}
@@ -288,7 +214,7 @@ def _build_vii(p: int) -> GroupModel:
         a2, b2, c2 = y
         return ((a1 + a2 - p * c1 * b2) % p2, (b1 + b2) % p, (c1 + c2) % p)
 
-    return GroupModel("VII", p, (p2, p, p), mul, {"P": (1, 0, 0), "Q": (0, 1, 0), "R": (0, 0, 1)})
+    return GroupModel("VII", p, (p2, p, p), mul)
 
 
 def _build_viii(p: int) -> GroupModel:
@@ -300,7 +226,7 @@ def _build_viii(p: int) -> GroupModel:
         a2, b2 = y
         return ((a1 + a2 * pow(shift, b1, p2)) % p2, (b1 + b2) % p2)
 
-    return GroupModel("VIII", p, (p2, p2), mul, {"P": (1, 0), "Q": (0, 1)})
+    return GroupModel("VIII", p, (p2, p2), mul)
 
 
 def _build_ix(p: int) -> GroupModel:
@@ -312,7 +238,7 @@ def _build_ix(p: int) -> GroupModel:
         a2, b2, c2 = y
         return ((a1 + a2 * pow(shift, c1, p2)) % p2, (b1 + b2) % p, (c1 + c2) % p)
 
-    return GroupModel("IX", p, (p2, p, p), mul, {"P": (1, 0, 0), "Q": (0, 1, 0), "R": (0, 0, 1)})
+    return GroupModel("IX", p, (p2, p, p), mul)
 
 
 def _build_x(p: int) -> GroupModel:
@@ -323,7 +249,7 @@ def _build_x(p: int) -> GroupModel:
         a2, b2, c2 = y
         return ((a1 + a2) % p2, (b1 + b2 - a2 * c1) % p, (c1 + c2) % p)
 
-    return GroupModel("X", p, (p2, p, p), mul, {"P": (1, 0, 0), "Q": (0, 1, 0), "R": (0, 0, 1)})
+    return GroupModel("X", p, (p2, p, p), mul)
 
 
 def _build_xi_family(tag: str, p: int, alpha: int) -> GroupModel:
@@ -377,9 +303,7 @@ def _build_xi_family(tag: str, p: int, alpha: int) -> GroupModel:
         a, b = n_mul((a1, b1), moved)
         return (a, b, (c1 + c2) % p)
 
-    return GroupModel(
-        tag, p, (p2, p, p), mul, {"P": (1, 0, 0), "Q": (0, 1, 0), "R": (0, 0, 1)}, alpha=alpha
-    )
+    return GroupModel(tag, p, (p2, p, p), mul, alpha=alpha)
 
 
 def _build_g4(p: int) -> GroupModel:
@@ -391,7 +315,7 @@ def _build_g4(p: int) -> GroupModel:
         a2, b2 = y
         return ((a1 + a2 * pow(shift, b1, p3)) % p3, (b1 + b2) % p)
 
-    return GroupModel("G4", p, (p3, p), mul, {"P": (1, 0), "Q": (0, 1)})
+    return GroupModel("G4", p, (p3, p), mul)
 
 
 def _is_prime(n: int) -> bool:
@@ -400,51 +324,77 @@ def _is_prime(n: int) -> bool:
     return all(n % f for f in range(2, int(n ** 0.5) + 1))
 
 
-def defining_relations(model: GroupModel) -> list[tuple[str, bool]]:
-    """Evaluate the tag's defining relations in the model."""
-    p = model.p
-    tag = model.tag
-    P = model.gen_rank("P")
-    Q = model.gen_rank("Q")
-    mul, inv, pw = model.mul_r, model.inv_r, model.pow_r
-    out: list[tuple[str, bool]] = []
+Word = Sequence[tuple[str, int]]  # (generator, exponent) pairs, read left to right
+
+
+def presentation(tag: str, p: int, alpha: int | None = None) -> list[tuple[str, Word, Word]]:
+    """The tag's defining relations as (name, lhs, rhs) words in P, Q, R."""
+    P, Q, R = ("P", 1), ("Q", 1), ("R", 1)
+
+    def conj(x: str, y: str) -> Word:  # x^-1 y x
+        return ((x, -1), (y, 1), (x, 1))
+
     if tag == "G4":
-        out.append(("P^{p^3} = 1", pw(P, p ** 3) == 0))
-        out.append(("Q^p = 1", pw(Q, p) == 0))
-        out.append(("Q^-1 P Q = P^{1+p^2}", mul(mul(inv(Q), P), Q) == pw(P, 1 + p * p)))
-        return out
-    out.append(("P^{p^2} = 1", pw(P, p * p) == 0))
+        return [
+            ("P^{p^3} = 1", (("P", p ** 3),), ()),
+            ("Q^p = 1", (("Q", p),), ()),
+            ("Q^-1 P Q = P^{1+p^2}", conj("Q", "P"), (("P", 1 + p * p),)),
+        ]
+    rels: list[tuple[str, Word, Word]] = [("P^{p^2} = 1", (("P", p * p),), ())]
     if tag == "VIII":
-        out.append(("Q^{p^2} = 1", pw(Q, p * p) == 0))
-        out.append(("Q^-1 P Q = P^{1+p}", mul(mul(inv(Q), P), Q) == pw(P, 1 + p)))
-        return out
-    R = model.gen_rank("R")
-    out.append(("Q^p = 1", pw(Q, p) == 0))
-    out.append(("R^p = 1", pw(R, p) == 0))
+        return rels + [
+            ("Q^{p^2} = 1", (("Q", p * p),), ()),
+            ("Q^-1 P Q = P^{1+p}", conj("Q", "P"), (("P", 1 + p),)),
+        ]
+    rels += [("Q^p = 1", (("Q", p),), ()), ("R^p = 1", (("R", p),), ())]
     if tag == "VII":
-        out.append(("PQ = QP", mul(P, Q) == mul(Q, P)))
-        out.append(("PR = RP", mul(P, R) == mul(R, P)))
-        out.append(("R^-1 Q R = Q P^p", mul(mul(inv(R), Q), R) == mul(Q, pw(P, p))))
+        rels += [
+            ("PQ = QP", (P, Q), (Q, P)),
+            ("PR = RP", (P, R), (R, P)),
+            ("R^-1 Q R = Q P^p", conj("R", "Q"), (Q, ("P", p))),
+        ]
     elif tag == "IX":
-        out.append(("PQ = QP", mul(P, Q) == mul(Q, P)))
-        out.append(("QR = RQ", mul(Q, R) == mul(R, Q)))
-        out.append(("R^-1 P R = P^{1+p}", mul(mul(inv(R), P), R) == pw(P, 1 + p)))
+        rels += [
+            ("PQ = QP", (P, Q), (Q, P)),
+            ("QR = RQ", (Q, R), (R, Q)),
+            ("R^-1 P R = P^{1+p}", conj("R", "P"), (("P", 1 + p),)),
+        ]
     elif tag == "X":
-        out.append(("PQ = QP", mul(P, Q) == mul(Q, P)))
-        out.append(("QR = RQ", mul(Q, R) == mul(R, Q)))
-        out.append(("R^-1 P R = P Q", mul(mul(inv(R), P), R) == mul(P, Q)))
+        rels += [
+            ("PQ = QP", (P, Q), (Q, P)),
+            ("QR = RQ", (Q, R), (R, Q)),
+            ("R^-1 P R = P Q", conj("R", "P"), (P, Q)),
+        ]
     elif tag in ("XI", "XII", "XIII"):
-        out.append(("Q^-1 P Q = P^{1+p}", mul(mul(inv(Q), P), Q) == pw(P, 1 + p)))
-        out.append(("R^-1 P R = P Q", mul(mul(inv(R), P), R) == mul(P, Q)))
-        out.append(
-            (
-                "R^-1 Q R = P^{alpha p} Q",
-                mul(mul(inv(R), Q), R) == mul(pw(P, model.alpha * p), Q),
-            )
-        )
+        rels += [
+            ("Q^-1 P Q = P^{1+p}", conj("Q", "P"), (("P", 1 + p),)),
+            ("R^-1 P R = P Q", conj("R", "P"), (P, Q)),
+            ("R^-1 Q R = P^{alpha p} Q", conj("R", "Q"), (("P", alpha * p), Q)),
+        ]
     else:
         raise GroupModelError(f"unknown tag {tag!r}")
-    return out
+    return rels
+
+
+def _eval_word(
+    mul: Callable[[int, int], int], pow_r: Callable[[int, int], int], word: Word, images: dict[str, int]
+) -> int:
+    """The product of images[g]^e over the word's (g, e) factors."""
+    out = None
+    for g, e in word:
+        x = images[g] if e == 1 else pow_r(images[g], e)
+        out = x if out is None else mul(out, x)
+    return 0 if out is None else out
+
+
+def defining_relations(model: GroupModel) -> list[tuple[str, bool]]:
+    """Evaluate the tag's defining relations in the model."""
+    images = {g: model.gen_rank(g) for g in model.gens}
+    mul, pow_r = model.mul_r, model.pow_r
+    return [
+        (name, _eval_word(mul, pow_r, lhs, images) == _eval_word(mul, pow_r, rhs, images))
+        for name, lhs, rhs in presentation(model.tag, model.p, model.alpha)
+    ]
 
 
 def derived_relations(model: GroupModel) -> list[tuple[str, bool]]:
@@ -544,18 +494,17 @@ def build_model(tag: str, p: int, alpha: int | None = None) -> GroupModel:
         raise UnsupportedPrime(f"p = {p} is not prime")
     if tag != "G4" and p == 2:
         raise UnsupportedPrime(f"tag {tag} requires an odd prime")
+    squares = {(x * x) % p for x in range(1, p)}
     if tag == "XI":
         alpha = 0 if alpha is None else alpha
         if alpha % p != 0:
             raise BadAlpha("XI requires alpha = 0 mod p")
     elif tag == "XII":
         alpha = 1 if alpha is None else alpha
-        squares = {(x * x) % p for x in range(1, p)}
         if alpha % p not in squares:
             raise BadAlpha("XII requires alpha a nonzero quadratic residue mod p")
     elif tag == "XIII":
         alpha = smallest_nonresidue(p) if alpha is None else alpha
-        squares = {(x * x) % p for x in range(1, p)}
         if alpha % p in squares or alpha % p == 0:
             raise BadAlpha(f"XIII requires a non-residue mod {p}")
     elif alpha is not None:
@@ -581,7 +530,7 @@ def build_model(tag: str, p: int, alpha: int | None = None) -> GroupModel:
         bad = [name for name, ok in report.defining if not ok]
         raise RelationFailure(f"{tag} at p={p}: failed {bad or 'associativity'}")
     gen_ranks = {model.gen_rank(g) for g in model.gens}
-    if len(_group_closure(model, gen_ranks)) != model.order:
+    if len(group_closure(model, gen_ranks)) != model.order:
         raise RelationFailure(f"{tag} at p={p}: generators do not generate")
     return model
 
@@ -614,83 +563,62 @@ class Classification:
 def _iso_from_model(model: GroupModel, target: TableGroup) -> dict[tuple, int] | None:
     """Generator-image backtracking from a validated model into a table group.
 
-    Candidate generator images must match orders and satisfy the defining
-    relations; the normal-form extension is then checked bijective, which
-    makes the map an isomorphism because the presentation is faithful.
+    Images of P, Q, R are tried in that order among target elements of the
+    generators' orders in the model, so a relation in one generator holds for
+    every candidate; a relation between generators is checked as soon as all
+    of its generators have images.  The normal-form extension is then checked
+    bijective, which makes the map an isomorphism because the presentation is
+    faithful.
     """
     n = model.order
     if target.order != n:
         return None
-    t_orders = target.element_orders
-    m_orders = model.element_orders
     by_order: dict[int, list[int]] = {}
-    for r, o in enumerate(t_orders):
+    for r, o in enumerate(target.element_orders):
         by_order.setdefault(o, []).append(r)
 
-    gen_names = [g for g in ("P", "Q", "R") if g in model.gens]
-    gen_ranks = [model.gen_rank(g) for g in gen_names]
-    gen_orders = [m_orders[r] for r in gen_ranks]
+    gen_names = list(model.gens)
+    cands = [by_order.get(model.element_orders[model.gen_rank(g)], []) for g in gen_names]
+    # due[i]: the relations between generators whose last generator is gen_names[i]
+    due: list[list[tuple[Word, Word]]] = [[] for _ in gen_names]
+    for _, lhs, rhs in presentation(model.tag, model.p, model.alpha):
+        factors = (*lhs, *rhs)
+        if len({g for g, _ in factors}) > 1:
+            due[max(gen_names.index(g) for g, _ in factors)].append((lhs, rhs))
+    mul, pow_r = target.mul_r, lru_cache(maxsize=None)(target.pow_r)  # powers recur across branches
+    images: dict[str, int] = {}
 
-    mulT, invT, powT = target.mul_r, target.inv_r, target.pow_r
-    p = model.p
-
-    tag = model.tag
-
-    def pq_ok(P: int, Q: int) -> bool:
-        if tag == "G4":
-            return mulT(mulT(invT(Q), P), Q) == powT(P, 1 + p * p)
-        if tag in ("VIII", "XI", "XII", "XIII"):
-            return mulT(mulT(invT(Q), P), Q) == powT(P, 1 + p)
-        return mulT(P, Q) == mulT(Q, P)
-
-    def pqr_ok(P: int, Q: int, R: int) -> bool:
-        if tag == "VII":
-            return mulT(P, R) == mulT(R, P) and mulT(mulT(invT(R), Q), R) == mulT(Q, powT(P, p))
-        if tag == "IX":
-            return mulT(Q, R) == mulT(R, Q) and mulT(mulT(invT(R), P), R) == powT(P, 1 + p)
-        if tag == "X":
-            return mulT(Q, R) == mulT(R, Q) and mulT(mulT(invT(R), P), R) == mulT(P, Q)
-        return (
-            mulT(mulT(invT(R), P), R) == mulT(P, Q)
-            and mulT(mulT(invT(R), Q), R) == mulT(powT(P, model.alpha * p), Q)
-        )
-
-    def full_map(images: dict[str, int]) -> dict[tuple, int] | None:
-        img = [0] * n
+    def full_map() -> dict[tuple, int] | None:
         gen_imgs = [images[g] for g in gen_names]
+        mapping: dict[tuple, int] = {}
         seen = set()
-        for r, e in enumerate(model.elements):
+        for e in model.elements:
             acc = 0
             for coeff, gi in zip(e, gen_imgs):
                 if coeff:
-                    acc = mulT(acc, powT(gi, coeff))
-            img[r] = acc
+                    acc = mul(acc, pow_r(gi, coeff))
             if acc in seen:
                 return None
             seen.add(acc)
-        return {model.elements[r]: img[r] for r in range(n)}
+            mapping[e] = acc
+        return mapping
 
-    cands = [by_order.get(o, []) for o in gen_orders]
-    if len(gen_names) == 2:
-        for Pi in cands[0]:
-            for Qi in cands[1]:
-                if not pq_ok(Pi, Qi):
-                    continue
-                mapping = full_map({"P": Pi, "Q": Qi})
+    def search(i: int) -> dict[tuple, int] | None:
+        if i == len(gen_names):
+            return full_map()
+        g = gen_names[i]
+        for c in cands[i]:
+            images[g] = c
+            for lhs, rhs in due[i]:
+                if _eval_word(mul, pow_r, lhs, images) != _eval_word(mul, pow_r, rhs, images):
+                    break
+            else:
+                mapping = search(i + 1)
                 if mapping is not None:
                     return mapping
         return None
-    for Pi in cands[0]:
-        for Qi in cands[1]:
-            if not pq_ok(Pi, Qi):
-                continue
-            for Ri in cands[2]:
-                if not pqr_ok(Pi, Qi, Ri):
-                    continue
-                mapping = full_map({"P": Pi, "Q": Qi, "R": Ri})
-                if mapping is not None:
-                    return mapping
-    return None
+
+    return search(0)
 
 
 def classify_multiplicative_group(brace: Brace) -> Classification:

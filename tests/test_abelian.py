@@ -137,6 +137,13 @@ def test_subgroup_generated_examples():
     assert subgroup_generated(g, [(1, 0), (0, 1)]).order == 16
 
 
+def test_subgroup_membership_matches_members():
+    g = AbelianGroup([4, 4])
+    sub = subgroup_generated(g, [(2, 0), (0, 2)])
+    assert sub.members() == frozenset(sub.ranks) and len(sub.members()) == 4
+    assert [r for r in range(-1, g.order + 1) if r in sub] == sorted(sub.members())
+
+
 def test_subgroup_closed_under_add_and_neg():
     g = AbelianGroup([2, 8])
     sub = subgroup_generated(g, [(1, 2)])

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bracelab.abelian import AbelianGroup, validate_automorphism
+from bracelab.abelian import AbelianGroup, NotBijective, validate_automorphism
 from bracelab.brace import (
     BadLambdaZero,
     CocycleViolation,
     NotAnIdeal,
+    NotAutomorphism,
     brace_report,
     is_isomorphic,
     quotient_brace,
@@ -55,14 +56,31 @@ def test_validate_rejects_broken_cocycle_with_witness():
     assert a in g.elements and b in g.elements
 
 
+def test_validate_raises_first_violation_with_cause():
+    g = AbelianGroup([4, 4])
+    table = [[(1, 0), (0, 1)] for _ in range(16)]
+    table[0] = [(3, 0), (0, 3)]  # valid automorphism, but lambda_0 != id
+    table[5] = [(1, 0), (1, 0)]  # not a bijection
+    with pytest.raises(NotAutomorphism) as exc:
+        validate_brace(g, table)
+    assert exc.value.rank == 5
+    assert isinstance(exc.value.__cause__, NotBijective)
+    report = brace_report(g, table)
+    assert [kind for kind, _ in report.violations] == ["NotAutomorphism", "BadLambdaZero"]
+    assert report.violations[0][1] == (5, str(exc.value.__cause__))
+    assert report.checks == 16  # no cocycle scan, no spot triples
+
+
 def test_brace_report_collects_violations():
     g, table = diag44_columns()
     table[g.rank((0, 2))] = [(0, 1), (1, 0)]
     report = brace_report(g, table)
     assert not report.passed
     assert report.violations[0][0] == "CocycleViolation"
+    assert report.checks == 16 + 16 * 16
     good = brace_report(*diag44_columns())
     assert good.passed and not good.violations
+    assert good.checks == 16 + 16 * 16 + 200
 
 
 def test_star_circ_examples():

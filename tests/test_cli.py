@@ -81,6 +81,26 @@ def test_verify_corrupted_file_exit2(tmp_path, dm2p3_file):
     assert "CocycleViolation" in rep["results"]["validate"]["error"]
 
 
+@pytest.mark.parametrize(
+    "table_key, table, error",
+    [
+        ("lambda_table", [[[1]], [[1, 0, 7]]], "lambda_table entry 1"),
+        ("lambda_table", [[[1]], [[1.9]]], "lambda_table entry 1"),
+        ("lambda_table", [[[1]], [["1"]]], "lambda_table entry 1"),
+        ("mul_table", [[0, 1], [1, "0"]], "mul_table row 1"),
+        ("mul_table", [[0, 1], [1, -2]], "mul_table row 1"),
+    ],
+)
+def test_verify_rejects_loose_schema_exit2(tmp_path, capsys, table_key, table, error):
+    # a column of the wrong length, a float, a string, then a string and a negative rank in mul_table
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps({"format": "bracelab/brace", "version": 1, "moduli": [2], table_key: table}))
+    assert run_cli(["verify", "--input", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["validate"]["accepted"] is False
+    assert error in doc["results"]["validate"]["error"]
+
+
 def test_verify_bad_theorem1_tokens(dm2p3_file):
     assert run_cli(["verify", "--input", str(dm2p3_file), "--theorem1", "P=(0,1)"]) == 2
     assert run_cli(["verify", "--input", str(dm2p3_file), "--theorem1", "X=(0,1)", "Q=(1,0)", "m=2"]) == 2

@@ -104,19 +104,30 @@ def test_roundtrip_classification_p3_up_to_the_known_coincidence():
             assert matches == [tag]
 
 
+def assert_isomorphism(src, dst, mapping):
+    """The map from generator search is a bijection, multiplicative on all pairs."""
+    assert mapping is not None
+    img = [0] * src.order
+    for e, v in mapping.items():
+        img[src.rank(e)] = v
+    assert len(set(img)) == src.order
+    for a in range(src.order):
+        for b in range(src.order):
+            assert img[src.mul_r(a, b)] == dst.mul_r(img[a], img[b])
+
+
+@pytest.mark.parametrize("tag", NONABELIAN_TAGS)
+def test_self_isomorphism_is_multiplicative_at_p3(tag):
+    """The generic P, Q, R search on every 2- and 3-generator tag."""
+    model = build_model(tag, 3)
+    assert_isomorphism(model, model, _iso_from_model(model, TableGroup(model.order, model.mul_r)))
+
+
 def test_xi_xii_coincide_at_p3_brute_force():
     """The two presentations define isomorphic groups at p = 3: the found
     bijection is verified multiplicative on every pair."""
     xi, xii = build_model("XI", 3), build_model("XII", 3)
-    mapping = _iso_from_model(xi, TableGroup(xii.order, xii.mul_r))
-    assert mapping is not None
-    img = [0] * xi.order
-    for e, v in mapping.items():
-        img[xi.rank(e)] = v
-    assert len(set(img)) == xi.order
-    for a in range(xi.order):
-        for b in range(xi.order):
-            assert img[xi.mul_r(a, b)] == xii.mul_r(img[a], img[b])
+    assert_isomorphism(xi, xii, _iso_from_model(xi, TableGroup(xii.order, xii.mul_r)))
 
 
 @pytest.mark.slow
