@@ -11,10 +11,14 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 Element = tuple[int, ...]
+
+# Checks over all triples (or all elements) run exhaustively up to this
+# order and on seeded samples above it.
+EXHAUSTIVE_LIMIT = 81
 
 
 class AbelianError(Exception):
@@ -33,6 +37,26 @@ class StructuralAnomaly(AbelianError):
     """An internal consistency fact that must hold was observed to fail."""
 
 
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n = p^k for a prime p and k >= 1; None otherwise."""
+    if n < 2:
+        return None
+    p = next((f for f in range(2, isqrt(n) + 1) if n % f == 0), n)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
+
+
+def checked_moduli(moduli: Sequence[int]) -> tuple[int, ...]:
+    """The moduli as ints, each at least 2; checked before anything is built."""
+    moduli = tuple(int(d) for d in moduli)
+    if any(d < 2 for d in moduli):
+        raise ValueError(f"moduli must all be >= 2, got {moduli}")
+    return moduli
+
+
 class AbelianGroup:
     """Finite abelian group Z_{d_1} x ... x Z_{d_k} with tuple elements.
 
@@ -43,11 +67,9 @@ class AbelianGroup:
     __slots__ = ("moduli", "order", "elements", "_neg", "_add_flat", "_index")
 
     def __init__(self, moduli: Sequence[int]):
-        moduli = tuple(int(d) for d in moduli)
-        if any(d < 2 for d in moduli):
-            raise ValueError(f"moduli must all be >= 2, got {moduli}")
+        moduli = checked_moduli(moduli)
         self.moduli: tuple[int, ...] = moduli
-        self.order: int = prod(moduli) if moduli else 1
+        self.order: int = prod(moduli)
         self.elements: list[Element] = [
             tuple(reversed(e)) for e in itertools.product(*[range(d) for d in reversed(moduli)])
         ]
@@ -84,6 +106,10 @@ class AbelianGroup:
 
     def scalar_multiple(self, n: int, a: Element) -> Element:
         return tuple((n * x) % d for x, d in zip(a, self.moduli))
+
+    def scalar_rank(self, n: int, i: int) -> int:
+        """n times the element of rank i, as a rank."""
+        return self._index[self.scalar_multiple(n, self.elements[i])]
 
     @property
     def zero(self) -> Element:
@@ -247,6 +273,80 @@ def all_automorphisms(group: AbelianGroup) -> list[Automorphism]:
     return out
 
 
+class TableGroup:
+    """Group on ranks 0..n-1 given by a product function; identity must be 0.
+
+    Inverses, powers and element orders are derived from ``mul_r`` alone and
+    cached; ``pgroups.fingerprint`` caches its invariants here too.
+    """
+
+    def __init__(self, n: int, mul_r: Callable[[int, int], int]):
+        self.order = n
+        self.mul_r = mul_r
+        self._inv: list[int] | None = None
+        self._orders: list[int] | None = None
+        self._fingerprint = None
+
+    @property
+    def inv(self) -> list[int]:
+        """x^-1 = x^(ord(x) - 1)."""
+        if self._inv is None:
+            self._inv = [self.pow_r(i, o - 1) for i, o in enumerate(self.element_orders)]
+        return self._inv
+
+    def inv_r(self, i: int) -> int:
+        return self.inv[i]
+
+    def pow_r(self, i: int, k: int) -> int:
+        if k < 0:
+            return self.inv[self.pow_r(i, -k)]
+        acc, base = None, i
+        while k:
+            if k & 1:
+                acc = base if acc is None else self.mul_r(acc, base)
+            k >>= 1
+            if k:
+                base = self.mul_r(base, base)
+        return 0 if acc is None else acc
+
+    @property
+    def element_orders(self) -> list[int]:
+        if self._orders is None:
+            mul = self.mul_r
+            out = [0] * self.order
+            for i in range(self.order):
+                t, y = 1, i
+                while y != 0:
+                    y = mul(y, i)
+                    t += 1
+                out[i] = t
+            self._orders = out
+        return self._orders
+
+
+def group_closure(mul: Callable[[int, int], int], seeds: Iterable[int]) -> set[int]:
+    """Subgroup generated by the seeds, as words in them (enough in a finite group).
+
+    A seed already reached is skipped, so at most log2 |H| seeds become
+    generators; each new one re-closes the members reached so far.
+    """
+    members = {0}
+    gens: list[int] = []
+    for s in sorted(set(seeds)):
+        if s in members:
+            continue
+        gens.append(s)
+        frontier = list(members)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = mul(x, g)
+                if y not in members:
+                    members.add(y)
+                    frontier.append(y)
+    return members
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """Subgroup stored as the sorted tuple of its member ranks."""
@@ -282,26 +382,7 @@ class Subgroup:
 
 def subgroup_closure(group: AbelianGroup, seed_ranks: Iterable[int]) -> Subgroup:
     """Smallest additively closed subset containing the seeds and 0."""
-    add = group.add_rank
-    neg = group.neg_rank
-    members = {0}
-    frontier = [0]
-    for r in seed_ranks:
-        if r not in members:
-            members.add(r)
-            frontier.append(r)
-    while frontier:
-        x = frontier.pop()
-        nx = neg[x]
-        if nx not in members:
-            members.add(nx)
-            frontier.append(nx)
-        for y in list(members):
-            s = add(x, y)
-            if s not in members:
-                members.add(s)
-                frontier.append(s)
-    return Subgroup(tuple(members))
+    return Subgroup(tuple(group_closure(group.add_rank, seed_ranks)))
 
 
 def subgroup_generated(group: AbelianGroup, gens: Iterable[Element]) -> Subgroup:
@@ -335,23 +416,16 @@ def primary_invariants(moduli: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(parts))
 
 
-def abelian_basis(n: int, add: Callable[[int, int], int], zero: int) -> list[tuple[int, int]]:
-    """Cyclic basis (generator, order) pairs for an abelian group on 0..n-1.
+def abelian_basis(group: TableGroup) -> list[tuple[int, int]]:
+    """Cyclic basis (generator, order) pairs for an abelian table group.
 
     Greedy: repeatedly pick an element whose order in the current quotient is
     maximal and equals its full order; such an element always exists because a
     cyclic subgroup of exponent order is a direct summand.
     """
-    span = {zero}
+    n, add, orders = group.order, group.mul_r, group.element_orders
+    span = {0}
     gens: list[tuple[int, int]] = []
-    orders: dict[int, int] = {}
-    for x in range(n):
-        t, y = 1, x
-        while y != zero:
-            y = add(y, x)
-            t += 1
-        orders[x] = t
-
     while len(span) < n:
         qord: dict[int, int] = {}
         for x in range(n):
@@ -367,7 +441,7 @@ def abelian_basis(n: int, add: Callable[[int, int], int], zero: int) -> list[tup
         if best is None:
             raise StructuralAnomaly("no basis element with matching order; group not abelian?")
         gens.append((best, d))
-        powers = [zero]
+        powers = [0]
         y = best
         for _ in range(d - 1):
             powers.append(y)

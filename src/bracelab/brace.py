@@ -26,6 +26,7 @@ from .abelian import (
     NotHomomorphism,
     StructuralAnomaly,
     Subgroup,
+    TableGroup,
     abelian_basis,
     identity_automorphism,
     subgroup_closure,
@@ -75,15 +76,18 @@ class BraceReport:
 
 
 class Brace:
-    """Validated left brace; construct via ``validate_brace`` or the builders."""
+    """Validated left brace; construct via ``validate_brace`` or the builders.
+
+    ``circle`` is the circle group (A, o) on ranks; ``circ_r`` is its product.
+    """
 
     __slots__ = (
         "group",
         "lambda_ids",
         "auts",
         "_perms",
-        "_inv_perms",
-        "_circ_order",
+        "circ_r",
+        "circle",
         "_star_span",
         "_cache",
         "name",
@@ -94,8 +98,15 @@ class Brace:
         self.lambda_ids = lambda_ids
         self.auts = auts
         self._perms: list[tuple[int, ...]] = [f.perm(group) for f in auts]
-        self._inv_perms: list[tuple[int, ...]] = [f.inv_perm(group) for f in auts]
-        self._circ_order: list[int] | None = None
+        add, perms = group.add_rank, self._perms
+
+        # a closure over the tables, not a bound method: the brace, its
+        # circle group and its tables then form no reference cycle
+        def circ_r(a: int, b: int) -> int:
+            return add(a, perms[lambda_ids[a]][b])
+
+        self.circ_r = circ_r
+        self.circle = TableGroup(group.order, circ_r)
         self._star_span: Subgroup | None = None
         self._cache: dict = {}  # memo for derived analyses (series, centers, ...)
         self.name = name
@@ -145,37 +156,6 @@ class Brace:
         g = self.group
         return g.add_rank(self._perms[self.lambda_ids[a]][b], g.neg_rank[b])
 
-    def circ_r(self, a: int, b: int) -> int:
-        return self.group.add_rank(a, self._perms[self.lambda_ids[a]][b])
-
-    def circ_inverse_r(self, a: int) -> int:
-        return self._inv_perms[self.lambda_ids[a]][self.group.neg_rank[a]]
-
-    def circ_power_r(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.circ_inverse_r(self.circ_power_r(a, -n))
-        acc = 0
-        base = a
-        while n:
-            if n & 1:
-                acc = self.circ_r(acc, base)
-            base = self.circ_r(base, base)
-            n >>= 1
-        return acc
-
-    def circ_order_r(self, a: int) -> int:
-        if self._circ_order is None:
-            self._circ_order = [0] * self.order
-        cached = self._circ_order[a]
-        if cached:
-            return cached
-        t, y = 1, a
-        while y != 0:
-            y = self.circ_r(y, a)
-            t += 1
-        self._circ_order[a] = t
-        return t
-
     # -- element-level operations ----------------------------------------------
 
     def star(self, a: Element, b: Element) -> Element:
@@ -185,18 +165,18 @@ class Brace:
         return self.element(self.circ_r(self.rank(a), self.rank(b)))
 
     def circ_inverse(self, a: Element) -> Element:
-        return self.element(self.circ_inverse_r(self.rank(a)))
+        return self.element(self.circle.inv[self.rank(a)])
 
     def circ_power(self, a: Element, n: int) -> Element:
-        return self.element(self.circ_power_r(self.rank(a), n))
+        return self.element(self.circle.pow_r(self.rank(a), n))
 
     def circ_order(self, a: Element) -> int:
-        return self.circ_order_r(self.rank(a))
+        return self.circle.element_orders[self.rank(a)]
 
     def commutator(self, a: Element, b: Element) -> Element:
         i, j = self.rank(a), self.rank(b)
-        c = self.circ_r(self.circ_r(self.circ_inverse_r(i), self.circ_inverse_r(j)), self.circ_r(i, j))
-        return self.element(c)
+        inv = self.circle.inv
+        return self.element(self.circ_r(self.circ_r(inv[i], inv[j]), self.circ_r(i, j)))
 
     def is_circ_abelian(self) -> bool:
         n = self.order
@@ -449,7 +429,7 @@ def quotient_brace(brace: Brace, ideal: Subgroup) -> tuple[Brace, dict[int, int]
         qbrace = Brace(qgroup, [0], [identity_automorphism(qgroup)], name=f"{brace.name}/I")
         return qbrace, {r: 0 for r in range(n)}
 
-    basis = abelian_basis(m, qadd, coset_id[0])
+    basis = abelian_basis(TableGroup(m, qadd))  # coset 0 holds 0, the identity
     basis.sort(key=lambda t: t[1])  # moduli in increasing order
     qmoduli = tuple(d for _, d in basis)
     qgroup = AbelianGroup(qmoduli)
@@ -457,7 +437,7 @@ def quotient_brace(brace: Brace, ideal: Subgroup) -> tuple[Brace, dict[int, int]
     # coset id <-> quotient rank, via coordinates over the basis
     coset_to_rank = [-1] * m
     for qr, coords in enumerate(qgroup.elements):
-        acc = coset_id[0]
+        acc = 0
         for coeff, (g, _) in zip(coords, basis):
             for _ in range(coeff):
                 acc = qadd(acc, g)
@@ -504,7 +484,7 @@ def _fingerprints(brace: Brace) -> list[tuple[int, int, int]]:
     return [
         (
             g.element_order(g.unrank(r)),
-            brace.circ_order_r(r),
+            brace.circle.element_orders[r],
             brace.auts[brace.lambda_ids[r]].perm_order(g),
         )
         for r in range(brace.order)

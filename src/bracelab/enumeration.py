@@ -17,8 +17,9 @@ classes to their orbits under conjugation by Aut(A,+).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .abelian import AbelianGroup, StructuralAnomaly, all_automorphisms, identity_automorphism
+from .abelian import AbelianGroup, StructuralAnomaly, all_automorphisms, checked_moduli, identity_automorphism
 from .brace import Brace, BraceError
 
 
@@ -27,7 +28,8 @@ class GuardExceeded(BraceError):
 
 
 DEFAULT_MAX_ORDER = 16
-DEFAULT_MAX_AUT = 1000
+MAX_AUT = 1000
+ORACLE_MAX_AUT = 100_000
 
 
 @dataclass(frozen=True)
@@ -43,12 +45,7 @@ class EnumerationResult:
         assert self.isomorphism_classes == len(self.representatives)
 
 
-def enumerate_braces(
-    moduli,
-    max_order: int = DEFAULT_MAX_ORDER,
-    max_aut: int = DEFAULT_MAX_AUT,
-    force: bool = False,
-) -> EnumerationResult:
+def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = False) -> EnumerationResult:
     """All braces on the given additive group, deduplicated up to isomorphism.
 
     Guarded by group order and |Aut(A,+)| (automorphism counts explode long
@@ -59,12 +56,14 @@ def enumerate_braces(
     walked in search order and each one not yet in a known orbit becomes the
     next representative, so every class is named after its first table.
     """
+    moduli = checked_moduli(moduli)
+    order = prod(moduli)
+    if not force and order > max_order:
+        raise GuardExceeded(f"order {order} exceeds guard {max_order}; use force")
     group = AbelianGroup(moduli)
-    if not force and group.order > max_order:
-        raise GuardExceeded(f"order {group.order} exceeds guard {max_order}; use force")
     auts = all_automorphisms(group)
-    if not force and len(auts) > max_aut:
-        raise GuardExceeded(f"|Aut| = {len(auts)} exceeds guard {max_aut}; use force")
+    if not force and len(auts) > MAX_AUT:
+        raise GuardExceeded(f"|Aut| = {len(auts)} exceeds guard {MAX_AUT}; use force")
 
     n = group.order
     k = len(auts)
@@ -171,7 +170,7 @@ class OracleResult:
     holomorph_order: int
 
 
-def holomorph_count_oracle(moduli, max_order: int = DEFAULT_MAX_ORDER, max_aut: int = 100_000) -> OracleResult:
+def holomorph_count_oracle(moduli) -> OracleResult:
     """Count regular subgroups of Hol(A) and their Aut(A,+)-conjugacy classes.
 
     Independent of the lambda-table search: subgroups of order |A| are found
@@ -179,12 +178,14 @@ def holomorph_count_oracle(moduli, max_order: int = DEFAULT_MAX_ORDER, max_aut: 
     subgroups whose first coordinates are distinct, then filtered for
     regularity (first coordinates exactly A).
     """
+    moduli = checked_moduli(moduli)
+    order = prod(moduli)
+    if order > DEFAULT_MAX_ORDER:
+        raise GuardExceeded(f"order {order} exceeds oracle guard {DEFAULT_MAX_ORDER}")
     group = AbelianGroup(moduli)
-    if group.order > max_order:
-        raise GuardExceeded(f"order {group.order} exceeds oracle guard {max_order}")
     auts = all_automorphisms(group)
-    if len(auts) > max_aut:
-        raise GuardExceeded(f"|Aut| = {len(auts)} exceeds oracle guard {max_aut}")
+    if len(auts) > ORACLE_MAX_AUT:
+        raise GuardExceeded(f"|Aut| = {len(auts)} exceeds oracle guard {ORACLE_MAX_AUT}")
 
     n = group.order
     k = len(auts)

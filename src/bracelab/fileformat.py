@@ -17,10 +17,11 @@ exactly k columns of k coordinates, and each mul_table row has n ranks in
 from __future__ import annotations
 
 import json
+from math import prod
 from pathlib import Path
 from typing import Any
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, checked_moduli
 from .brace import Brace, BraceError, brace_from_circ_table, validate_brace
 
 FORMAT = "bracelab/brace"
@@ -77,30 +78,31 @@ def doc_to_brace(doc: dict[str, Any]) -> Brace:
     meta = doc.get("metadata")
     if isinstance(meta, dict):
         name = str(meta.get("name", ""))
+    # sizes are checked against prod(moduli) before the group is built
     try:
-        group = AbelianGroup(moduli)
+        moduli = checked_moduli(moduli)
     except ValueError as exc:
         raise BraceFileError(str(exc)) from exc
-    try:
-        n, k = group.order, len(moduli)
-        if has_lambda:
-            table = doc["lambda_table"]
-            if not isinstance(table, list) or len(table) != n:
-                raise BraceFileError(f"lambda_table must have {n} entries")
-            for i, entry in enumerate(table):
-                if not (isinstance(entry, list) and len(entry) == k and all(_int_list(col, k) for col in entry)):
-                    raise BraceFileError(f"lambda_table entry {i} must be {k} columns of {k} integers")
-            columns = [[tuple(col) for col in entry] for entry in table]
-            return validate_brace(group, columns, name=name)
+    n, k = prod(moduli), len(moduli)
+    if has_lambda:
+        table = doc["lambda_table"]
+        if not isinstance(table, list) or len(table) != n:
+            raise BraceFileError(f"lambda_table must have {n} entries")
+        for i, entry in enumerate(table):
+            if not (isinstance(entry, list) and len(entry) == k and all(_int_list(col, k) for col in entry)):
+                raise BraceFileError(f"lambda_table entry {i} must be {k} columns of {k} integers")
+    else:
         mul = doc["mul_table"]
         if not isinstance(mul, list) or len(mul) != n:
             raise BraceFileError(f"mul_table must have {n} rows")
         for i, row in enumerate(mul):
             if not (_int_list(row, n) and all(0 <= r < n for r in row)):
                 raise BraceFileError(f"mul_table row {i} must be {n} ranks in 0..{n - 1}")
+    group = AbelianGroup(moduli)
+    try:
+        if has_lambda:
+            return validate_brace(group, [[tuple(col) for col in entry] for entry in table], name=name)
         return brace_from_circ_table(group, mul, name=name)
-    except BraceFileError:
-        raise
     except BraceError as exc:
         raise BraceFileError(f"{type(exc).__name__}: {exc}") from exc
 

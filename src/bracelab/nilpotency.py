@@ -23,9 +23,17 @@ import random
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .abelian import Element, StructuralAnomaly, Subgroup, multiples_subgroup, subgroup_closure
+from .abelian import (
+    EXHAUSTIVE_LIMIT,
+    Element,
+    StructuralAnomaly,
+    Subgroup,
+    group_closure,
+    multiples_subgroup,
+    prime_power,
+    subgroup_closure,
+)
 from .brace import Brace, BraceError, quotient_brace
-from .pgroups import circle_group, group_closure
 
 SeriesKind = Literal["left", "right", "strong"]
 
@@ -216,13 +224,8 @@ def certify_right_nilpotent(brace: Brace) -> CertifyResult:
     ConsistencyFailure, never a silent result.
     """
     n = brace.order
-    if n > 1:
-        m = n
-        p = min(f for f in range(2, n + 1) if n % f == 0)
-        while m % p == 0:
-            m //= p
-        if m != 1:
-            raise PreconditionMismatch(f"order {n} is not a prime power")
+    if n > 1 and prime_power(n) is None:
+        raise PreconditionMismatch(f"order {n} is not a prime power")
 
     transcript: list[CertifyStep] = []
     current = brace
@@ -296,14 +299,11 @@ def _ppn_check(brace: Brace, P: int) -> tuple[int, int | None]:
     Returns the number of checks made and the first failing n, or None.
     """
     g = brace.group
-
-    def scal(t: int, x: int) -> int:
-        return g.rank(g.scalar_multiple(t, g.unrank(x)))
-
+    scal = g.scalar_rank
     pp = brace.star_r(P, P)
     ppp = brace.star_r(P, pp)
     pppp = brace.star_r(P, ppp)
-    last = 2 * brace.circ_order_r(P)
+    last = 2 * brace.circle.element_orders[P]
     pk = 0  # P^0
     for nn in range(last + 1):
         rhs = g.add_rank(g.add_rank(scal(_c1(nn), pppp), scal(_c2(nn), ppp)), scal(nn, pp))
@@ -316,14 +316,10 @@ def _ppn_check(brace: Brace, P: int) -> tuple[int, int | None]:
 def p4_shape(brace: Brace) -> tuple[int, int] | None:
     """(p, m) when |A| = p^4 with additive type C_p x C_p^3 (m=2) or
     C_p^2 x C_p^2 (m=1); None otherwise."""
-    n = brace.order
-    p = 0
-    for f in range(2, n + 1):
-        if n % f == 0:
-            p = f
-            break
-    if p == 0 or p ** 4 != n:
+    pk = prime_power(brace.order)
+    if pk is None or pk[1] != 4:
         return None
+    p = pk[0]
     inv = tuple(sorted(brace.moduli))
     if inv == (p, p ** 3):
         return p, 2
@@ -350,7 +346,8 @@ def _coverage(brace: Brace, P: int, q_ranks: Sequence[int]) -> tuple[bool, dict[
     outcomes are reported so the universal reading stays visible.
     """
     n = brace.order
-    ordP = brace.circ_order_r(P)
+    orders = brace.circle.element_orders
+    ordP = orders[P]
     p_powers = [0] * ordP
     acc = 0
     for k in range(ordP):
@@ -363,7 +360,7 @@ def _coverage(brace: Brace, P: int, q_ranks: Sequence[int]) -> tuple[bool, dict[
         words = {0}
         for idx in perm:
             q = q_ranks[idx]
-            oq = brace.circ_order_r(q)
+            oq = orders[q]
             new = set()
             for w in words:
                 acc = w
@@ -378,20 +375,20 @@ def _coverage(brace: Brace, P: int, q_ranks: Sequence[int]) -> tuple[bool, dict[
     return len(union) == n, per_ordering
 
 
-def theorem_stage_results(brace: Brace, ctx: TheoremContext, window: int | None = None) -> list[StageResult]:
-    """The staged propositions for a generator context (run when hypotheses hold)."""
+def theorem_stage_results(brace: Brace, ctx: TheoremContext) -> list[StageResult]:
+    """The staged propositions for a generator context (run when hypotheses hold).
+
+    The signed stages run over n in [-ord(P), ord(P)].
+    """
     g = brace.group
+    circle = brace.circle
     P = brace.rank(ctx.P)
     pm = ctx.p ** ctx.m
-    ordP = brace.circ_order_r(P)
-    lo, hi = (-ordP, ordP) if window is None else (-window, window)
+    ordP = circle.element_orders[P]
+    lo, hi = -ordP, ordP
     results: list[StageResult] = []
-
-    def srank(x: int, y: int) -> int:
-        return brace.star_r(x, y)
-
-    def scal(t: int, x: int) -> int:
-        return g.rank(g.scalar_multiple(t, g.unrank(x)))
+    srank = brace.star_r
+    scal = g.scalar_rank
 
     pp = srank(P, P)  # P*P
     ppp = srank(P, pp)  # P*(P*P)
@@ -406,7 +403,7 @@ def theorem_stage_results(brace: Brace, ctx: TheoremContext, window: int | None 
 
     # prop1: p^m (P*P) in A^3 and the reduced expansion of P*P^{p^m}
     a3 = brace.subset_star(range(brace.order), brace.subset_star(range(brace.order), range(brace.order)))
-    p_pm = brace.circ_power_r(P, pm)
+    p_pm = circle.pow_r(P, pm)
     lhs1 = scal(pm, pp) in a3
     lhs2 = srank(P, p_pm) == g.add_rank(scal(_c2(pm), ppp), scal(pm, pp))
     results.append(
@@ -429,7 +426,7 @@ def theorem_stage_results(brace: Brace, ctx: TheoremContext, window: int | None 
         witness = ("P^{p^m} != p^m P",)
     else:
         for nn in range(lo, hi + 1):
-            pk = brace.circ_power_r(P, nn)
+            pk = circle.pow_r(P, nn)
             t1 = scal(pm, srank(P, srank(P, pk)))
             t2 = scal(nn * pm, ppp)
             checks += 1
@@ -442,7 +439,7 @@ def theorem_stage_results(brace: Brace, ctx: TheoremContext, window: int | None 
     checks = 0
     witness = None
     for nn in range(lo, hi + 1):
-        pk = brace.circ_power_r(P, nn)
+        pk = circle.pow_r(P, nn)
         if scal(pm, srank(P, pk)) != scal(nn * pm, pp):
             witness = (nn,)
             break
@@ -450,7 +447,7 @@ def theorem_stage_results(brace: Brace, ctx: TheoremContext, window: int | None 
     results.append(StageResult("np2pp", "failed" if witness else "passed", checks, witness=witness))
 
     # negpow: p^m P^{-1} = -(p^m P)
-    ok = scal(pm, brace.circ_inverse_r(P)) == g.rank(g.neg(g.unrank(scal(pm, P))))
+    ok = scal(pm, circle.inv[P]) == g.neg_rank[scal(pm, P)]
     results.append(StageResult("negpow", "passed" if ok else "failed", 1))
 
     # final_lemma: P * (p^m a) = 0 for every a
@@ -508,29 +505,27 @@ def theorem1_check(brace: Brace, P: Element, Qs: Sequence[Element], m: int) -> T
         raise InputShapeMismatch(f"additive type {tuple(sorted(brace.moduli))} requires m={m_expected}, got m={m}")
 
     g = brace.group
+    circle = brace.circle
     pr = brace.rank(P)
     q_ranks = [brace.rank(q) for q in Qs]
     pm = p ** m
-    c = brace.circ_power_r(pr, pm)
+    c = circle.pow_r(pr, pm)
 
     hyps: list[HypothesisResult] = []
-    central = all(brace.star_r(c, a) == brace.star_r(a, c) for a in range(brace.order))
-    hyps.append(HypothesisResult(1, "P^{p^m} is central", central))
+    hyps.append(HypothesisResult(1, "P^{p^m} is central", c in center_star(brace)))
     a2 = brace.star_span()
     hyps.append(HypothesisResult(2, "P^{p^m} in A*A", c in a2, (g.unrank(c),)))
-    orders = tuple(brace.circ_order_r(q) for q in q_ranks)
+    orders = tuple(circle.element_orders[q] for q in q_ranks)
     hyps.append(
         HypothesisResult(3, "circle order of every Q_i is at most p^m", all(o <= pm for o in orders), orders)
     )
     covered, per_ordering = _coverage(brace, pr, q_ranks)
     hyps.append(HypothesisResult(4, "every element factors as P^k o (Q-word)", covered))
 
-    ordP = brace.circ_order_r(pr)
+    ordP = circle.element_orders[pr]
     witness = None
     for k in range(-ordP, ordP + 1):
-        pk = brace.circ_power_r(pr, k)
-        target = g.rank(g.scalar_multiple(pm, g.unrank(pk)))
-        if brace.star_r(pr, target) != 0:
+        if brace.star_r(pr, g.scalar_rank(pm, circle.pow_r(pr, k))) != 0:
             witness = (k,)
             break
     stages: tuple[StageResult, ...] = ()
@@ -551,10 +546,10 @@ def theorem1_check(brace: Brace, P: Element, Qs: Sequence[Element], m: int) -> T
     )
 
 
-def discover_theorem_context(brace: Brace, max_q: int = 2) -> TheoremContext | None:
+def discover_theorem_context(brace: Brace) -> TheoremContext | None:
     """Find (P, Q_1..Q_i) satisfying all four hypotheses, if any exist.
 
-    Tries every P, then Q-sets of size up to ``max_q`` drawn from elements of
+    Tries every P, then Q-sets of one or two elements drawn from elements of
     circle order at most p^m, smallest ranks first.  Candidate families whose
     circle closure is a proper subgroup are pruned before the coverage check.
     """
@@ -568,18 +563,17 @@ def discover_theorem_context(brace: Brace, max_q: int = 2) -> TheoremContext | N
         pm = p ** m
         n = brace.order
         a2 = brace.star_span()
-        circ = circle_group(brace)
-        small = [q for q in range(1, n) if brace.circ_order_r(q) <= pm]
+        center = center_star(brace)
+        circle = brace.circle
+        small = [q for q in range(1, n) if circle.element_orders[q] <= pm]
         for pr in range(1, n):
-            c = brace.circ_power_r(pr, pm)
-            if c not in a2:
-                continue
-            if not all(brace.star_r(c, a) == brace.star_r(a, c) for a in range(n)):
+            c = circle.pow_r(pr, pm)
+            if c not in a2 or c not in center:
                 continue
             found = None
-            for size in range(1, max_q + 1):
+            for size in (1, 2):
                 for qs in itertools.combinations(small, size):
-                    if len(group_closure(circ, [pr, *qs])) != n:
+                    if len(group_closure(circle.mul_r, [pr, *qs])) != n:
                         continue
                     covered, _ = _coverage(brace, pr, list(qs))
                     if covered:
@@ -607,14 +601,13 @@ class SuiteScope:
         "theorem_stages",
         "rel_suite",
     )
-    exhaustive_limit: int = 81  # orders above this sample elements
     sample_budget: int = 20
     seed: int = 0
     context: TheoremContext | None = None
 
 
-def _sample_ranks(n: int, limit: int, budget: int, seed: int) -> list[int]:
-    if n <= limit:
+def _sample_ranks(n: int, budget: int, seed: int) -> list[int]:
+    if n <= EXHAUSTIVE_LIMIT:
         return list(range(n))
     rng = random.Random(seed)
     picks = {0}
@@ -627,7 +620,7 @@ def _stage_ppn(brace: Brace, scope: SuiteScope) -> StageResult:
     if not left_class_at_most(brace, 5):
         return StageResult("ppn", "skipped", reason=_PPN_SKIP)
     checks = 0
-    for P in _sample_ranks(brace.order, scope.exhaustive_limit, scope.sample_budget, scope.seed):
+    for P in _sample_ranks(brace.order, scope.sample_budget, scope.seed):
         n_checks, failing = _ppn_check(brace, P)
         checks += n_checks
         if failing is not None:
@@ -639,11 +632,11 @@ def _stage_commuting_powers(brace: Brace, scope: SuiteScope) -> StageResult:
     """c^k * (c^l * a) = c^l * (c^k * a), deduplicated over cyclic circle subgroups."""
     checks = 0
     seen: set[frozenset[int]] = set()
-    ranks = _sample_ranks(brace.order, scope.exhaustive_limit, scope.sample_budget, scope.seed)
+    ranks = _sample_ranks(brace.order, scope.sample_budget, scope.seed)
     for c in ranks:
         powers = []
         acc = 0
-        for _ in range(brace.circ_order_r(c)):
+        for _ in range(brace.circle.element_orders[c]):
             powers.append(acc)
             acc = brace.circ_r(acc, c)
         key = frozenset(powers)
@@ -676,12 +669,14 @@ def find_g4_pair(brace: Brace) -> tuple[int, int] | None:
     n = brace.order
     p3 = p ** 3
     target_exp = 1 + p * p
-    ps = [r for r in range(1, n) if brace.circ_order_r(r) == p3]
-    qs = [r for r in range(1, n) if brace.circ_order_r(r) == p]
+    circle = brace.circle
+    orders = circle.element_orders
+    ps = [r for r in range(1, n) if orders[r] == p3]
+    qs = [r for r in range(1, n) if orders[r] == p]
     for P in ps:
-        conj_target = brace.circ_power_r(P, target_exp)
+        conj_target = circle.pow_r(P, target_exp)
         for Q in qs:
-            qinv = brace.circ_inverse_r(Q)
+            qinv = circle.inv[Q]
             if brace.circ_r(brace.circ_r(qinv, P), Q) != conj_target:
                 continue
             reached = set()
@@ -712,13 +707,11 @@ def _stage_rel_suite(brace: Brace, scope: SuiteScope) -> StageResult:
     p3 = p ** 3
     checks = 0
 
-    def spow(base: int, k: int) -> int:
-        return brace.circ_power_r(base, k)
-
-    exhaustive = brace.order <= scope.exhaustive_limit
+    spow = brace.circle.pow_r
+    exhaustive = brace.order <= EXHAUSTIVE_LIMIT
     n_range = range(p3) if exhaustive else range(0, p3, max(1, p3 // scope.sample_budget))
     c_range = range(p)
-    d_range = range(n) if exhaustive else _sample_ranks(n, scope.exhaustive_limit, scope.sample_budget, scope.seed)
+    d_range = _sample_ranks(n, scope.sample_budget, scope.seed)
 
     for nn in n_range:
         pn = spow(P, nn)

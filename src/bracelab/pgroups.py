@@ -28,9 +28,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .abelian import abelian_basis
+from .abelian import EXHAUSTIVE_LIMIT, TableGroup, abelian_basis, group_closure, prime_power
 from .brace import Brace, BraceError
 
 NONABELIAN_TAGS = ("VII", "VIII", "IX", "X", "XI", "XII", "XIII", "G4")
@@ -59,57 +59,6 @@ class NoMatch(GroupModelError):
 def smallest_nonresidue(p: int) -> int:
     squares = {(x * x) % p for x in range(1, p)}
     return next(a for a in range(2, p) if a % p not in squares)
-
-
-class TableGroup:
-    """Group on ranks 0..n-1 given by a product function; identity must be 0."""
-
-    def __init__(self, n: int, mul_r: Callable[[int, int], int]):
-        self.order = n
-        self.mul_r = mul_r
-        self._inv: list[int] | None = None
-        self._orders: list[int] | None = None
-        self._fingerprint: GroupFingerprint | None = None
-
-    @property
-    def inv(self) -> list[int]:
-        if self._inv is None:
-            inv = [-1] * self.order
-            for i in range(self.order):
-                for j in range(self.order):
-                    if self.mul_r(i, j) == 0:
-                        inv[i] = j
-                        break
-            self._inv = inv
-        return self._inv
-
-    def inv_r(self, i: int) -> int:
-        return self.inv[i]
-
-    def pow_r(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.inv[self.pow_r(i, -k)]
-        acc, base = None, i
-        while k:
-            if k & 1:
-                acc = base if acc is None else self.mul_r(acc, base)
-            k >>= 1
-            if k:
-                base = self.mul_r(base, base)
-        return 0 if acc is None else acc
-
-    @property
-    def element_orders(self) -> list[int]:
-        if self._orders is None:
-            out = [0] * self.order
-            for i in range(self.order):
-                t, y = 1, i
-                while y != 0:
-                    y = self.mul_r(y, i)
-                    t += 1
-                out[i] = t
-            self._orders = out
-        return self._orders
 
 
 class GroupModel(TableGroup):
@@ -150,10 +99,6 @@ class GroupModel(TableGroup):
         return f"GroupModel({self.tag}, p={self.p}{a})"
 
 
-def circle_group(brace: Brace) -> TableGroup:
-    return TableGroup(brace.order, brace.circ_r)
-
-
 # -- fingerprints -------------------------------------------------------------------
 
 
@@ -183,24 +128,9 @@ def fingerprint(group: TableGroup) -> GroupFingerprint:
     center = sum(1 for c in range(n) if all(mul(c, a) == mul(a, c) for a in range(n)))
     inv = group.inv
     comms = {mul(mul(inv[a], inv[b]), mul(a, b)) for a in range(n) for b in range(n)}
-    derived = group_closure(group, comms)
+    derived = group_closure(mul, comms)
     group._fingerprint = GroupFingerprint(n, abelian, exponent, tuple(sorted(hist.items())), center, len(derived))
     return group._fingerprint
-
-
-def group_closure(group: TableGroup, seeds: Iterable[int]) -> set[int]:
-    """Subgroup generated by the seeds (words suffice in a finite group)."""
-    gens = sorted(seeds)
-    members = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = group.mul_r(x, g)
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return members
 
 
 # -- model builders ------------------------------------------------------------------
@@ -316,12 +246,6 @@ def _build_g4(p: int) -> GroupModel:
         return ((a1 + a2 * pow(shift, b1, p3)) % p3, (b1 + b2) % p)
 
     return GroupModel("G4", p, (p3, p), mul)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % f for f in range(2, int(n ** 0.5) + 1))
 
 
 Word = Sequence[tuple[str, int]]  # (generator, exponent) pairs, read left to right
@@ -455,7 +379,7 @@ def verify_presentation_relations(model: GroupModel, seed: int = 0, sample: int 
     n = model.order
     checked = 0
     ok = True
-    if n <= 81:
+    if n <= EXHAUSTIVE_LIMIT:
         for a in range(n):
             for b in range(n):
                 ab = model.mul_r(a, b)
@@ -490,7 +414,7 @@ def verify_presentation_relations(model: GroupModel, seed: int = 0, sample: int 
 def build_model(tag: str, p: int, alpha: int | None = None) -> GroupModel:
     """Build and validate a model; raises on bad prime, bad alpha, or any
     failed relation/associativity check."""
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise UnsupportedPrime(f"p = {p} is not prime")
     if tag != "G4" and p == 2:
         raise UnsupportedPrime(f"tag {tag} requires an odd prime")
@@ -530,14 +454,9 @@ def build_model(tag: str, p: int, alpha: int | None = None) -> GroupModel:
         bad = [name for name, ok in report.defining if not ok]
         raise RelationFailure(f"{tag} at p={p}: failed {bad or 'associativity'}")
     gen_ranks = {model.gen_rank(g) for g in model.gens}
-    if len(group_closure(model, gen_ranks)) != model.order:
+    if len(group_closure(model.mul_r, gen_ranks)) != model.order:
         raise RelationFailure(f"{tag} at p={p}: generators do not generate")
     return model
-
-
-def available_models(p: int) -> list[GroupModel]:
-    tags = NONABELIAN_TAGS if p != 2 else ("G4",)
-    return [build_model(t, p) for t in tags]
 
 
 # -- classification --------------------------------------------------------------------
@@ -624,26 +543,33 @@ def _iso_from_model(model: GroupModel, target: TableGroup) -> dict[tuple, int] |
 def classify_multiplicative_group(brace: Brace) -> Classification:
     """Match the circle group of a p^4 brace against the model family.
 
-    Abelian circle groups are reported with their cyclic decomposition.  A
-    nonabelian group with no model match raises NoMatch for odd p >= 5, where
-    the family is known to cover every possibility; at p in {2, 3} the result
-    is reported unmatched with its fingerprint.
+    Abelian circle groups are reported with their cyclic decomposition.  Only
+    models of the target's exponent are built and compared: p^3 for G4 and
+    p^2 for every other tag (a nonabelian group of order p^4 with an element
+    of order p^3 has a cyclic maximal subgroup, so it is G4).  A nonabelian
+    group with no model match raises NoMatch for odd p >= 5, where the family
+    is known to cover every possibility; at p in {2, 3} the result is
+    reported unmatched with its fingerprint.
     """
     from .nilpotency import InputShapeMismatch
 
     n = brace.order
-    p = next((f for f in range(2, n + 1) if n % f == 0), 0)
-    if p == 0 or p ** 4 != n:
+    pk = prime_power(n)
+    if pk is None or pk[1] != 4:
         raise InputShapeMismatch(f"classification expects order p^4, got {n}")
-    target = circle_group(brace)
+    p = pk[0]
+    target = brace.circle
     fp = fingerprint(target)
     if fp.abelian:
-        basis = abelian_basis(n, brace.circ_r, 0)
+        basis = abelian_basis(target)
         shape = tuple(sorted(d for _, d in basis))
         return Classification("abelian", None, shape, fp, None)
     matched: list[str] = []
     first_witness: dict[tuple, int] | None = None
-    for model in available_models(p):
+    for tag in NONABELIAN_TAGS if p != 2 else ("G4",):
+        if (p ** 3 if tag == "G4" else p * p) != fp.exponent:
+            continue
+        model = build_model(tag, p)
         if fingerprint(model) != fp:
             continue
         witness = _iso_from_model(model, target)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .abelian import EXHAUSTIVE_LIMIT
 from .brace import Brace, BraceError
 
 
@@ -93,6 +94,7 @@ def solution_from_brace(brace: Brace) -> YBESolution:
     """u = lambda_x(y), v = u' o x o y; involutivity and non-degeneracy are
     asserted at build time (a failure would mean a brace-validation bug)."""
     n = brace.order
+    circ, inv = brace.circ_r, brace.circle.inv
     u = [0] * (n * n)
     v = [0] * (n * n)
     for x in range(n):
@@ -100,7 +102,7 @@ def solution_from_brace(brace: Brace) -> YBESolution:
         for y in range(n):
             uu = brace.lam_r(x, y)
             u[base + y] = uu
-            v[base + y] = brace.circ_r(brace.circ_inverse_r(uu), brace.circ_r(x, y))
+            v[base + y] = circ(inv[uu], circ(x, y))
     sol = YBESolution(n, u, v)
     if not _involutive(sol):
         raise PropertyFailure("brace-derived table is not involutive")
@@ -143,21 +145,16 @@ def _braid_at(sol: YBESolution, x: int, y: int, z: int) -> bool:
     return lhs == rhs
 
 
-def check_solution(
-    sol: YBESolution,
-    exhaustive_limit: int = 81,
-    sample_budget: int = 1_000_000,
-    seed: int = 0,
-) -> SolutionReport:
+def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int = 0) -> SolutionReport:
     """Involutivity, non-degeneracy (always exhaustive), and the braid
-    relation (exhaustive up to the limit, seeded sampling above)."""
+    relation (exhaustive up to EXHAUSTIVE_LIMIT, seeded sampling above)."""
     n = sol.n
     involutive = _involutive(sol)
     nondeg = _nondegenerate(sol)
     braid = True
     witness = None
     checked = 0
-    exhaustive = n <= exhaustive_limit
+    exhaustive = n <= EXHAUSTIVE_LIMIT
     if exhaustive:
         for x in range(n):
             for y in range(n):
@@ -220,12 +217,14 @@ def retraction(sol: YBESolution) -> YBESolution:
     return YBESolution(m, u, v)
 
 
-def multipermutation_level(sol: YBESolution, max_steps: int | None = None) -> int | None:
-    """Least k with |Ret^k| = 1; None when the size stops shrinking above 1."""
+def multipermutation_level(sol: YBESolution) -> int | None:
+    """Least k with |Ret^k| = 1; None when the size stops shrinking above 1.
+
+    Every step shrinks the solution or returns, so at most n - 1 steps run.
+    """
     steps = 0
     current = sol
-    limit = max_steps if max_steps is not None else sol.n + 1
-    while current.n > 1 and steps <= limit:
+    while current.n > 1:
         nxt = retraction(current)
         if nxt.n == current.n:
             return None

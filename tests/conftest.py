@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from bracelab.abelian import AbelianGroup
+from bracelab.brace import validate_brace
 from bracelab.corpus import builtin_braces
 from bracelab.enumeration import enumerate_braces
 
@@ -18,6 +20,15 @@ def builtin_corpus():
 @pytest.fixture(scope="session")
 def small_corpus(builtin_corpus):
     return [b for b in builtin_corpus if b.order <= 81]
+
+
+@pytest.fixture(scope="session")
+def exponent5_brace():
+    """The table of ring_brace((5,5,5,5), {(0,1): (0,0,1,0)}), lambda_a(b) = b + a.b,
+    written out directly; its circle group has exponent 5 and no model matches it."""
+    group = AbelianGroup((5, 5, 5, 5))
+    table = [[(1, 0, 0, 0), (0, 1, a[0], 0), (0, 0, 1, 0), (0, 0, 0, 1)] for a in group.elements]
+    return validate_brace(group, table, name="exponent-5")
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from bracelab.abelian import (
     AbelianGroup,
     NotBijective,
     NotHomomorphism,
+    TableGroup,
     abelian_basis,
     all_automorphisms,
     identity_automorphism,
@@ -173,7 +174,7 @@ def test_multiples_orders_on_p4_shapes(p):
 def test_abelian_basis_recovers_invariant_factors():
     for moduli in ((4, 4), (2, 8), (3, 27), (2, 2, 4)):
         g = AbelianGroup(moduli)
-        basis = abelian_basis(g.order, g.add_rank, 0)
+        basis = abelian_basis(TableGroup(g.order, g.add_rank))
         assert sorted(d for _, d in basis) == sorted(moduli)
 
 

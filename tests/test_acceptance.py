@@ -110,7 +110,7 @@ def test_acceptance_02_power_star_identity(builtin_corpus, enumerated_braces):
             pppp = b.star_r(P, ppp)
             e_pp, e_ppp, e_pppp = g.unrank(pp), g.unrank(ppp), g.unrank(pppp)
             pk = 0
-            for n in range(0, 2 * b.circ_order_r(P) + 1):
+            for n in range(0, 2 * b.circle.element_orders[P] + 1):
                 c1 = (n - 2) * (n - 1) * n // 6
                 c2 = n * (n - 1) // 2
                 rhs = add(
@@ -246,7 +246,7 @@ def test_acceptance_08_ybe(builtin_corpus, enumerated_braces):
     finite_mpl_mismatches = []
     for b in braces:
         sol = solution_from_brace(b)
-        rep = check_solution(sol, exhaustive_limit=81, sample_budget=1_000_000, seed=0)
+        rep = check_solution(sol, sample_budget=1_000_000, seed=0)
         assert rep.passed, (b.name, rep)
         if b.order <= 81:
             assert rep.exhaustive and rep.triples_checked == b.order ** 3

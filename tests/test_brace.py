@@ -103,6 +103,13 @@ def test_star_circ_consistency():
             assert B.circ(a, b) == g.add(g.add(B.star(a, b), a), b)
 
 
+def test_circle_product_is_not_bound_to_the_brace():
+    # a bound method would make brace -> circle -> brace a reference cycle
+    B = diagonal_brace_m1(3)
+    assert not hasattr(B.circle.mul_r, "__self__")
+    assert B.circ_r is B.circle.mul_r
+
+
 def test_circ_inverse_and_powers():
     B = diagonal_brace_m2(3)
     for r in range(0, B.order, 7):

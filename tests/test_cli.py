@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from bracelab.abelian import AbelianGroup
-from bracelab.brace import validate_brace
 from bracelab.cli import main
 from bracelab.fileformat import load_brace, save_brace
 
@@ -101,6 +100,17 @@ def test_verify_rejects_loose_schema_exit2(tmp_path, capsys, table_key, table, e
     assert error in doc["results"]["validate"]["error"]
 
 
+def test_verify_checks_table_size_before_building_the_group(tmp_path, capsys):
+    # a 10^10-element group: the table length is compared with prod(moduli) first
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"format": "bracelab/brace", "version": 1, "moduli": [100000, 100000], "lambda_table": []}))
+    started = time.perf_counter()
+    assert run_cli(["verify", "--input", str(path)]) == 2
+    assert time.perf_counter() - started < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert "lambda_table must have 10000000000 entries" in doc["results"]["validate"]["error"]
+
+
 def test_verify_bad_theorem1_tokens(dm2p3_file):
     assert run_cli(["verify", "--input", str(dm2p3_file), "--theorem1", "P=(0,1)"]) == 2
     assert run_cli(["verify", "--input", str(dm2p3_file), "--theorem1", "X=(0,1)", "Q=(1,0)", "m=2"]) == 2
@@ -123,6 +133,14 @@ def test_enumerate_guard_exit2(capsys):
     assert run_cli(["enumerate", "2,2,2,2"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert "GuardExceeded" in doc["results"]["error"]
+
+
+def test_enumerate_checks_order_before_building_the_group(capsys):
+    started = time.perf_counter()
+    assert run_cli(["enumerate", "100000,100000"]) == 2
+    assert time.perf_counter() - started < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["error"] == "GuardExceeded: order 10000000000 exceeds guard 16; use force"
 
 
 def test_report_corpus(tmp_path, capsys):
@@ -156,14 +174,10 @@ def test_report_certificate_without_right_nilpotency(enumerations, tmp_path):
     assert doc["results"]["corpus_invariants"]["right_nilpotent_implies_certificate"]
 
 
-def test_report_no_match_row_fails_with_report(tmp_path):
-    # the table of ring_brace((5,5,5,5), {(0,1): (0,0,1,0)}), lambda_a(b) = b + a.b,
-    # written out directly; its circle group has exponent 5 and no model matches it
-    group = AbelianGroup((5, 5, 5, 5))
-    table = [[(1, 0, 0, 0), (0, 1, a[0], 0), (0, 0, 1, 0), (0, 0, 0, 1)] for a in group.elements]
+def test_report_no_match_row_fails_with_report(exponent5_brace, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    save_brace(validate_brace(group, table, name="exponent-5"), corpus / "exp5.json")
+    save_brace(exponent5_brace, corpus / "exp5.json")
     out = tmp_path / "report.json"
     assert run_cli(["report", "--corpus", str(corpus), "--out", str(out)]) == 1
     doc = json.loads(out.read_text())

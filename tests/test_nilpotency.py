@@ -200,8 +200,8 @@ def test_find_g4_pair_matches_conjugation_convention():
     pair = find_g4_pair(B)
     assert pair is not None
     P, Q = pair
-    conj = B.circ_r(B.circ_r(B.circ_inverse_r(Q), P), Q)
-    assert conj == B.circ_power_r(P, 1 + 9)
+    conj = B.circ_r(B.circ_r(B.circle.inv[Q], P), Q)
+    assert conj == B.circle.pow_r(P, 1 + 9)
     assert find_g4_pair(diagonal_brace_m1(3)) is None
 
 

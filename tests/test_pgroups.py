@@ -9,6 +9,7 @@ from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.pgroups import (
     BadAlpha,
     NONABELIAN_TAGS,
+    NoMatch,
     TableGroup,
     UnsupportedPrime,
     _iso_from_model,
@@ -82,9 +83,11 @@ def test_fingerprints():
 
 
 def test_g4_exponent_is_unique_among_tags():
-    exps = {tag: fingerprint(build_model(tag, 3)).exponent for tag in NONABELIAN_TAGS}
-    assert exps["G4"] == 27
-    assert all(v == 9 for t, v in exps.items() if t != "G4")
+    # classification builds only the models whose exponent is the target's
+    for p in (3, 5):
+        exps = {tag: fingerprint(build_model(tag, p)).exponent for tag in NONABELIAN_TAGS}
+        assert exps["G4"] == p ** 3
+        assert all(v == p * p for t, v in exps.items() if t != "G4")
 
 
 def test_roundtrip_classification_p3_up_to_the_known_coincidence():
@@ -174,3 +177,10 @@ def test_classify_at_p2_reports_unmatched_without_raising():
     assert cls.fingerprint.order == 16
     cls2 = classify_multiplicative_group(diagonal_brace_m2(2))
     assert cls2.kind == "tag" and cls2.tag == "G4"
+
+
+def test_classify_builds_no_model_of_another_exponent(exponent5_brace):
+    build_model.cache_clear()
+    with pytest.raises(NoMatch):
+        classify_multiplicative_group(exponent5_brace)
+    assert build_model.cache_info().currsize == 0

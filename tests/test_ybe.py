@@ -89,5 +89,5 @@ def test_retraction_not_well_defined_rejected():
 def test_retraction_shrinks_or_flags_within_size_steps():
     for brace in (diagonal_brace_m1(2), diagonal_brace_m2(2), trivial_brace([2, 8])):
         sol = solution_from_brace(brace)
-        level = multipermutation_level(sol, max_steps=sol.n)
+        level = multipermutation_level(sol)
         assert level is not None and level <= sol.n
