@@ -137,16 +137,26 @@ class AbelianGroup:
 
     @property
     def add_flat(self) -> list[int]:
-        """Flat n*n addition table over ranks; built on first use."""
+        """Flat n*n addition table over ranks; built on first use.
+
+        Row a lists rank(a + b) over b in rank order, built digit by digit in
+        the mixed radix; entries are the shared ints of ``range(n)``.
+        """
         if self._add_flat is None:
             n = self.order
-            rank = self._index
-            add = self.add
+            ranks = list(range(n))
+            weights = [prod(self.moduli[:t]) for t in range(len(self.moduli))]
+            # shifted[t][s]: the weighted digit t of b, after adding s to it
+            shifted = [
+                [[(s + x) % d * w for x in range(d)] for s in range(d)]
+                for d, w in zip(self.moduli, weights)
+            ]
             flat = [0] * (n * n)
             for i, a in enumerate(self.elements):
-                base = i * n
-                for j, b in enumerate(self.elements):
-                    flat[base + j] = rank[add(a, b)]
+                row = [0]
+                for t, s in enumerate(a):
+                    row = [x + r for x in shifted[t][s] for r in row]
+                flat[i * n : (i + 1) * n] = [ranks[r] for r in row]
             self._add_flat = flat
         return self._add_flat
 
@@ -276,8 +286,9 @@ def all_automorphisms(group: AbelianGroup) -> list[Automorphism]:
 class TableGroup:
     """Group on ranks 0..n-1 given by a product function; identity must be 0.
 
-    Inverses, powers and element orders are derived from ``mul_r`` alone and
-    cached; ``pgroups.fingerprint`` caches its invariants here too.
+    Inverses, powers, element orders, generators and the center are derived
+    from ``mul_r`` alone and cached; ``pgroups.fingerprint`` caches its
+    invariants here too.
     """
 
     def __init__(self, n: int, mul_r: Callable[[int, int], int]):
@@ -285,6 +296,8 @@ class TableGroup:
         self.mul_r = mul_r
         self._inv: list[int] | None = None
         self._orders: list[int] | None = None
+        self._gens: list[int] | None = None
+        self._center: frozenset[int] | None = None
         self._fingerprint = None
 
     @property
@@ -323,12 +336,34 @@ class TableGroup:
             self._orders = out
         return self._orders
 
+    @property
+    def generators(self) -> list[int]:
+        """Greedy generators: the ranks that ``closure_generators`` keeps from 0..n-1.
 
-def group_closure(mul: Callable[[int, int], int], seeds: Iterable[int]) -> set[int]:
-    """Subgroup generated by the seeds, as words in them (enough in a finite group).
+        Every element is a word in them, built from 0 by right multiplication.
+        """
+        if self._gens is None:
+            self._gens = closure_generators(self.mul_r, range(self.order))[1]
+        return self._gens
 
-    A seed already reached is skipped, so at most log2 |H| seeds become
-    generators; each new one re-closes the members reached so far.
+    @property
+    def center(self) -> frozenset[int]:
+        """The elements that commute with every generator."""
+        if self._center is None:
+            mul, gens = self.mul_r, self.generators
+            self._center = frozenset(
+                c for c in range(self.order) if all(mul(c, g) == mul(g, c) for g in gens)
+            )
+        return self._center
+
+
+def closure_generators(mul: Callable[[int, int], int], seeds: Iterable[int]) -> tuple[set[int], list[int]]:
+    """Subgroup generated by the seeds, and the seeds kept as its generators.
+
+    Seeds are taken in increasing order and one already reached is skipped,
+    so at most log2 |H| of them become generators; each new one re-closes the
+    members reached so far under right multiplication by the generators
+    (words in them are enough in a finite group).
     """
     members = {0}
     gens: list[int] = []
@@ -344,7 +379,12 @@ def group_closure(mul: Callable[[int, int], int], seeds: Iterable[int]) -> set[i
                 if y not in members:
                     members.add(y)
                     frontier.append(y)
-    return members
+    return members, gens
+
+
+def group_closure(mul: Callable[[int, int], int], seeds: Iterable[int]) -> set[int]:
+    """Subgroup generated by the seeds."""
+    return closure_generators(mul, seeds)[0]
 
 
 @dataclass(frozen=True)
@@ -414,6 +454,32 @@ def primary_invariants(moduli: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         if m > 1:
             parts.append((m, m))
     return tuple(sorted(parts))
+
+
+def aut_order(moduli: Sequence[int]) -> int:
+    """|Aut(A)| from the primary invariants, without listing automorphisms.
+
+    Hillar and Rhea (Amer. Math. Monthly 114, 2007): for the p-part
+    Z_{p^e_1} x ... x Z_{p^e_m} with e_1 <= ... <= e_m, d_k = max{l : e_l = e_k}
+    and c_k = min{l : e_l = e_k} (1-based),
+    |Aut| = prod_k (p^d_k - p^(k-1)) * prod_j p^(e_j (m - d_j)) * prod_i p^((e_i - 1)(m - c_i + 1)),
+    and |Aut(A)| is the product over the primes.
+    """
+    exps: dict[int, list[int]] = {}
+    for p, q in primary_invariants(moduli):
+        e = 0
+        while q > 1:
+            q //= p
+            e += 1
+        exps.setdefault(p, []).append(e)
+    out = 1
+    for p, es in exps.items():
+        m = len(es)  # es is sorted: primary_invariants sorts by (p, p^e)
+        for k, e in enumerate(es, start=1):
+            c = es.index(e) + 1
+            d = c - 1 + es.count(e)
+            out *= (p ** d - p ** (k - 1)) * p ** (e * (m - d)) * p ** ((e - 1) * (m - c + 1))
+    return out
 
 
 def abelian_basis(group: TableGroup) -> list[tuple[int, int]]:

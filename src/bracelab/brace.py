@@ -8,7 +8,9 @@ lambda_a per element rank.  The two products are derived views:
 
 Validation reduces to: lambda_0 = id, every lambda_a a valid automorphism,
 and the cocycle law lambda_{a + lambda_a(b)} = lambda_a . lambda_b for all
-pairs.  Braces are immutable once validated; all queries are safe to share.
+pairs.  The law is checked at (a, g) for every a and each generator g of
+(A, o) only: the b at which it holds for every a are closed under o, so that
+is enough.  Braces are immutable once validated; all queries are safe to share.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .abelian import (
     Subgroup,
     TableGroup,
     abelian_basis,
+    closure_generators,
     identity_automorphism,
     subgroup_closure,
     validate_automorphism,
@@ -179,16 +182,20 @@ class Brace:
         return self.element(self.circ_r(self.circ_r(inv[i], inv[j]), self.circ_r(i, j)))
 
     def is_circ_abelian(self) -> bool:
-        n = self.order
-        return all(self.circ_r(a, b) == self.circ_r(b, a) for a in range(n) for b in range(a + 1, n))
+        return len(self.circle.center) == self.order
 
     # -- subset star and ideals --------------------------------------------------
 
     def subset_star(self, xs: Iterable[int] | Subgroup, ys: Iterable[int] | Subgroup) -> Subgroup:
-        """Additive subgroup generated by {x * y : x in X, y in Y} (rank sets)."""
-        xr = list(xs.ranks if isinstance(xs, Subgroup) else xs)
-        yr = list(ys.ranks if isinstance(ys, Subgroup) else ys)
-        seeds = {self.star_r(x, y) for x in xr for y in yr}
+        """Additive subgroup generated by {x * y : x in X, y in Y} (rank sets).
+
+        x * y is additive in y, so Y is replaced by the generators of <Y>
+        that ``closure_generators`` keeps, which are elements of Y.
+        """
+        xr = xs.ranks if isinstance(xs, Subgroup) else xs
+        yr = ys.ranks if isinstance(ys, Subgroup) else ys
+        gens = closure_generators(self.group.add_rank, yr)[1]
+        seeds = {self.star_r(x, y) for x in xr for y in gens}
         return subgroup_closure(self.group, seeds)
 
     def star_span(self) -> Subgroup:
@@ -256,27 +263,32 @@ def _dedupe_lambdas(group: AbelianGroup, lambdas: Sequence[Automorphism]) -> tup
 def _check_cocycle(brace: Brace) -> tuple[Element, Element] | None:
     """First pair violating lambda_{a o b} = lambda_a . lambda_b, or None.
 
-    Compositions are memoised per distinct lambda pair, so the n^2 scan stays
-    cheap even at order 625.
+    Let T be the set of b with lambda_{a o b} = lambda_a . lambda_b for every
+    a.  For b, c in T, (a o b) o c = a o (b o c) and b o c lies in T; T holds
+    0, and every element is a word in ``brace.circle.generators``, built from
+    0 by right multiplication.  So the law holds everywhere iff it holds
+    at (a, g) for each generator g, n |gens| pairs.  Only on a failure are all
+    n^2 pairs scanned in order, for the first witness.  Compositions are
+    memoised per distinct lambda pair.
     """
-    group = brace.group
+    n = brace.order
     ids = brace.lambda_ids
     auts = brace.auts
+    circ = brace.circ_r
     comp: dict[tuple[int, int], tuple] = {}
-    for a in range(group.order):
-        ia = ids[a]
-        perm_a = auts[ia].perm(group)
-        for b in range(group.order):
-            ib = ids[b]
-            c = group.add_rank(a, perm_a[b])
-            key = (ia, ib)
-            cols = comp.get(key)
-            if cols is None:
-                cols = auts[ia].compose(auts[ib]).columns
-                comp[key] = cols
-            if auts[ids[c]].columns != cols:
-                return group.unrank(a), group.unrank(b)
-    return None
+
+    def holds(a: int, b: int) -> bool:
+        key = (ids[a], ids[b])
+        cols = comp.get(key)
+        if cols is None:
+            cols = comp[key] = auts[key[0]].compose(auts[key[1]]).columns
+        return auts[ids[circ(a, b)]].columns == cols
+
+    if all(holds(a, g) for g in brace.circle.generators for a in range(n)):
+        return None
+    return next(
+        (brace.element(a), brace.element(b)) for a in range(n) for b in range(n) if not holds(a, b)
+    )
 
 
 def _table_violations(
@@ -290,13 +302,23 @@ def _table_violations(
     """
     found: list[tuple[BraceError, tuple]] = []
     lambdas: list[Automorphism] = []
+    # each distinct column set is validated once; the verdict depends on it alone
+    verdicts: dict[tuple, Automorphism | NotHomomorphism | NotBijective] = {}
     for i, cols in enumerate(lambda_columns):
-        try:
-            lambdas.append(validate_automorphism(group, cols))
-        except (NotHomomorphism, NotBijective) as exc:
-            err = NotAutomorphism(i, str(exc))
-            err.__cause__ = exc
-            found.append((err, (i, str(exc))))
+        key = tuple(map(tuple, cols))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            try:
+                verdict = validate_automorphism(group, cols)
+            except (NotHomomorphism, NotBijective) as exc:
+                verdict = exc
+            verdicts[key] = verdict
+        if isinstance(verdict, Automorphism):
+            lambdas.append(verdict)
+        else:
+            err = NotAutomorphism(i, str(verdict))
+            err.__cause__ = verdict
+            found.append((err, (i, str(verdict))))
             lambdas.append(identity_automorphism(group))
     if not lambdas[0].is_identity():
         found.append((BadLambdaZero("lambda at rank 0 must be the identity"), (0,)))

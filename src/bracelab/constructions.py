@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .abelian import AbelianGroup, Element, subgroup_closure
+from .abelian import AbelianGroup, Element, closure_generators, subgroup_closure
 from .brace import Brace, BraceError, trivial_brace, validate_brace
 
 __all__ = [
@@ -98,7 +98,8 @@ def ring_brace(moduli: Sequence[int], products: dict[tuple[int, int], Sequence[i
                 if mul(mul(a, b), c) != mul(a, mul(b, c)):
                     raise NotAssociative(f"(e.e).e != e.(e.e) at {a},{b},{c}")
 
-    # power ideal chain: T_{k+1} = span(T_k . A); nilpotent iff it reaches 0
+    # power ideal chain: T_{k+1} = span(T_k . A); nilpotent iff it reaches 0.
+    # The product is bilinear, so T_{k+1} = span(g . e_j : g generates T_k).
     term = subgroup_closure(group, range(group.order))
     seen = set()
     while term.order > 1:
@@ -107,8 +108,8 @@ def ring_brace(moduli: Sequence[int], products: dict[tuple[int, int], Sequence[i
         seen.add(term.ranks)
         prods = {
             group.rank(mul(group.unrank(x), e))
-            for x in term.ranks
-            for e in group.elements
+            for x in closure_generators(group.add_rank, term.ranks)[1]
+            for e in gens
         }
         term = subgroup_closure(group, prods)
 
@@ -116,8 +117,9 @@ def ring_brace(moduli: Sequence[int], products: dict[tuple[int, int], Sequence[i
     for a in group.elements:
         table.append([group.add(mul(a, g), g) for g in gens])
     brace = validate_brace(group, table, name=name or f"ring{tuple(group.moduli)}")
+    # both sides are additive in b, so b = e_j is enough
     for a in group.elements:
-        for b in group.elements:
+        for b in gens:
             if brace.star(a, b) != mul(a, b):
                 raise BraceError("star does not match the ring product")
     return brace

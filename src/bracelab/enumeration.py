@@ -19,7 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .abelian import AbelianGroup, StructuralAnomaly, all_automorphisms, checked_moduli, identity_automorphism
+from .abelian import (
+    AbelianGroup,
+    StructuralAnomaly,
+    all_automorphisms,
+    aut_order,
+    checked_moduli,
+    identity_automorphism,
+)
 from .brace import Brace, BraceError
 
 
@@ -60,10 +67,11 @@ def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = F
     order = prod(moduli)
     if not force and order > max_order:
         raise GuardExceeded(f"order {order} exceeds guard {max_order}; use force")
+    n_aut = aut_order(moduli)
+    if not force and n_aut > MAX_AUT:
+        raise GuardExceeded(f"|Aut| = {n_aut} exceeds guard {MAX_AUT}; use force")
     group = AbelianGroup(moduli)
     auts = all_automorphisms(group)
-    if not force and len(auts) > MAX_AUT:
-        raise GuardExceeded(f"|Aut| = {len(auts)} exceeds guard {MAX_AUT}; use force")
 
     n = group.order
     k = len(auts)
@@ -182,10 +190,11 @@ def holomorph_count_oracle(moduli) -> OracleResult:
     order = prod(moduli)
     if order > DEFAULT_MAX_ORDER:
         raise GuardExceeded(f"order {order} exceeds oracle guard {DEFAULT_MAX_ORDER}")
+    n_aut = aut_order(moduli)
+    if n_aut > ORACLE_MAX_AUT:
+        raise GuardExceeded(f"|Aut| = {n_aut} exceeds oracle guard {ORACLE_MAX_AUT}")
     group = AbelianGroup(moduli)
     auts = all_automorphisms(group)
-    if len(auts) > ORACLE_MAX_AUT:
-        raise GuardExceeded(f"|Aut| = {len(auts)} exceeds oracle guard {ORACLE_MAX_AUT}")
 
     n = group.order
     k = len(auts)

@@ -129,15 +129,11 @@ def left_class_at_most(brace: Brace, bound: int) -> bool:
 
 
 def center_star(brace: Brace) -> frozenset[int]:
-    """Ranks of elements c with c * a = a * c for every a (a plain set)."""
-    cached = brace._cache.get("center_star")
-    if cached is None:
-        n = brace.order
-        cached = frozenset(
-            c for c in range(n) if all(brace.star_r(c, a) == brace.star_r(a, c) for a in range(n))
-        )
-        brace._cache["center_star"] = cached
-    return cached
+    """Ranks of elements c with c * a = a * c for every a (a plain set).
+
+    c o a = c * a + c + a, so this is the center of the circle group.
+    """
+    return brace.circle.center
 
 
 def socle(brace: Brace) -> frozenset[int]:
@@ -147,11 +143,11 @@ def socle(brace: Brace) -> frozenset[int]:
 
 
 def right_annihilated(brace: Brace) -> frozenset[int]:
-    """Ranks of c with A * c = 0."""
+    """Ranks of c with A * c = 0: a * c = lambda_a(c) - c, so every lambda in use fixes c."""
     cached = brace._cache.get("right_annihilated")
     if cached is None:
-        n = brace.order
-        cached = frozenset(c for c in range(n) if all(brace.star_r(a, c) == 0 for a in range(n)))
+        perms = [brace._perms[i] for i in set(brace.lambda_ids)]
+        cached = frozenset(c for c in range(brace.order) if all(p[c] == c for p in perms))
         brace._cache["right_annihilated"] = cached
     return cached
 

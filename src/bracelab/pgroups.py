@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable, Sequence
 
-from .abelian import EXHAUSTIVE_LIMIT, TableGroup, abelian_basis, group_closure, prime_power
+from .abelian import EXHAUSTIVE_LIMIT, TableGroup, abelian_basis, closure_generators, group_closure, prime_power
 from .brace import Brace, BraceError
 
 NONABELIAN_TAGS = ("VII", "VIII", "IX", "X", "XI", "XII", "XIII", "G4")
@@ -113,23 +113,33 @@ class GroupFingerprint:
 
 
 def fingerprint(group: TableGroup) -> GroupFingerprint:
-    """Exact invariants by full iteration, cached on the group."""
+    """Exact invariants from the element orders and the generators, cached on the group.
+
+    The center is what commutes with the generators, the group is abelian iff
+    that is everything, and the derived subgroup is the normal closure of the
+    generators' commutators: closed under conjugation by the generators.
+    """
     if group._fingerprint is not None:
         return group._fingerprint
     n = group.order
-    mul = group.mul_r
-    orders = group.element_orders
+    mul, inv = group.mul_r, group.inv
     hist: dict[int, int] = {}
     exponent = 1
-    for o in orders:
+    for o in group.element_orders:
         hist[o] = hist.get(o, 0) + 1
         exponent = exponent * o // gcd(exponent, o)
-    abelian = all(mul(a, b) == mul(b, a) for a in range(n) for b in range(a + 1, n))
-    center = sum(1 for c in range(n) if all(mul(c, a) == mul(a, c) for a in range(n)))
-    inv = group.inv
-    comms = {mul(mul(inv[a], inv[b]), mul(a, b)) for a in range(n) for b in range(n)}
-    derived = group_closure(mul, comms)
-    group._fingerprint = GroupFingerprint(n, abelian, exponent, tuple(sorted(hist.items())), center, len(derived))
+    center = len(group.center)
+    gens = group.generators
+    seeds = {mul(mul(inv[a], inv[b]), mul(a, b)) for a in gens for b in gens}
+    while True:
+        derived, dgens = closure_generators(mul, seeds)
+        conjugates = {mul(mul(inv[g], h), g) for h in dgens for g in gens}
+        if conjugates <= derived:
+            break
+        seeds = set(dgens) | conjugates
+    group._fingerprint = GroupFingerprint(
+        n, center == n, exponent, tuple(sorted(hist.items())), center, len(derived)
+    )
     return group._fingerprint
 
 
@@ -380,18 +390,17 @@ def verify_presentation_relations(model: GroupModel, seed: int = 0, sample: int 
     checked = 0
     ok = True
     if n <= EXHAUSTIVE_LIMIT:
-        for a in range(n):
-            for b in range(n):
-                ab = model.mul_r(a, b)
-                for c in range(n):
-                    checked += 1
-                    if model.mul_r(ab, c) != model.mul_r(a, model.mul_r(b, c)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+        # (ab)c = a(bc) for every c at once: row ab against row a read along row b;
+        # checked counts the triples up to the first failing c, in (a, b, c) order
+        rows = [[model.mul_r(a, c) for c in range(n)] for a in range(n)]
+        for a, b in itertools.product(range(n), repeat=2):
+            row_a = rows[a]
+            lhs, rhs = rows[row_a[b]], [row_a[bc] for bc in rows[b]]
+            if lhs != rhs:
+                checked += next(c for c in range(n) if lhs[c] != rhs[c]) + 1
+                ok = False
                 break
+            checked += n
     else:
         rng = random.Random(seed)
         for _ in range(sample):

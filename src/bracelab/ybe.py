@@ -92,17 +92,22 @@ def identity_pair_map(n: int) -> YBESolution:
 
 def solution_from_brace(brace: Brace) -> YBESolution:
     """u = lambda_x(y), v = u' o x o y; involutivity and non-degeneracy are
-    asserted at build time (a failure would mean a brace-validation bug)."""
+    asserted at build time (a failure would mean a brace-validation bug).
+
+    Row x of u is lambda_x.  u o v = x o y = x + u and u o v = u + lambda_u(v),
+    so v = lambda_u^-1(x).
+    """
     n = brace.order
-    circ, inv = brace.circ_r, brace.circle.inv
+    group, ids, auts = brace.group, brace.lambda_ids, brace.auts
+    inverses = {i: auts[i].inv_perm(group) for i in set(ids)}
+    inv_of = [inverses[i] for i in ids]  # lambda_u^-1 by rank u
     u = [0] * (n * n)
     v = [0] * (n * n)
     for x in range(n):
-        base = x * n
-        for y in range(n):
-            uu = brace.lam_r(x, y)
-            u[base + y] = uu
-            v[base + y] = circ(inv[uu], circ(x, y))
+        row = brace._perms[ids[x]]
+        at_x = [q[x] for q in inv_of]  # lambda_u^-1(x) by rank u
+        u[x * n : (x + 1) * n] = row
+        v[x * n : (x + 1) * n] = [at_x[uu] for uu in row]
     sol = YBESolution(n, u, v)
     if not _involutive(sol):
         raise PropertyFailure("brace-derived table is not involutive")
@@ -112,12 +117,13 @@ def solution_from_brace(brace: Brace) -> YBESolution:
 
 
 def _involutive(sol: YBESolution) -> bool:
-    n = sol.n
+    """r(r(x, y)) = (x, y) for every pair, a row x at a time."""
+    n, u, v = sol.n, sol.u, sol.v
+    ys = list(range(n))
     for x in range(n):
-        for y in range(n):
-            u, v = sol.apply(x, y)
-            if sol.apply(u, v) != (x, y):
-                return False
+        at = [uu * n + vv for uu, vv in zip(u[x * n : (x + 1) * n], v[x * n : (x + 1) * n])]
+        if any(u[i] != x for i in at) or [v[i] for i in at] != ys:
+            return False
     return True
 
 
@@ -127,7 +133,7 @@ def _nondegenerate(sol: YBESolution) -> bool:
         if len(set(sol.u[x * n : (x + 1) * n])) != n:
             return False
     for y in range(n):
-        if len({sol.v[x * n + y] for x in range(n)}) != n:
+        if len(set(sol.v[y::n])) != n:
             return False
     return True
 

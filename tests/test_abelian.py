@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from bracelab.abelian import (
     TableGroup,
     abelian_basis,
     all_automorphisms,
+    aut_order,
     identity_automorphism,
     multiples_subgroup,
     primary_invariants,
@@ -181,6 +184,35 @@ def test_abelian_basis_recovers_invariant_factors():
 def test_primary_invariants():
     assert primary_invariants([6]) == primary_invariants([2, 3])
     assert primary_invariants([4, 4]) != primary_invariants([2, 8])
+
+
+def _abelian_groups(n: int) -> list[tuple[int, ...]]:
+    """One moduli tuple per abelian group of order n: partitions of each prime's exponent."""
+
+    def partitions(e: int, most: int) -> list[list[int]]:
+        if e == 0:
+            return [[]]
+        return [[k, *rest] for k in range(min(e, most), 0, -1) for rest in partitions(e - k, k)]
+
+    per_prime = []
+    m, f = n, 2
+    while m > 1:
+        e = 0
+        while m % f == 0:
+            m //= f
+            e += 1
+        if e:
+            per_prime.append([[f ** k for k in part] for part in partitions(e, e)])
+        f += 1
+    return [tuple(sorted(d for part in combo for d in part)) for combo in itertools.product(*per_prime)]
+
+
+@pytest.mark.parametrize(
+    "moduli",
+    [m for n in range(2, 17) for m in _abelian_groups(n)] + [(), (6,), (4, 2), (2, 6), (3, 9), (27,), (3, 3, 3)],
+)
+def test_aut_order_counts_the_automorphisms(moduli):
+    assert aut_order(moduli) == len(all_automorphisms(AbelianGroup(moduli)))
 
 
 def test_trivial_group():

@@ -115,6 +115,21 @@ def test_ring_rejects_non_nilpotent():
         ring_brace([3], {(0, 0): (1,)})
 
 
+def test_ring_brace_at_order_625_is_the_exponent5_table(exponent5_brace):
+    assert ring_brace((5, 5, 5, 5), {(0, 1): (0, 0, 1, 0)}) == exponent5_brace
+
+
+def test_ring_error_messages():
+    with pytest.raises(NotAssociative, match=r"^\(e.e\).e != e.\(e.e\) at "):
+        ring_brace([2, 2], {(0, 0): (0, 1), (1, 0): (1, 0)})
+    with pytest.raises(NotNilpotent, match="^power ideal chain stabilised above zero$"):
+        ring_brace([3], {(0, 0): (1,)})
+    with pytest.raises(NotNilpotent, match="^power ideal chain stabilised above zero$"):
+        ring_brace([2, 2], {(0, 0): (1, 0)})  # e1 . e1 = e1 spans a constant chain
+    with pytest.raises(NotNilpotent, match="^power ideal chain stabilised above zero$"):
+        ring_brace([2, 2], {(1, 1): (0, 1)})  # e2 . e2 = e2, seen only through the second generator
+
+
 def test_ring_rejects_ill_defined_constants():
     with pytest.raises(NotDistributive):
         ring_brace([2, 4], {(0, 0): (0, 1)})

@@ -8,6 +8,7 @@ from functools import cache
 
 from bracelab.abelian import AbelianGroup, all_automorphisms, identity_automorphism
 from bracelab.brace import Brace, brace_report, is_isomorphic, trivial_brace
+from bracelab import enumeration
 from bracelab.enumeration import GuardExceeded, enumerate_braces, holomorph_count_oracle
 
 
@@ -169,6 +170,17 @@ def test_guard():
         enumerate_braces((32,))
     with pytest.raises(GuardExceeded):
         holomorph_count_oracle((32,))
+
+
+def test_aut_guard_refuses_before_listing_automorphisms(monkeypatch):
+    def unexpected(group):
+        raise AssertionError(f"automorphisms of {group} listed before the guard")
+
+    monkeypatch.setattr(enumeration, "all_automorphisms", unexpected)
+    with pytest.raises(GuardExceeded, match=r"^\|Aut\| = 20160 exceeds guard 1000; use force$"):
+        enumerate_braces((2, 2, 2, 2))
+    with pytest.raises(GuardExceeded, match=r"^\|Aut\| = 11232 exceeds guard 1000; use force$"):
+        enumerate_braces((3, 3, 3), max_order=27)
 
 
 def test_guard_force_override_small():
