@@ -130,6 +130,11 @@ class AbelianGroup:
     # -- rank-level tables (hot paths) ---------------------------------------
 
     @property
+    def unit_ranks(self) -> list[int]:
+        """Ranks of the standard generators e_0..e_{k-1}: e_j has rank prod(moduli[:j])."""
+        return [prod(self.moduli[:j]) for j in range(len(self.moduli))]
+
+    @property
     def neg_rank(self) -> list[int]:
         if self._neg is None:
             self._neg = [self.rank(self.neg(e)) for e in self.elements]

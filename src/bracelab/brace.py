@@ -392,7 +392,7 @@ def brace_from_circ_table(group: AbelianGroup, circ: Sequence[Sequence[int]], na
     n = group.order
     if len(circ) != n or any(len(row) != n for row in circ):
         raise BraceError("multiplication table must be n x n")
-    gen_ranks = [group.rank(tuple(1 if t == j else 0 for t in range(len(group.moduli)))) for j in range(len(group.moduli))]
+    gen_ranks = group.unit_ranks
     columns = []
     raw_rows = []
     for a in range(n):
@@ -526,10 +526,8 @@ def is_isomorphic(a: Brace, b: Brace) -> dict[Element, Element] | None:
         return None
 
     ga, gb = a.group, b.group
-    k = len(ga.moduli)
-    gen_ranks = [ga.rank(tuple(1 if t == j else 0 for t in range(k))) for j in range(k)]
     cand: list[list[int]] = []
-    for j, g in enumerate(gen_ranks):
+    for j, g in enumerate(ga.unit_ranks):
         d = ga.moduli[j]
         opts = [
             r

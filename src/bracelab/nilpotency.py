@@ -137,9 +137,9 @@ def center_star(brace: Brace) -> frozenset[int]:
 
 
 def socle(brace: Brace) -> frozenset[int]:
-    """Ranks of elements a with a * b = 0 for every b (identity lambda)."""
-    n = brace.order
-    return frozenset(a for a in range(n) if all(brace.star_r(a, b) == 0 for b in range(n)))
+    """Ranks of elements a with a * b = 0 for every b: a * b = lambda_a(b) - b, so lambda_a = id."""
+    ids = {i for i in set(brace.lambda_ids) if brace.auts[i].is_identity()}
+    return frozenset(a for a, i in enumerate(brace.lambda_ids) if i in ids)
 
 
 def right_annihilated(brace: Brace) -> frozenset[int]:
@@ -625,8 +625,13 @@ def _stage_ppn(brace: Brace, scope: SuiteScope) -> StageResult:
 
 
 def _stage_commuting_powers(brace: Brace, scope: SuiteScope) -> StageResult:
-    """c^k * (c^l * a) = c^l * (c^k * a), deduplicated over cyclic circle subgroups."""
+    """c^k * (c^l * a) = c^l * (c^k * a), deduplicated over cyclic circle subgroups.
+
+    Both sides are additive in a (x * a = lambda_x(a) - a), so a runs over the
+    additive generators e_j only.
+    """
     checks = 0
+    units = brace.group.unit_ranks
     seen: set[frozenset[int]] = set()
     ranks = _sample_ranks(brace.order, scope.sample_budget, scope.seed)
     for c in ranks:
@@ -643,7 +648,7 @@ def _stage_commuting_powers(brace: Brace, scope: SuiteScope) -> StageResult:
             for y in powers:
                 if x >= y:
                     continue
-                for a in range(brace.order):
+                for a in units:
                     checks += 1
                     if brace.star_r(x, brace.star_r(y, a)) != brace.star_r(y, brace.star_r(x, a)):
                         return StageResult(

@@ -1,13 +1,14 @@
 """Concrete multiplication models for the nonabelian groups of order p^4 used
 by the verification suites, and classification of a brace's circle group.
 
-Each model stores elements as exponent tuples over its generators and
-tabulates their collection product; every built model is then validated
-against its defining relations and checked associative (exhaustively up to
-order 81, by seeded sampling above).  Collection formulas are easy to get
-subtly wrong, so the validator is the actual source of trust.  The relations
-are written once, as words in ``presentation``; classification checks
-candidate generator images against the same list.
+The relations of each tag are written once, as words in ``presentation``.
+``_collect`` builds every model from them as iterated split extensions on
+ranks (power relations give the bounds, conjugation and commuting relations
+the actions), and classification checks candidate generator images against
+the same list.  Every built model is then validated against its defining
+relations and checked associative (exhaustively up to order 81, by seeded
+sampling above); the tests also compare each table with a hand-written
+collection formula, rank for rank.
 
 Tag summary (odd p unless noted):
 
@@ -27,7 +28,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Sequence
 
 from .abelian import EXHAUSTIVE_LIMIT, TableGroup, abelian_basis, closure_generators, group_closure, prime_power
@@ -62,34 +63,31 @@ def smallest_nonresidue(p: int) -> int:
 
 
 class GroupModel(TableGroup):
-    """A tagged group on exponent tuples, its collection product tabulated once.
+    """A tagged group on exponent tuples, with its product as a flat n*n table.
 
     Generators P, Q (, R) are the unit exponent tuples, in that order.  Rank
     order is little-endian over the exponent bounds (first coordinate
-    fastest), so the identity tuple has rank 0.
+    fastest), so the identity tuple has rank 0; ``table[i * n + j]`` is the
+    rank of the product of ranks i and j.
     """
 
-    def __init__(
-        self,
-        tag: str,
-        p: int,
-        bounds: tuple[int, ...],
-        mul: Callable[[tuple, tuple], tuple],
-        alpha: int | None = None,
-    ):
+    def __init__(self, tag: str, p: int, bounds: tuple[int, ...], table: list[int], alpha: int | None = None):
         self.tag = tag
         self.p = p
         self.alpha = alpha
         k = len(bounds)
         self.gens = {g: tuple(int(i == j) for i in range(k)) for j, g in enumerate("PQR"[:k])}
         self.elements = [tuple(reversed(e)) for e in itertools.product(*[range(b) for b in reversed(bounds)])]
-        self._index = index = {e: i for i, e in enumerate(self.elements)}
+        self._weights = [prod(bounds[:j]) for j in range(k)]
+        self.table = table
         n = len(self.elements)
-        table = [index[mul(a, b)] for a in self.elements for b in self.elements]
         super().__init__(n, lambda i, j: table[i * n + j])
 
     def rank(self, e: tuple) -> int:
-        return self._index[e]
+        r = sum(c * w for c, w in zip(e, self._weights))
+        if not (0 <= r < self.order and self.elements[r] == e):
+            raise KeyError(e)
+        return r
 
     def gen_rank(self, name: str) -> int:
         return self.rank(self.gens[name])
@@ -143,119 +141,7 @@ def fingerprint(group: TableGroup) -> GroupFingerprint:
     return group._fingerprint
 
 
-# -- model builders ------------------------------------------------------------------
-
-
-def _build_vii(p: int) -> GroupModel:
-    p2 = p * p
-
-    def mul(x: tuple, y: tuple) -> tuple:
-        a1, b1, c1 = x
-        a2, b2, c2 = y
-        return ((a1 + a2 - p * c1 * b2) % p2, (b1 + b2) % p, (c1 + c2) % p)
-
-    return GroupModel("VII", p, (p2, p, p), mul)
-
-
-def _build_viii(p: int) -> GroupModel:
-    p2 = p * p
-    shift = pow(1 + p, -1, p2)
-
-    def mul(x: tuple, y: tuple) -> tuple:
-        a1, b1 = x
-        a2, b2 = y
-        return ((a1 + a2 * pow(shift, b1, p2)) % p2, (b1 + b2) % p2)
-
-    return GroupModel("VIII", p, (p2, p2), mul)
-
-
-def _build_ix(p: int) -> GroupModel:
-    p2 = p * p
-    shift = pow(1 + p, -1, p2)
-
-    def mul(x: tuple, y: tuple) -> tuple:
-        a1, b1, c1 = x
-        a2, b2, c2 = y
-        return ((a1 + a2 * pow(shift, c1, p2)) % p2, (b1 + b2) % p, (c1 + c2) % p)
-
-    return GroupModel("IX", p, (p2, p, p), mul)
-
-
-def _build_x(p: int) -> GroupModel:
-    p2 = p * p
-
-    def mul(x: tuple, y: tuple) -> tuple:
-        a1, b1, c1 = x
-        a2, b2, c2 = y
-        return ((a1 + a2) % p2, (b1 + b2 - a2 * c1) % p, (c1 + c2) % p)
-
-    return GroupModel("X", p, (p2, p, p), mul)
-
-
-def _build_xi_family(tag: str, p: int, alpha: int) -> GroupModel:
-    """XI/XII/XIII as (modular p^3 group) extended by R acting on it.
-
-    The action phi(x) = R^-1 x R is given on generators (phi(P) = PQ,
-    phi(Q) = P^{alpha p} Q), extended multiplicatively over the normal
-    subgroup N = <P, Q>, inverted as a permutation, and verified to be an
-    automorphism with phi^p = id.
-    """
-    p2 = p * p
-    shift = pow(1 + p, -1, p2)
-
-    def n_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-        a1, b1 = x
-        a2, b2 = y
-        return ((a1 + a2 * pow(shift, b1, p2)) % p2, (b1 + b2) % p)
-
-    def n_pow(x: tuple[int, int], k: int) -> tuple[int, int]:
-        acc = (0, 0)
-        for _ in range(k):
-            acc = n_mul(acc, x)
-        return acc
-
-    n_elems = [(a, b) for b in range(p) for a in range(p2)]
-    phi_p = (1, 1)            # image of P
-    phi_q = ((alpha * p) % p2, 1)  # image of Q
-    phi: dict[tuple[int, int], tuple[int, int]] = {}
-    for a, b in n_elems:
-        phi[(a, b)] = n_mul(n_pow(phi_p, a), n_pow(phi_q, b))
-    if len(set(phi.values())) != len(n_elems):
-        raise RelationFailure(f"{tag}: R-action is not a bijection on N")
-    for x in n_elems:
-        for y in n_elems:
-            if phi[n_mul(x, y)] != n_mul(phi[x], phi[y]):
-                raise RelationFailure(f"{tag}: R-action is not an automorphism of N")
-    power = dict(phi)
-    for _ in range(p - 1):
-        power = {x: phi[power[x]] for x in n_elems}
-    if any(power[x] != x for x in n_elems):
-        raise RelationFailure(f"{tag}: R-action does not have order dividing p")
-    psi = {v: k for k, v in phi.items()}  # psi(x) = R x R^-1
-    psi_pows: list[dict] = [{x: x for x in n_elems}]
-    for _ in range(p - 1):
-        psi_pows.append({x: psi[psi_pows[-1][x]] for x in n_elems})
-
-    def mul(x: tuple, y: tuple) -> tuple:
-        a1, b1, c1 = x
-        a2, b2, c2 = y
-        moved = psi_pows[c1][(a2, b2)]
-        a, b = n_mul((a1, b1), moved)
-        return (a, b, (c1 + c2) % p)
-
-    return GroupModel(tag, p, (p2, p, p), mul, alpha=alpha)
-
-
-def _build_g4(p: int) -> GroupModel:
-    p3 = p ** 3
-    shift = pow(1 + p * p, -1, p3)
-
-    def mul(x: tuple, y: tuple) -> tuple:
-        a1, b1 = x
-        a2, b2 = y
-        return ((a1 + a2 * pow(shift, b1, p3)) % p3, (b1 + b2) % p)
-
-    return GroupModel("G4", p, (p3, p), mul)
+# -- presentations and collection ------------------------------------------------
 
 
 Word = Sequence[tuple[str, int]]  # (generator, exponent) pairs, read left to right
@@ -319,6 +205,80 @@ def _eval_word(
         x = images[g] if e == 1 else pow_r(images[g], e)
         out = x if out is None else mul(out, x)
     return 0 if out is None else out
+
+
+def _collect(tag: str, p: int, alpha: int | None = None) -> GroupModel:
+    """Tabulate the tag's group from ``presentation`` as iterated split extensions.
+
+    Every generator x has a power relation x^e = 1, which gives its bound e,
+    and acts on the group N of the earlier generators by phi(y) = x^-1 y x,
+    read from a conjugation relation or, from a commuting relation yx = xy,
+    phi(y) = y.  phi is extended over the normal forms of N and checked to be
+    an automorphism of N with phi^e = id; then N x| <x> multiplies
+    (r1, c1)(r2, c2) = (r1 psi^c1(r2), c1 + c2 mod e) with psi = phi^-1, at
+    rank r + |N| c: collection from a polycyclic presentation (Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 2005, ch. 8).
+    """
+    bounds: dict[str, int] = {}
+    action: dict[tuple[str, str], Word] = {}  # (x, y) -> the word for x^-1 y x
+    for name, lhs, rhs in presentation(tag, p, alpha):
+        gs = [g for g, _ in lhs]
+        if len(lhs) == 1 and not rhs:
+            bounds[gs[0]] = lhs[0][1]
+        elif len(lhs) == 3 and lhs == ((gs[2], -1), (gs[1], 1), (gs[2], 1)):
+            action[gs[2], gs[1]] = rhs
+        elif len(lhs) == 2 and rhs == lhs[::-1] and lhs[0][1] == lhs[1][1] == 1:
+            action[max(gs), min(gs)] = ((min(gs), 1),)
+        else:
+            raise GroupModelError(f"{tag}: {name!r} is not a power, commuting or conjugation relation")
+    gens = sorted(bounds)
+    table, n, weights = [0], 1, []  # the trivial group; weights[j] = rank of gens[j]
+    for x in gens:
+        e = bounds[x]
+        group = TableGroup(n, lambda i, j, t=table, n=n: t[i * n + j])
+        mul, pow_r = group.mul_r, group.pow_r
+        images = dict(zip(gens, weights))
+        img = []
+        for y in images:
+            word = action.get((x, y))
+            if word is None or any(g not in images for g, _ in word):
+                raise GroupModelError(f"{tag}: no relation gives {x}^-1 {y} {x}")
+            img.append(_eval_word(mul, pow_r, word, images))
+        phi = [0] * n
+        for j, w in enumerate(weights):
+            for r in range(w, w * bounds[gens[j]]):
+                low = r % w
+                phi[r] = mul(phi[r - w], img[j]) if low == 0 else mul(phi[low], phi[r - low])
+        if len(set(phi)) != n:
+            raise RelationFailure(f"{tag}: {x}-action is not a bijection on N")
+        rows = [table[a * n : (a + 1) * n] for a in range(n)]
+        if any([phi[ab] for ab in rows[a]] != [rows[phi[a]][pb] for pb in phi] for a in range(n)):
+            raise RelationFailure(f"{tag}: {x}-action is not an automorphism of N")
+        power = identity = list(range(n))
+        for _ in range(e):
+            power = [phi[r] for r in power]
+        if power != identity:
+            raise RelationFailure(f"{tag}: {x}-action does not have order dividing {'p' if e == p else e}")
+        psi = [0] * n
+        for r, s in enumerate(phi):
+            psi[s] = r
+        psi_pows = [identity]
+        for _ in range(e - 1):
+            psi_pows.append([psi[r] for r in psi_pows[-1]])
+        # entries are the shared ints of one range, as in AbelianGroup.add_flat:
+        # a fresh int per entry above 256 would cost memory on every model
+        m = n * e
+        ranks = list(range(m))
+        table = [0] * (m * m)
+        for c1, moved in enumerate(psi_pows):
+            offsets = [n * ((c1 + c2) % e) for c2 in range(e)]
+            for r1, row in enumerate(rows):
+                base = [row[s] for s in moved]
+                a = r1 + n * c1
+                table[a * m : (a + 1) * m] = [ranks[t + o] for o in offsets for t in base]
+        weights.append(n)
+        n = m
+    return GroupModel(tag, p, tuple(bounds[g] for g in gens), table, alpha=alpha)
 
 
 def defining_relations(model: GroupModel) -> list[tuple[str, bool]]:
@@ -386,13 +346,13 @@ class RelationReport:
 
 def verify_presentation_relations(model: GroupModel, seed: int = 0, sample: int = 100_000) -> RelationReport:
     """Defining relations, derived consequences, and associativity."""
-    n = model.order
+    n, t = model.order, model.table
     checked = 0
     ok = True
     if n <= EXHAUSTIVE_LIMIT:
         # (ab)c = a(bc) for every c at once: row ab against row a read along row b;
         # checked counts the triples up to the first failing c, in (a, b, c) order
-        rows = [[model.mul_r(a, c) for c in range(n)] for a in range(n)]
+        rows = [t[a * n : (a + 1) * n] for a in range(n)]
         for a, b in itertools.product(range(n), repeat=2):
             row_a = rows[a]
             lhs, rhs = rows[row_a[b]], [row_a[bc] for bc in rows[b]]
@@ -406,7 +366,7 @@ def verify_presentation_relations(model: GroupModel, seed: int = 0, sample: int 
         for _ in range(sample):
             a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
             checked += 1
-            if model.mul_r(model.mul_r(a, b), c) != model.mul_r(a, model.mul_r(b, c)):
+            if t[t[a * n + b] * n + c] != t[a * n + t[b * n + c]]:
                 ok = False
                 break
     return RelationReport(
@@ -443,21 +403,7 @@ def build_model(tag: str, p: int, alpha: int | None = None) -> GroupModel:
     elif alpha is not None:
         raise BadAlpha(f"tag {tag} takes no alpha")
 
-    if tag == "VII":
-        model = _build_vii(p)
-    elif tag == "VIII":
-        model = _build_viii(p)
-    elif tag == "IX":
-        model = _build_ix(p)
-    elif tag == "X":
-        model = _build_x(p)
-    elif tag in ("XI", "XII", "XIII"):
-        model = _build_xi_family(tag, p, alpha)
-    elif tag == "G4":
-        model = _build_g4(p)
-    else:
-        raise GroupModelError(f"unknown tag {tag!r}")
-
+    model = _collect(tag, p, alpha)
     report = verify_presentation_relations(model)
     if not all(ok for _, ok in report.defining) or not report.associativity_ok:
         bad = [name for name, ok in report.defining if not ok]

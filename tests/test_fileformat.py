@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bracelab.brace import trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
@@ -104,3 +108,54 @@ def test_metadata_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["metadata"]["construction"] == "trivial"
     assert load_brace(path).name == "my-brace"
+
+
+# -- any JSON document: a brace that round-trips, or BraceFileError -----------------
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 17) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+SEED_BRACES = [trivial_brace([2]), trivial_brace([2, 2]), diagonal_brace_m1(2), trivial_brace([])]
+
+
+@st.composite
+def brace_documents(draw):
+    """Documents near the schema: a stored brace, its circle table, or a random header,
+    with random JSON values written over some fields and table entries."""
+    brace = draw(st.sampled_from(SEED_BRACES))
+    doc = brace_to_doc(brace, name=draw(st.sampled_from([None, "b"])))
+    if draw(st.booleans()):
+        n = brace.order
+        del doc["lambda_table"]
+        doc["mul_table"] = [[brace.circ_r(a, b) for b in range(n)] for a in range(n)]
+    for key in draw(st.lists(st.sampled_from(["format", "version", "moduli", "lambda_table", "mul_table", "metadata"]))):
+        if draw(st.booleans()):
+            doc[key] = draw(JSON)
+        else:
+            doc.pop(key, None)
+    for key in ("lambda_table", "mul_table"):
+        table = doc.get(key)
+        while isinstance(table, list) and table and draw(st.booleans()):
+            entry = draw(st.integers(0, len(table) - 1))
+            if isinstance(table[entry], list) and table[entry] and draw(st.booleans()):
+                table = table[entry]  # write one level further down
+                continue
+            table[entry] = draw(JSON | st.integers(-20, 20))
+            break
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(JSON, brace_documents()))
+def test_loader_accepts_a_round_tripping_brace_or_raises_brace_file_error(doc):
+    try:
+        brace = doc_to_brace(doc)
+    except BraceFileError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+        save_brace(brace, first)
+        save_brace(load_brace(first), second)
+        assert first.read_bytes() == second.read_bytes()

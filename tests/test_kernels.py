@@ -24,7 +24,7 @@ from bracelab.abelian import (
 )
 from bracelab.brace import Brace, BraceError, _check_cocycle, brace_report, validate_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
-from bracelab.nilpotency import center_star, right_annihilated, series
+from bracelab.nilpotency import SuiteScope, _stage_commuting_powers, center_star, right_annihilated, series
 from bracelab.pgroups import NONABELIAN_TAGS, GroupModel, build_model, fingerprint, verify_presentation_relations
 from bracelab.ybe import solution_from_brace
 
@@ -99,6 +99,24 @@ def ref_associativity_checked(model: GroupModel) -> int:
                 if mul(ab, c) != mul(a, mul(b, c)):
                     return checked
     return checked
+
+
+def ref_commuting_powers(brace: Brace) -> tuple[bool, int]:
+    """Whether x * (y * a) = y * (x * a) for all powers x < y of every c and every a,
+    and the number of such pairs over the distinct cyclic circle subgroups."""
+    n, star, circle = brace.order, brace.star_r, brace.circle
+    ok, pairs, seen = True, 0, set()
+    for c in range(n):
+        powers = frozenset(circle.pow_r(c, k) for k in range(circle.element_orders[c]))
+        if powers in seen:
+            continue
+        seen.add(powers)
+        for x in powers:
+            for y in powers:
+                if x < y:
+                    pairs += 1
+                    ok = ok and all(star(x, star(y, a)) == star(y, star(x, a)) for a in range(n))
+    return ok, pairs
 
 
 # -- the braces --------------------------------------------------------------------
@@ -183,6 +201,14 @@ def test_right_annihilated_and_center_match_full_scan(kernel_braces):
         assert right_annihilated(b) == ref_right_annihilated(b), b.name
         assert center_star(b) == ref_center_star(b), b.name
         assert TableGroup(b.order, b.circ_r).center == ref_center_star(b), b.name
+
+
+def test_commuting_powers_checks_the_additive_generators(kernel_braces):
+    for b in kernel_braces:
+        ok, pairs = ref_commuting_powers(b)
+        result = _stage_commuting_powers(b, SuiteScope())
+        assert (result.status == "passed") == ok, b.name
+        assert result.checks == pairs * len(b.moduli), b.name
 
 
 def test_solution_tables_match_circle_formula(kernel_braces):
@@ -280,12 +306,9 @@ def test_report_lists_a_bad_column_at_every_rank():
 def _tampered_model(tag: str, at: tuple[int, int], to: int) -> GroupModel:
     model = build_model(tag, 3)
     bounds = tuple(max(e[t] for e in model.elements) + 1 for t in range(len(model.elements[0])))
-
-    def mul(x: tuple, y: tuple) -> tuple:
-        i, j = model.rank(x), model.rank(y)
-        return model.elements[to if (i, j) == at else model.mul_r(i, j)]
-
-    return GroupModel(tag, 3, bounds, mul, alpha=model.alpha)
+    table = list(model.table)
+    table[at[0] * model.order + at[1]] = to
+    return GroupModel(tag, 3, bounds, table, alpha=model.alpha)
 
 
 def test_associativity_count_on_tampered_models():

@@ -66,11 +66,14 @@ def test_center_star_examples():
     assert B.rank((0, 9)) in center_star(B)
 
 
-def test_socle():
+def test_socle(enumerated_braces):
     A = diagonal_brace_m1(2)
     soc = socle(A)
     assert A.rank((1, 0)) in soc  # lambda is trivial on b = 0
     assert A.rank((0, 1)) not in soc
+    for b in enumerated_braces:
+        n = b.order
+        assert socle(b) == frozenset(a for a in range(n) if all(b.star_r(a, x) == 0 for x in range(n))), b.name
 
 
 def test_annihilator_certificate_examples():

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
+from bracelab import pgroups
 from bracelab.brace import trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.pgroups import (
     BadAlpha,
+    GroupModelError,
     NONABELIAN_TAGS,
     NoMatch,
+    RelationFailure,
     TableGroup,
     UnsupportedPrime,
     _iso_from_model,
@@ -19,6 +24,107 @@ from bracelab.pgroups import (
     smallest_nonresidue,
     verify_presentation_relations,
 )
+
+
+# -- hand-written collection formulas, an independent reference for the tables ------
+
+
+def reference_model(tag: str, p: int, alpha: int | None):
+    """(bounds, mul) of the tag's group on exponent tuples, one formula per tag."""
+    p2, p3 = p * p, p ** 3
+    shift = pow(1 + p, -1, p2)
+    if tag == "VII":
+        return (p2, p, p), lambda x, y: (
+            (x[0] + y[0] - p * x[2] * y[1]) % p2, (x[1] + y[1]) % p, (x[2] + y[2]) % p
+        )
+    if tag == "VIII":
+        return (p2, p2), lambda x, y: ((x[0] + y[0] * pow(shift, x[1], p2)) % p2, (x[1] + y[1]) % p2)
+    if tag == "IX":
+        return (p2, p, p), lambda x, y: (
+            (x[0] + y[0] * pow(shift, x[2], p2)) % p2, (x[1] + y[1]) % p, (x[2] + y[2]) % p
+        )
+    if tag == "X":
+        return (p2, p, p), lambda x, y: (
+            (x[0] + y[0]) % p2, (x[1] + y[1] - y[0] * x[2]) % p, (x[2] + y[2]) % p
+        )
+    if tag == "G4":
+        g4_shift = pow(1 + p2, -1, p3)
+        return (p3, p), lambda x, y: ((x[0] + y[0] * pow(g4_shift, x[1], p3)) % p3, (x[1] + y[1]) % p)
+
+    # XI/XII/XIII: the modular group N = <P, Q> extended by R, with
+    # R^-1 P R = PQ and R^-1 Q R = P^{alpha p} Q; psi(x) = R x R^-1
+    def n_mul(x, y):
+        return ((x[0] + y[0] * pow(shift, x[1], p2)) % p2, (x[1] + y[1]) % p)
+
+    def n_pow(x, k):
+        acc = (0, 0)
+        for _ in range(k):
+            acc = n_mul(acc, x)
+        return acc
+
+    phi = {
+        (a, b): n_mul(n_pow((1, 1), a), n_pow(((alpha * p) % p2, 1), b)) for b in range(p) for a in range(p2)
+    }
+    psi = {v: k for k, v in phi.items()}
+    psi_pows = [{x: x for x in phi}]
+    for _ in range(p - 1):
+        psi_pows.append({x: psi[psi_pows[-1][x]] for x in phi})
+
+    def mul(x, y):
+        return (*n_mul(x[:2], psi_pows[x[2]][y[:2]]), (x[2] + y[2]) % p)
+
+    return (p2, p, p), mul
+
+
+def reference_table(tag: str, p: int, alpha: int | None) -> list[int]:
+    bounds, mul = reference_model(tag, p, alpha)
+    elements = [tuple(reversed(e)) for e in itertools.product(*[range(b) for b in reversed(bounds)])]
+    index = {e: i for i, e in enumerate(elements)}
+    return [index[mul(a, b)] for a in elements for b in elements]
+
+
+@pytest.mark.parametrize(
+    "tag, p",
+    [(tag, 3) for tag in NONABELIAN_TAGS]
+    + [("G4", 2)]
+    + [pytest.param(tag, 5, marks=pytest.mark.slow) for tag in NONABELIAN_TAGS],
+)
+def test_collected_tables_match_the_reference_formulas(tag, p):
+    model = build_model(tag, p)
+    assert model.table == reference_table(tag, p, model.alpha)
+
+
+def _patched(monkeypatch, tag: str, drop: str, add=()):
+    """presentation() of ``tag`` without the relation named ``drop``, plus ``add``."""
+    original = pgroups.presentation
+
+    def patched(t, p, alpha=None):
+        rels = [r for r in original(t, p, alpha) if r[0] != drop]
+        return rels + list(add) if t == tag else original(t, p, alpha)
+
+    monkeypatch.setattr(pgroups, "presentation", patched)
+
+
+def test_collection_needs_an_action_for_every_generator_pair(monkeypatch):
+    _patched(monkeypatch, "VII", "PR = RP")
+    with pytest.raises(GroupModelError, match=r"no relation gives R\^-1 P R"):
+        pgroups._collect("VII", 3)
+
+
+def test_collection_rejects_an_action_that_is_not_an_automorphism(monkeypatch):
+    # Q -> QP is a bijection of C9 x C3 but sends Q^3 = 1 to P^3
+    conj = (("R", -1), ("Q", 1), ("R", 1))
+    _patched(monkeypatch, "VII", "R^-1 Q R = Q P^p", [("R^-1 Q R = Q P", conj, (("Q", 1), ("P", 1)))])
+    with pytest.raises(RelationFailure, match="VII: R-action is not an automorphism of N"):
+        pgroups._collect("VII", 3)
+
+
+def test_collection_rejects_an_action_of_the_wrong_order(monkeypatch):
+    # P -> P^2 is an automorphism of C27 of order 18, which does not divide 3
+    conj = (("Q", -1), ("P", 1), ("Q", 1))
+    _patched(monkeypatch, "G4", "Q^-1 P Q = P^{1+p^2}", [("Q^-1 P Q = P^2", conj, (("P", 2),))])
+    with pytest.raises(RelationFailure, match="G4: Q-action does not have order dividing p"):
+        pgroups._collect("G4", 3)
 
 
 @pytest.mark.parametrize("tag", NONABELIAN_TAGS)
