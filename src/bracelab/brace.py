@@ -16,7 +16,6 @@ is enough.  Braces are immutable once validated; all queries are safe to share.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -29,6 +28,7 @@ from .abelian import (
     StructuralAnomaly,
     Subgroup,
     TableGroup,
+    _rank_blocks,
     abelian_basis,
     closure_generators,
     identity_automorphism,
@@ -364,10 +364,9 @@ def brace_report(
     # one check per lambda, and the n^2 cocycle scan when every lambda passed
     checks = n + (n * n if all(isinstance(err, CocycleViolation) for err, _ in found) else 0)
     if not violations:
-        rng = random.Random(seed)
         add = group.add_rank
-        for _ in range(spot_triples):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        ranks = itertools.chain.from_iterable(_rank_blocks(n, seed, 3 * spot_triples))
+        for a, b, c in zip(ranks, ranks, ranks):
             lhs = add(brace.circ_r(a, add(b, c)), a)
             rhs = add(brace.circ_r(a, b), brace.circ_r(a, c))
             checks += 1

@@ -10,8 +10,8 @@ A brace file carries the moduli plus exactly one of:
 Deserialization always re-validates; a file is only "accepted" when the
 resulting table passes the full brace axioms.  The schema is strict: every
 number is a JSON integer (not a boolean or a float), each lambda entry has
-exactly k columns of k coordinates, and each mul_table row has n ranks in
-0..n-1; anything else is a ``BraceFileError``.
+exactly k columns of k coordinates, coordinate i in 0..d_i-1, and each
+mul_table row has n ranks in 0..n-1; anything else is a ``BraceFileError``.
 """
 
 from __future__ import annotations
@@ -91,6 +91,8 @@ def doc_to_brace(doc: dict[str, Any]) -> Brace:
         for i, entry in enumerate(table):
             if not (isinstance(entry, list) and len(entry) == k and all(_int_list(col, k) for col in entry)):
                 raise BraceFileError(f"lambda_table entry {i} must be {k} columns of {k} integers")
+            if not all(0 <= x < d for col in entry for x, d in zip(col, moduli)):
+                raise BraceFileError(f"lambda_table entry {i} has a coordinate outside 0..d-1 of moduli {list(moduli)}")
     else:
         mul = doc["mul_table"]
         if not isinstance(mul, list) or len(mul) != n:

@@ -19,7 +19,6 @@ explicit reason when those preconditions fail.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -28,6 +27,7 @@ from .abelian import (
     Element,
     StructuralAnomaly,
     Subgroup,
+    _rank_blocks,
     group_closure,
     multiples_subgroup,
     prime_power,
@@ -605,10 +605,11 @@ class SuiteScope:
 def _sample_ranks(n: int, budget: int, seed: int) -> list[int]:
     if n <= EXHAUSTIVE_LIMIT:
         return list(range(n))
-    rng = random.Random(seed)
-    picks = {0}
-    while len(picks) < min(budget, n):
-        picks.add(rng.randrange(n))
+    picks, want = {0}, min(budget, n)
+    for r in itertools.chain.from_iterable(_rank_blocks(n, seed)):
+        if len(picks) >= want:
+            break
+        picks.add(r)
     return sorted(picks)
 
 

@@ -25,13 +25,20 @@ Tag summary (odd p unless noted):
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 from typing import Callable, Sequence
 
-from .abelian import EXHAUSTIVE_LIMIT, TableGroup, abelian_basis, closure_generators, group_closure, prime_power
+from .abelian import (
+    EXHAUSTIVE_LIMIT,
+    TableGroup,
+    _rank_blocks,
+    abelian_basis,
+    closure_generators,
+    group_closure,
+    prime_power,
+)
 from .brace import Brace, BraceError
 
 NONABELIAN_TAGS = ("VII", "VIII", "IX", "X", "XI", "XII", "XIII", "G4")
@@ -362,13 +369,18 @@ def verify_presentation_relations(model: GroupModel, seed: int = 0, sample: int 
                 break
             checked += n
     else:
-        rng = random.Random(seed)
-        for _ in range(sample):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            checked += 1
-            if t[t[a * n + b] * n + c] != t[a * n + t[b * n + c]]:
+        # the seeded triples of randrange(n), a block at a time: t[ab.n + c] against t[a.n + bc]
+        for block in _rank_blocks(n, seed, 3 * sample):
+            a_s, b_s, c_s = block[0::3], block[1::3], block[2::3]
+            ab = [t[a * n + b] for a, b in zip(a_s, b_s)]
+            bc = [t[b * n + c] for b, c in zip(b_s, c_s)]
+            lhs = [t[x * n + c] for x, c in zip(ab, c_s)]
+            rhs = [t[a * n + x] for a, x in zip(a_s, bc)]
+            if lhs != rhs:
+                checked += next(i for i, (l, r) in enumerate(zip(lhs, rhs)) if l != r) + 1
                 ok = False
                 break
+            checked += len(a_s)
     return RelationReport(
         model.tag,
         model.p,

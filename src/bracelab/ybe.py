@@ -11,10 +11,11 @@ trivial brace on n >= 2 points has level 1).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from operator import getitem, itemgetter
+from typing import Callable, Sequence
 
-from .abelian import EXHAUSTIVE_LIMIT
+from .abelian import EXHAUSTIVE_LIMIT, _rank_blocks
 from .brace import Brace, BraceError
 
 
@@ -138,59 +139,102 @@ def _nondegenerate(sol: YBESolution) -> bool:
     return True
 
 
-def _braid_at(sol: YBESolution, x: int, y: int, z: int) -> bool:
-    # r12 r23 r12 = r23 r12 r23 on (x, y, z)
-    a, b = sol.apply(x, y)
-    c, d = sol.apply(b, z)
-    e, f = sol.apply(a, c)
-    lhs = (e, f, d)
-    g, h = sol.apply(y, z)
-    i, j = sol.apply(x, g)
-    k, l = sol.apply(j, h)
-    rhs = (i, k, l)
-    return lhs == rhs
+def _picker(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """seq -> tuple(seq[i] for i in idx); itemgetter gives a bare item for one index."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple(seq[i] for i in idx)
+
+
+def _first_mismatch(lhs: tuple, rhs: tuple) -> int:
+    """First position t at which the component sequences of lhs and rhs differ."""
+    return next(t for t, (l, r) in enumerate(zip(zip(*lhs), zip(*rhs))) if l != r)
+
+
+# r12 r23 r12 = r23 r12 r23 on (x, y, z):
+#   (a, b) = r(x, y), (c, d) = r(b, z), (e, f) = r(a, c), lhs = (e, f, d);
+#   (g, h) = r(y, z), (i, j) = r(x, g), (k, l) = r(j, h), rhs = (i, k, l).
+
+
+def _braid_exhaustive(sol: YBESolution) -> tuple[int, tuple[int, int, int] | None]:
+    """Every triple in (x, y, z) order, all z of a pair (x, y) at once.
+
+    With rows U_t, V_t of u and v, at each z: e = U_a[U_b[z]], f = V_a[U_b[z]],
+    d = V_b[z], i = U_x[U_y[z]], and k, l = u[j n + h], v[j n + h] with
+    j = V_x[U_y[z]] and h = V_y[z].  Only a pair whose rows differ is scanned
+    z by z, for the first failing z.
+    """
+    n, u, v = sol.n, sol.u, sol.v
+    for x in range(n):
+        ux, vx = u[x * n : (x + 1) * n], v[x * n : (x + 1) * n]
+        for y in range(n):
+            a, b = ux[y], vx[y]
+            along_b = _picker(u[b * n : (b + 1) * n])  # s -> s[U_b[.]]
+            along_y = _picker(u[y * n : (y + 1) * n])  # s -> s[U_y[.]]
+            lhs = (along_b(u[a * n : (a + 1) * n]), along_b(v[a * n : (a + 1) * n]), tuple(v[b * n : (b + 1) * n]))
+            at_jh = _picker([j * n + h for j, h in zip(along_y(vx), v[y * n : (y + 1) * n])])
+            rhs = (along_y(ux), at_jh(u), at_jh(v))
+            if lhs != rhs:
+                z = _first_mismatch(lhs, rhs)
+                return (x * n + y) * n + z + 1, (x, y, z)
+    return n**3, None
+
+
+def _braid_sampled(sol: YBESolution, budget: int, seed: int) -> tuple[int, tuple[int, int, int] | None]:
+    """The triples of random.Random(seed).randrange(n), three draws each, a
+    block at a time: the six maps of the relation are gathered from u and v
+    through their pair ranks x * n + y for the whole block."""
+    n, u, v = sol.n, sol.u, sol.v
+
+    def at(xs: Sequence[int], ys: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        pick = _picker([x * n + y for x, y in zip(xs, ys)])
+        return pick(u), pick(v)
+
+    checked = 0
+    for block in _rank_blocks(n, seed, 3 * budget):
+        xs, ys, zs = block[0::3], block[1::3], block[2::3]
+        a, b = at(xs, ys)
+        c, d = at(b, zs)
+        e, f = at(a, c)
+        g, h = at(ys, zs)
+        i, j = at(xs, g)
+        k, l = at(j, h)
+        lhs, rhs = (e, f, d), (i, k, l)
+        if lhs != rhs:
+            t = _first_mismatch(lhs, rhs)
+            return checked + t + 1, (xs[t], ys[t], zs[t])
+        checked += len(xs)
+    return checked, None
 
 
 def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int = 0) -> SolutionReport:
     """Involutivity, non-degeneracy (always exhaustive), and the braid
-    relation (exhaustive up to EXHAUSTIVE_LIMIT, seeded sampling above)."""
+    relation (exhaustive up to EXHAUSTIVE_LIMIT, seeded sampling above).
+
+    The braid check stops at the first failing triple, which is the witness;
+    triples_checked counts the triples up to and including it.
+    """
     n = sol.n
     involutive = _involutive(sol)
     nondeg = _nondegenerate(sol)
-    braid = True
-    witness = None
-    checked = 0
     exhaustive = n <= EXHAUSTIVE_LIMIT
     if exhaustive:
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    checked += 1
-                    if not _braid_at(sol, x, y, z):
-                        braid = False
-                        witness = (x, y, z)
-                        break
-                if not braid:
-                    break
-            if not braid:
-                break
+        checked, witness = _braid_exhaustive(sol)
         used_seed = None
     else:
-        rng = random.Random(seed)
-        for _ in range(sample_budget):
-            x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            checked += 1
-            if not _braid_at(sol, x, y, z):
-                braid = False
-                witness = (x, y, z)
-                break
+        checked, witness = _braid_sampled(sol, sample_budget, seed)
         used_seed = seed
-    return SolutionReport(n, involutive, nondeg, braid, checked, exhaustive, used_seed, witness)
+    return SolutionReport(n, involutive, nondeg, witness is None, checked, exhaustive, used_seed, witness)
 
 
 def retraction(sol: YBESolution) -> YBESolution:
     """Quotient by x ~ y when the left component maps agree, with the induced
-    table checked well defined on classes."""
+    table checked well defined on classes.
+
+    Row x of u and of v, read through the classes, must equal row cls[x] of
+    the quotient read along the classes of y; a failure names the first
+    (x, y) in row-major order.
+    """
     n = sol.n
     class_of: dict[tuple[int, ...], int] = {}
     cls = [0] * n
@@ -201,25 +245,23 @@ def retraction(sol: YBESolution) -> YBESolution:
         cls[x] = class_of[row]
     m = len(class_of)
     rep = [0] * m
-    seen = set()
-    for x in range(n):
-        if cls[x] not in seen:
-            seen.add(cls[x])
-            rep[cls[x]] = x
+    for x in reversed(range(n)):
+        rep[cls[x]] = x
 
+    by_rep, by_class = _picker(rep), _picker(cls)  # s -> s[rep[.]], s -> s[cls[.]]
+    to_class = cls.__getitem__
     u = [0] * (m * m)
     v = [0] * (m * m)
-    for cx in range(m):
-        for cy in range(m):
-            uu, vv = sol.apply(rep[cx], rep[cy])
-            u[cx * m + cy] = cls[uu]
-            v[cx * m + cy] = cls[vv]
+    for c, r in enumerate(rep):
+        u[c * m : (c + 1) * m] = map(to_class, by_rep(sol.u[r * n : (r + 1) * n]))
+        v[c * m : (c + 1) * m] = map(to_class, by_rep(sol.v[r * n : (r + 1) * n]))
     for x in range(n):
-        for y in range(n):
-            uu, vv = sol.apply(x, y)
-            i = cls[x] * m + cls[y]
-            if u[i] != cls[uu] or v[i] != cls[vv]:
-                raise NotWellDefined(f"retraction inconsistent at ({x}, {y})")
+        row, c = slice(x * n, (x + 1) * n), cls[x]
+        got = (tuple(map(to_class, sol.u[row])), tuple(map(to_class, sol.v[row])))
+        # row c of the quotient read along cls: the classes of u and v at (x, y) for every y
+        want = (by_class(u[c * m : (c + 1) * m]), by_class(v[c * m : (c + 1) * m]))
+        if got != want:
+            raise NotWellDefined(f"retraction inconsistent at ({x}, {_first_mismatch(got, want)})")
     return YBESolution(m, u, v)
 
 

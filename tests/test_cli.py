@@ -100,6 +100,19 @@ def test_verify_rejects_loose_schema_exit2(tmp_path, capsys, table_key, table, e
     assert error in doc["results"]["validate"]["error"]
 
 
+@pytest.mark.parametrize(
+    "moduli, table", [([2], [[[1]], [[3]]]), ([3], [[[1]], [[1]], [[-2]]]), ([2], [[[1]], [[2]]])]
+)
+def test_verify_rejects_out_of_range_coordinates_exit2(tmp_path, capsys, moduli, table):
+    # [3] on moduli [2] and [-2] on [3] would reduce to [1], and [2] on [2] to [0]; a file is never coerced
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps({"format": "bracelab/brace", "version": 1, "moduli": moduli, "lambda_table": table}))
+    assert run_cli(["verify", "--input", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["validate"]["accepted"] is False
+    assert f"lambda_table entry {len(table) - 1} has a coordinate outside 0..d-1" in doc["results"]["validate"]["error"]
+
+
 def test_verify_checks_table_size_before_building_the_group(tmp_path, capsys):
     # a 10^10-element group: the table length is compared with prod(moduli) first
     path = tmp_path / "huge.json"

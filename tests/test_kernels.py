@@ -303,12 +303,12 @@ def test_report_lists_a_bad_column_at_every_rank():
     assert report.checks == group.order
 
 
-def _tampered_model(tag: str, at: tuple[int, int], to: int) -> GroupModel:
-    model = build_model(tag, 3)
+def _tampered_model(tag: str, at: tuple[int, int], to: int, p: int = 3) -> GroupModel:
+    model = build_model(tag, p)
     bounds = tuple(max(e[t] for e in model.elements) + 1 for t in range(len(model.elements[0])))
     table = list(model.table)
     table[at[0] * model.order + at[1]] = to
-    return GroupModel(tag, 3, bounds, table, alpha=model.alpha)
+    return GroupModel(tag, p, bounds, table, alpha=model.alpha)
 
 
 def test_associativity_count_on_tampered_models():
@@ -320,6 +320,38 @@ def test_associativity_count_on_tampered_models():
         want = ref_associativity_checked(model)
         assert report.associativity_checked == want, tag
         assert report.associativity_ok == (want == 81 ** 3), tag
+
+
+def ref_sampled_associativity(model: GroupModel, seed: int = 0, sample: int = 100_000) -> tuple[int, bool]:
+    n, t = model.order, model.table
+    rng = random.Random(seed)
+    for checked in range(1, sample + 1):
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        if t[t[a * n + b] * n + c] != t[a * n + t[b * n + c]]:
+            return checked, False
+    return sample, True
+
+
+@pytest.mark.slow
+def test_sampled_associativity_on_tampered_p5_models():
+    # a tampered entry (a, b) with a outside <b>: the power walks, and with them
+    # the element orders that the relation checks read, stay those of the model
+    rng = random.Random(625)
+    outcomes = set()
+    for tag in NONABELIAN_TAGS:
+        group = build_model(tag, 5)
+        a, b = rng.randrange(625), rng.randrange(625)
+        while a in {group.pow_r(b, k) for k in range(group.element_orders[b])}:
+            a, b = rng.randrange(625), rng.randrange(625)
+        model = _tampered_model(tag, (a, b), rng.randrange(625), p=5)
+        report = verify_presentation_relations(model)
+        want = ref_sampled_associativity(model)
+        assert (report.associativity_checked, report.associativity_ok) == want, tag
+        outcomes.add(want[1])
+    for seed, sample in ((7, 1), (7, 1100), (3, 5000)):
+        report = verify_presentation_relations(build_model("XI", 5), seed=seed, sample=sample)
+        assert (report.associativity_checked, report.associativity_ok) == (sample, True)
+    assert outcomes == {True, False}
 
 
 # -- cost guards -------------------------------------------------------------------

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
-from bracelab.brace import trivial_brace
+from bracelab.abelian import RANK_BLOCK, AbelianGroup, _rank_blocks
+from bracelab.brace import brace_report, trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
+from bracelab.nilpotency import _sample_ranks
 from bracelab.ybe import (
     NotWellDefined,
+    SolutionReport,
     YBESolution,
     check_solution,
     identity_pair_map,
@@ -91,3 +97,202 @@ def test_retraction_shrinks_or_flags_within_size_steps():
         sol = solution_from_brace(brace)
         level = multipermutation_level(sol)
         assert level is not None and level <= sol.n
+
+
+# -- the seeded rank sampler and the braid and retraction kernels, against references --
+
+
+def _randrange_ranks(n: int, seed: int, count: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.randrange(n) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 301), 625, 1000, 1024, 4096, 5000])
+def test_rank_blocks_draw_the_randrange_sequence(n):
+    for seed, count in itertools.product((0, 7, 2021), (0, 1, 2, RANK_BLOCK - 1, RANK_BLOCK + 5)):
+        blocks = list(_rank_blocks(n, seed, count))
+        assert [r for block in blocks for r in block] == _randrange_ranks(n, seed, count), (seed, count)
+        assert all(len(block) == RANK_BLOCK for block in blocks[:-1])
+    # unbounded: the same stream, block after block
+    stream = itertools.chain.from_iterable(_rank_blocks(n, 3))
+    assert list(itertools.islice(stream, 2 * RANK_BLOCK + 7)) == _randrange_ranks(n, 3, 2 * RANK_BLOCK + 7)
+
+
+def test_rank_blocks_refuse_an_empty_or_too_large_range():
+    for n in (0, 2**32, 2**40):
+        with pytest.raises(ValueError):
+            next(_rank_blocks(n, 0, 1))
+
+
+def ref_sample_ranks(n: int, budget: int, seed: int) -> list[int]:
+    if n <= 81:
+        return list(range(n))
+    rng = random.Random(seed)
+    picks = {0}
+    while len(picks) < min(budget, n):
+        picks.add(rng.randrange(n))
+    return sorted(picks)
+
+
+def test_sample_ranks_match_the_randrange_draws():
+    for n, budget, seed in itertools.product((64, 82, 125, 625, 5000), (0, 1, 20, 700), (0, 7)):
+        assert _sample_ranks(n, budget, seed) == ref_sample_ranks(n, budget, seed)
+
+
+class _RecordingGroup(AbelianGroup):
+    """An abelian group that records its add_rank calls."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, moduli):
+        super().__init__(moduli)
+        self.calls: list[tuple[int, int]] = []
+
+    def add_rank(self, i: int, j: int) -> int:
+        self.calls.append((i, j))
+        return super().add_rank(i, j)
+
+
+def test_brace_report_spot_triples_are_the_seeded_sample():
+    # each spot triple (a, b, c) adds b + c, then a + lambda_a(b + c), then four more
+    brace = diagonal_brace_m2(2)
+    columns = brace.lambda_columns()
+    for spots in (0, 1, 200, RANK_BLOCK // 3 + 2):
+        group = _RecordingGroup(brace.moduli)
+        report = brace_report(group, columns, spot_triples=spots, seed=3)
+        assert report.violations == () and report.checks == 16 + 16**2 + spots
+        calls = group.calls[len(group.calls) - 6 * spots :]
+        triples = [(calls[t + 1][0], *calls[t]) for t in range(0, 6 * spots, 6)]
+        ranks = _randrange_ranks(16, 3, 3 * spots)
+        assert triples == list(zip(ranks[0::3], ranks[1::3], ranks[2::3]))
+
+
+def _braid_at(sol: YBESolution, x: int, y: int, z: int) -> bool:
+    # r12 r23 r12 = r23 r12 r23 on (x, y, z)
+    a, b = sol.apply(x, y)
+    c, d = sol.apply(b, z)
+    e, f = sol.apply(a, c)
+    g, h = sol.apply(y, z)
+    i, j = sol.apply(x, g)
+    k, l = sol.apply(j, h)
+    return (e, f, d) == (i, k, l)
+
+
+def ref_braid(sol: YBESolution, budget: int, seed: int) -> tuple[bool, int, tuple | None]:
+    """(braid, triples_checked, witness), one triple at a time."""
+    n = sol.n
+    if n <= 81:
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        rng = random.Random(seed)
+        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(budget))
+    checked = 0
+    for t in triples:
+        checked += 1
+        if not _braid_at(sol, *t):
+            return False, checked, t
+    return True, checked, None
+
+
+def _swapped(sol: YBESolution, which: str, seed: int) -> YBESolution:
+    """sol with two seeded entries of u (or v) that differ exchanged."""
+    rng = random.Random(seed)
+    u, v = list(sol.u), list(sol.v)
+    t = u if which == "u" else v
+    i, j = rng.randrange(sol.n**2), rng.randrange(sol.n**2)
+    while t[i] == t[j] and len(set(t)) > 1:
+        i, j = rng.randrange(sol.n**2), rng.randrange(sol.n**2)
+    t[i], t[j] = t[j], t[i]
+    return YBESolution(sol.n, u, v)
+
+
+def _assert_braid_matches(sol: YBESolution, budget: int = 1_000_000, seed: int = 0) -> SolutionReport:
+    report = check_solution(sol, sample_budget=budget, seed=seed)
+    assert (report.braid, report.triples_checked, report.witness) == ref_braid(sol, budget, seed)
+    return report
+
+
+@pytest.fixture(scope="module")
+def order625_solutions(exponent5_brace):
+    return [solution_from_brace(b) for b in (diagonal_brace_m1(5), diagonal_brace_m2(5), exponent5_brace)]
+
+
+def test_exhaustive_braid_matches_the_triple_loop(enumerated_braces):
+    sols = [solution_from_brace(b) for b in enumerated_braces[::7]]
+    sols += [twist_solution(1), identity_pair_map(1), identity_pair_map(5), solution_from_brace(diagonal_brace_m2(3))]
+    for sol in sols:
+        assert _assert_braid_matches(sol).exhaustive
+    failed = 0
+    for sol, which, seed in itertools.product(sols[:-1] + [solution_from_brace(diagonal_brace_m1(3))], "uv", range(3)):
+        failed += not _assert_braid_matches(_swapped(sol, which, seed)).braid
+    assert failed > 30
+
+
+def test_sampled_braid_matches_the_triple_loop(order625_solutions):
+    # budgets of one triple, of a block and a bit, and not a multiple of the block
+    sols = [solution_from_brace(trivial_brace([5, 25])), twist_solution(100), *order625_solutions]
+    for sol, budget, seed in itertools.product(sols, (0, 1, RANK_BLOCK // 3 + 1, 2500), (0, 7)):
+        report = _assert_braid_matches(sol, budget, seed)
+        assert not report.exhaustive and report.seed == seed and report.passed
+    failed = 0
+    for sol, which, seed in itertools.product(sols[::2], "uv", range(3)):
+        failed += not _assert_braid_matches(_swapped(sol, which, seed), 100_000, 7).braid
+    assert failed >= 12
+
+
+def test_sampled_braid_witnesses_are_pinned(order625_solutions):
+    # (witness, triples_checked) of two tampered order-625 solutions, recorded
+    # once from the one-triple-at-a-time randrange loop: a change in the sampled
+    # sequence or in the block boundaries moves them
+    m1, _, exponent5 = order625_solutions
+    report = check_solution(_swapped(m1, "u", 1), seed=0)
+    assert (report.witness, report.triples_checked) == ((122, 445, 420), 198776)
+    report = check_solution(_swapped(exponent5, "v", 3), seed=7)
+    assert (report.witness, report.triples_checked) == ((199, 135, 386), 29582)
+
+
+def ref_retraction(sol: YBESolution) -> YBESolution:
+    """The n^2 definition: classes by sigma row, the table on class representatives,
+    then every pair (x, y) checked against it in row-major order."""
+    n = sol.n
+    class_of: dict[tuple[int, ...], int] = {}
+    cls = [class_of.setdefault(sol.sigma_row(x), len(class_of)) for x in range(n)]
+    m = len(class_of)
+    rep = [cls.index(c) for c in range(m)]
+    u = [cls[sol.apply(rep[cx], rep[cy])[0]] for cx in range(m) for cy in range(m)]
+    v = [cls[sol.apply(rep[cx], rep[cy])[1]] for cx in range(m) for cy in range(m)]
+    for x in range(n):
+        for y in range(n):
+            uu, vv = sol.apply(x, y)
+            i = cls[x] * m + cls[y]
+            if u[i] != cls[uu] or v[i] != cls[vv]:
+                raise NotWellDefined(f"retraction inconsistent at ({x}, {y})")
+    return YBESolution(m, u, v)
+
+
+def _same_retraction(sol: YBESolution) -> bool:
+    try:
+        want = ref_retraction(sol)
+    except NotWellDefined as exc:
+        with pytest.raises(NotWellDefined) as got:
+            retraction(sol)
+        assert str(got.value) == str(exc)
+        return False
+    assert retraction(sol) == want
+    return True
+
+
+def test_retraction_matches_the_pair_scan(enumerated_braces):
+    for brace in enumerated_braces:
+        sol = solution_from_brace(brace)
+        while sol.n > 1 and _same_retraction(sol):
+            nxt = ref_retraction(sol)
+            if nxt.n == sol.n:
+                break
+            sol = nxt
+    # tampered tables: v swaps keep the classes but can break the quotient
+    sols = [solution_from_brace(b) for b in enumerated_braces if b.order >= 8]
+    ill_defined = 0
+    for sol, which, seed in itertools.product(sols, "uv", range(2)):
+        ill_defined += not _same_retraction(_swapped(sol, which, seed))
+    assert ill_defined > 10
