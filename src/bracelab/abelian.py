@@ -364,14 +364,19 @@ class TableGroup:
 
     @property
     def element_orders(self) -> list[int]:
+        """The least t >= 1 with x^t = 0; a power walk that has not met 0 after
+        n products (x^n = 1 in a group of order n) raises StructuralAnomaly."""
         if self._orders is None:
-            mul = self.mul_r
-            out = [0] * self.order
-            for i in range(self.order):
-                t, y = 1, i
-                while y != 0:
+            mul, n = self.mul_r, self.order
+            out = [0] * n
+            for i in range(n):
+                y = i
+                for t in range(1, n + 1):
+                    if y == 0:
+                        break
                     y = mul(y, i)
-                    t += 1
+                else:
+                    raise StructuralAnomaly(f"rank {i} has no power equal to the identity within {n} products")
                 out[i] = t
             self._orders = out
         return self._orders

@@ -170,30 +170,29 @@ class Certificate:
 def annihilator_certificate(brace: Brace) -> Certificate | None:
     """Search Z(A) with A * c = 0 for the smallest-rank nonzero witness.
 
-    When a candidate is found, c * A = 0 must also hold; a failure there would
-    contradict the central-annihilator lemma and raises StructuralAnomaly
-    instead of being silently accepted.
+    When a candidate is found, c * A = 0 must also hold, i.e. c lies in the
+    socle; a failure there would contradict the central-annihilator lemma and
+    raises StructuralAnomaly instead of being silently accepted.  The ideal
+    c generates is two-sided null iff it lies in the socle (x * A = 0) and
+    in the right-annihilated set (A * x = 0).
     """
-    candidates = sorted(center_star(brace) & right_annihilated(brace) - {0})
+    annihilated = right_annihilated(brace)
+    candidates = sorted(center_star(brace) & annihilated - {0})
     if not candidates:
         return None
     c = candidates[0]
-    n = brace.order
-    c_star_a = all(brace.star_r(c, a) == 0 for a in range(n))
-    if not c_star_a:
+    soc = socle(brace)
+    if c not in soc:
         raise StructuralAnomaly(
             f"central element {brace.element(c)} has A*c=0 but c*A != 0"
         )
     ideal = brace.ideal_generated(brace.element(c))
-    two_sided = all(
-        brace.star_r(x, a) == 0 and brace.star_r(a, x) == 0 for x in ideal for a in range(n)
-    )
-    if not two_sided:
+    if not ideal.members() <= soc & annihilated:
         raise StructuralAnomaly("ideal generated by certificate is not two-sided null")
     return Certificate(
         element=brace.element(c),
         ideal_ranks=ideal.ranks,
-        quotient_order=n // ideal.order,
+        quotient_order=brace.order // ideal.order,
         a_star_c_zero=True,
         c_star_a_zero=True,
         ideal_two_sided_zero=True,

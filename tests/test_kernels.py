@@ -12,10 +12,12 @@ from math import gcd
 
 import pytest
 
+from bracelab import nilpotency, pgroups
 from bracelab.abelian import (
     AbelianGroup,
     NotBijective,
     NotHomomorphism,
+    StructuralAnomaly,
     Subgroup,
     TableGroup,
     group_closure,
@@ -24,8 +26,24 @@ from bracelab.abelian import (
 )
 from bracelab.brace import Brace, BraceError, _check_cocycle, brace_report, validate_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
-from bracelab.nilpotency import SuiteScope, _stage_commuting_powers, center_star, right_annihilated, series
-from bracelab.pgroups import NONABELIAN_TAGS, GroupModel, build_model, fingerprint, verify_presentation_relations
+from bracelab.nilpotency import (
+    Certificate,
+    SuiteScope,
+    _stage_commuting_powers,
+    annihilator_certificate,
+    center_star,
+    right_annihilated,
+    series,
+)
+from bracelab.pgroups import (
+    NONABELIAN_TAGS,
+    GroupModel,
+    RelationFailure,
+    _check_group,
+    build_model,
+    fingerprint,
+    verify_presentation_relations,
+)
 from bracelab.ybe import solution_from_brace
 
 # -- references --------------------------------------------------------------------
@@ -99,6 +117,32 @@ def ref_associativity_checked(model: GroupModel) -> int:
                 if mul(ab, c) != mul(a, mul(b, c)):
                     return checked
     return checked
+
+
+def ref_group_table(model: GroupModel) -> bool:
+    """Rank 0 a two-sided identity, every triple associative, and the generators reach every rank."""
+    n, t = model.order, model.table
+    ranks = list(range(n))
+    rows = [t[a * n : (a + 1) * n] for a in range(n)]
+    if rows[0] != ranks or [row[0] for row in rows] != ranks:
+        return False
+    if any(rows[rows[a][b]] != [rows[a][bc] for bc in rows[b]] for a in range(n) for b in range(n)):
+        return False
+    return len(group_closure(model.mul_r, [model.gen_rank(g) for g in model.gens])) == n
+
+
+def ref_annihilator_certificate(brace: Brace) -> Certificate | None:
+    """The star_r scans: c * a = 0 for every a, then x * a = a * x = 0 over the ideal."""
+    candidates = sorted(center_star(brace) & right_annihilated(brace) - {0})
+    if not candidates:
+        return None
+    c, n = candidates[0], brace.order
+    if not all(brace.star_r(c, a) == 0 for a in range(n)):
+        raise StructuralAnomaly(f"central element {brace.element(c)} has A*c=0 but c*A != 0")
+    ideal = brace.ideal_generated(brace.element(c))
+    if not all(brace.star_r(x, a) == 0 and brace.star_r(a, x) == 0 for x in ideal for a in range(n)):
+        raise StructuralAnomaly("ideal generated by certificate is not two-sided null")
+    return Certificate(brace.element(c), ideal.ranks, n // ideal.order, True, True, True)
 
 
 def ref_commuting_powers(brace: Brace) -> tuple[bool, int]:
@@ -352,6 +396,95 @@ def test_sampled_associativity_on_tampered_p5_models():
         report = verify_presentation_relations(build_model("XI", 5), seed=seed, sample=sample)
         assert (report.associativity_checked, report.associativity_ok) == (sample, True)
     assert outcomes == {True, False}
+
+
+def _gate_rejects(model: GroupModel) -> bool:
+    try:
+        _check_group(model)
+    except RelationFailure:
+        return True
+    return False
+
+
+def test_group_gate_on_tampered_models():
+    # one entry changed anywhere, row 0 and column 0 included; about one in 81
+    # draws keeps the old value, so both outcomes occur
+    rng = random.Random(1961)
+    outcomes = set()
+    for tag in NONABELIAN_TAGS:
+        for _ in range(150):
+            model = _tampered_model(tag, (rng.randrange(81), rng.randrange(81)), rng.randrange(81))
+            rejected = _gate_rejects(model)
+            assert rejected == (not ref_group_table(model)), (tag, model.table)
+            outcomes.add(rejected)
+    assert outcomes == {True, False}
+
+
+def test_group_gate_catches_what_the_associativity_sample_misses():
+    model = _tampered_model("VII", (418, 260), 612, p=5)
+    report = verify_presentation_relations(model)
+    assert report.associativity_ok and report.passed
+    with pytest.raises(RelationFailure, match="VII at p=5: failed associativity"):
+        _check_group(model)
+
+
+def test_group_gate_rejects_a_generator_row_that_is_not_a_permutation():
+    model = build_model("VIII", 3)
+    P = model.gen_rank("P")
+    twice = model.table[P * 81 + 2]  # P.1 is now P.2 too
+    with pytest.raises(RelationFailure, match=f"row of generator rank {P} is not a permutation"):
+        _check_group(_tampered_model("VIII", (P, 1), twice))
+
+
+def test_group_gate_rejects_a_bad_identity_and_a_short_closure():
+    with pytest.raises(RelationFailure, match="rank 0 is not the identity"):
+        _check_group(_tampered_model("IX", (5, 0), 6))
+    model = build_model("G4", 3)
+    # P and Q both stand for P: the generators reach only <P>, of order 27
+    stuck = GroupModel("G4", 3, (27, 3), model.table)
+    stuck.gens["Q"] = stuck.gens["P"]
+    with pytest.raises(RelationFailure, match="G4 at p=3: generators do not generate"):
+        _check_group(stuck)
+
+
+def test_build_path_draws_no_samples(monkeypatch):
+    def no_samples(*args, **kwargs):
+        raise AssertionError("build_model drew sampled ranks")
+
+    monkeypatch.setattr(pgroups, "_rank_blocks", no_samples)
+    build_model.cache_clear()
+    for tag in NONABELIAN_TAGS:
+        assert build_model(tag, 5).order == 625
+    with pytest.raises(AssertionError, match="sampled ranks"):
+        verify_presentation_relations(build_model("X", 5))
+
+
+def test_element_orders_stop_on_a_table_that_is_not_a_group():
+    # draws 4 to 6 of random.Random(625): the power walk of some rank never returns to 0
+    model = _tampered_model("VIII", (621, 92), 260, p=5)
+    with pytest.raises(StructuralAnomaly, match=r"rank \d+ has no power equal to the identity within 625 products"):
+        model.element_orders
+    report = verify_presentation_relations(model)
+    assert not report.passed
+    assert ("Q^-1 P Q = P^{1+p}", False) in report.defining
+
+
+def test_certificate_matches_the_star_scan(enumerated_braces, builtin_corpus):
+    for b in [*enumerated_braces, *builtin_corpus]:
+        assert annihilator_certificate(b) == ref_annihilator_certificate(b), b.name
+
+
+def test_certificate_anomalies_keep_their_texts(monkeypatch):
+    brace = diagonal_brace_m2(3)
+    cert = annihilator_certificate(brace)
+    c = brace.rank(cert.element)
+    assert len(cert.ideal_ranks) > 2
+    monkeypatch.setattr(nilpotency, "socle", lambda b: frozenset({0}))
+    with pytest.raises(StructuralAnomaly, match=r"central element \(0, 3\) has A\*c=0 but c\*A != 0"):
+        annihilator_certificate(brace)
+    monkeypatch.setattr(nilpotency, "socle", lambda b: frozenset({0, c}))
+    with pytest.raises(StructuralAnomaly, match="ideal generated by certificate is not two-sided null"):
+        annihilator_certificate(brace)
 
 
 # -- cost guards -------------------------------------------------------------------

@@ -1,0 +1,59 @@
+"""The scripts under scripts/, run as a user runs them: a fresh interpreter with src on the path."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED="0")
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_pipeline_demo_summarises_the_diagonal_families():
+    proc = _run("scripts/run_pipeline_demo.py", "2", "3")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    headers = [line for line in lines if line.startswith("== ")]
+    assert headers == [
+        "== diagonal-m2 p=2  (order 16, moduli (2, 8))",
+        "== diagonal-m1 p=2  (order 16, moduli (4, 4))",
+        "== diagonal-m2 p=3  (order 81, moduli (3, 27))",
+        "== diagonal-m1 p=3  (order 81, moduli (9, 9))",
+    ]
+    groups = [line.strip() for line in lines if "multiplicative group:" in line]
+    assert groups == [
+        "multiplicative group: G4",
+        "multiplicative group: unmatched",
+        "multiplicative group: G4",
+        "multiplicative group: VIII",
+    ]
+    summaries = [line.strip() for line in lines if line.strip().startswith("right class:")]
+    assert summaries == [
+        "right class: 3, certificate: (0, 2), mpl: 2",
+        "right class: 3, certificate: (2, 0), mpl: 2",
+        "right class: 3, certificate: (0, 3), mpl: 2",
+        "right class: 3, certificate: (3, 0), mpl: 2",
+    ]
+
+
+def test_build_corpus_writes_and_reports_the_corpus(tmp_path):
+    out = tmp_path / "corpus"
+    proc = _run("scripts/build_corpus.py", str(out), "--max-order", "81", "--with-enumerations")
+    assert proc.returncode == 0, proc.stderr
+    assert f"wrote corpus to {out}" in proc.stderr
+    files = sorted(p.name for p in out.glob("*.json"))
+    report = json.loads(proc.stdout)
+    assert (report["command"], report["status"], report["exit_code"]) == ("report", "pass", 0)
+    assert sorted(row["file"] for row in report["results"]["rows"]) == files
+    assert report["results"]["rejected"] == [] and report["results"]["corpus_invariants"]["violations"] == []
+    assert sum(name.startswith("enum-") for name in files) == 27
+    assert sum(not name.startswith("enum-") for name in files) == 10
