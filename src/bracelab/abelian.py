@@ -237,8 +237,10 @@ class Automorphism:
         return Automorphism(self.moduli, tuple(self.apply(c) for c in other.columns))
 
     def perm(self, group: AbelianGroup) -> tuple[int, ...]:
+        """The images of all ranks: the columns extended additively over the normal forms."""
         if self._perm is None:
-            self._perm = tuple(group.rank(self.apply(e)) for e in group.elements)
+            cols = [group.rank(c) for c in self.columns]
+            self._perm = tuple(normal_form_images(group.add_rank, group.moduli, cols))
         return self._perm
 
     def inv_perm(self, group: AbelianGroup) -> tuple[int, ...]:
@@ -425,6 +427,22 @@ def closure_generators(mul: Callable[[int, int], int], seeds: Iterable[int]) -> 
                     members.add(y)
                     frontier.append(y)
     return members, gens
+
+
+def normal_form_images(mul: Callable[[int, int], int], bounds: Sequence[int], images: Sequence[int]) -> list[int]:
+    """Image of x_0^c_0 ... x_{k-1}^c_{k-1} at the little-endian rank of (c_0, ..., c_{k-1}).
+
+    x_j maps to images[j]; rank c w + low, with w = prod(bounds[:j]) and
+    low < w, maps to out[low] . img_j^c, the power built from 0 by right
+    multiplication.  n products plus one per power.
+    """
+    out = [0]
+    for b, img in zip(bounds, images):
+        w, power = len(out), 0
+        for _ in range(b - 1):
+            power = mul(power, img)
+            out += [mul(x, power) for x in out[:w]]
+    return out
 
 
 def group_closure(mul: Callable[[int, int], int], seeds: Iterable[int]) -> set[int]:

@@ -32,6 +32,7 @@ from .abelian import (
     abelian_basis,
     closure_generators,
     identity_automorphism,
+    normal_form_images,
     subgroup_closure,
     validate_automorphism,
 )
@@ -91,7 +92,6 @@ class Brace:
         "_perms",
         "circ_r",
         "circle",
-        "_star_span",
         "_cache",
         "name",
     )
@@ -110,8 +110,7 @@ class Brace:
 
         self.circ_r = circ_r
         self.circle = TableGroup(group.order, circ_r)
-        self._star_span: Subgroup | None = None
-        self._cache: dict = {}  # memo for derived analyses (series, centers, ...)
+        self._cache: dict = {}  # memo for derived analyses (series, centers, A * A, ...)
         self.name = name
 
     # -- basics ---------------------------------------------------------------
@@ -200,51 +199,42 @@ class Brace:
 
     def star_span(self) -> Subgroup:
         """A * A, cached (the additive span of all pairwise stars)."""
-        if self._star_span is None:
+        span = self._cache.get("star_span")
+        if span is None:
             n = range(self.order)
-            self._star_span = self.subset_star(n, n)
-        return self._star_span
+            span = self._cache["star_span"] = self.subset_star(n, n)
+        return span
+
+    def _ideal_closure(self, seeds: Iterable[int]) -> Subgroup:
+        """The smallest ideal holding the seed ranks.
+
+        Until nothing new appears: close under +, apply lambda_g for each
+        generator g of (A, o) to the additive generators kept, and add x * e_j
+        for every member x and unit rank e_j.  lambda: (A, o) -> Aut(A, +) is
+        a homomorphism and every a is a word in the g, so invariance under
+        each lambda_g is invariance under every lambda_a.  x * a is additive
+        in a, so x * e_j in I puts I * A in I, and a * x = lambda_a(x) - x
+        puts A * I in I.  Every element added lies in each ideal holding the
+        seeds.
+        """
+        add, units = self.group.add_rank, self.group.unit_ranks
+        circle_gens = self.circle.generators
+        members, gens = closure_generators(add, seeds)
+        while True:
+            new = {self.lam_r(g, x) for g in circle_gens for x in gens}
+            new.update(self.star_r(x, e) for x in members for e in units)
+            if new <= members:
+                return Subgroup(tuple(members))
+            members, gens = closure_generators(add, members | new)
 
     def ideal_generated(self, c: Element) -> Subgroup:
         """Smallest set containing c closed under +, -, every lambda_a, and
-        two-sided stars with arbitrary elements."""
-        n = self.order
-        members = set(subgroup_closure(self.group, [self.rank(c)]).ranks)
-        changed = True
-        while changed:
-            changed = False
-            new: set[int] = set()
-            for x in members:
-                for a in range(n):
-                    for y in (self.lam_r(a, x), self.star_r(a, x), self.star_r(x, a)):
-                        if y not in members:
-                            new.add(y)
-            if new:
-                members = set(subgroup_closure(self.group, members | new).ranks)
-                changed = True
-        return Subgroup(tuple(members))
+        two-sided stars with arbitrary elements (see ``_ideal_closure``)."""
+        return self._ideal_closure([self.rank(c)])
 
     def is_ideal(self, sub: Subgroup) -> bool:
-        mem = sub.members()
-        if 0 not in mem:
-            return False
-        add = self.group.add_rank
-        neg = self.group.neg_rank
-        for x in sub:
-            if neg[x] not in mem:
-                return False
-            for y in sub:
-                if add(x, y) not in mem:
-                    return False
-        for a in range(self.order):
-            for x in sub:
-                if self.lam_r(a, x) not in mem:
-                    return False
-                if self.star_r(a, x) not in mem:
-                    return False
-                if self.star_r(x, a) not in mem:
-                    return False
-        return True
+        """0 lies in sub and sub is its own ideal closure."""
+        return 0 in sub and self._ideal_closure(sub).members() == sub.members()
 
 
 def _dedupe_lambdas(group: AbelianGroup, lambdas: Sequence[Automorphism]) -> tuple[list[int], list[Automorphism]]:
@@ -417,12 +407,28 @@ def trivial_brace(moduli: Sequence[int], name: str = "") -> Brace:
 # -- quotients ----------------------------------------------------------------
 
 
+def _is_circle_hom(pi: Sequence[int], src: Brace, dst: Brace) -> bool:
+    """Whether the rank map pi has pi(x o b) = pi(x) o pi(b) for all x, b.
+
+    As in ``_check_cocycle``: the b at which the law holds for every x hold 0
+    when pi(0) = 0, and are closed under o because both circle products are
+    associative (both braces are validated), so checking b at the generators
+    of (src, o) is enough, n |gens| products.
+    """
+    circ, dst_circ = src.circ_r, dst.circ_r
+    return pi[0] == 0 and all(
+        pi[circ(x, g)] == dst_circ(pi[x], pi[g]) for g in src.circle.generators for x in range(src.order)
+    )
+
+
 def quotient_brace(brace: Brace, ideal: Subgroup) -> tuple[Brace, dict[int, int]]:
     """Brace on the cosets of an ideal, plus the rank projection map.
 
     Raises NotAnIdeal when the closure conditions fail, and StructuralAnomaly
-    if the induced lambda table turns out not to be well defined (which the
-    ideal conditions should rule out).
+    if the coset coordinates are not a bijection or the projection is not a
+    homomorphism of the circle groups (which the ideal conditions rule out).
+    The projection is additive, so a homomorphism of the circle groups is a
+    brace homomorphism, and the induced lambda is then constant on cosets.
     """
     if not brace.is_ideal(ideal):
         raise NotAnIdeal(f"subset of order {ideal.order} fails ideal closure")
@@ -445,56 +451,29 @@ def quotient_brace(brace: Brace, ideal: Subgroup) -> tuple[Brace, dict[int, int]
     def qadd(x: int, y: int) -> int:
         return coset_id[add(reps[x], reps[y])]
 
-    if m == 1:
-        qgroup = AbelianGroup(())
-        qbrace = Brace(qgroup, [0], [identity_automorphism(qgroup)], name=f"{brace.name}/I")
-        return qbrace, {r: 0 for r in range(n)}
-
     basis = abelian_basis(TableGroup(m, qadd))  # coset 0 holds 0, the identity
     basis.sort(key=lambda t: t[1])  # moduli in increasing order
-    qmoduli = tuple(d for _, d in basis)
-    qgroup = AbelianGroup(qmoduli)
+    qgroup = AbelianGroup(tuple(d for _, d in basis))
 
-    # coset id <-> quotient rank, via coordinates over the basis
-    coset_to_rank = [-1] * m
-    for qr, coords in enumerate(qgroup.elements):
-        acc = 0
-        for coeff, (g, _) in zip(coords, basis):
-            for _ in range(coeff):
-                acc = qadd(acc, g)
-        if coset_to_rank[acc] != -1:
-            raise StructuralAnomaly("quotient coordinates are not a bijection")
-        coset_to_rank[acc] = qr
+    # quotient rank -> coset id, via coordinates over the basis
+    rank_to_coset = normal_form_images(qadd, qgroup.moduli, [g for g, _ in basis])
+    if len(set(rank_to_coset)) != m:
+        raise StructuralAnomaly("quotient coordinates are not a bijection")
+    coset_to_rank = [0] * m
+    for qr, cid in enumerate(rank_to_coset):
+        coset_to_rank[cid] = qr
 
-    gen_cosets = [g for g, _ in basis]
-    columns_per_coset: list[list[Element]] = []
-    for cid in range(m):
-        a = reps[cid]
-        cols = [qgroup.unrank(coset_to_rank[coset_id[brace.lam_r(a, reps[g])]]) for g in gen_cosets]
-        columns_per_coset.append(cols)
-
-    # well-definedness of the induced lambda across each coset
-    for cid in range(m):
-        a = reps[cid]
-        for i in imembers:
-            a2 = add(a, i)
-            for g in gen_cosets:
-                if coset_id[brace.lam_r(a2, reps[g])] != coset_id[brace.lam_r(a, reps[g])]:
-                    raise StructuralAnomaly("induced lambda not constant on cosets")
-
-    rank_to_coset = [0] * m
-    for cid, qr in enumerate(coset_to_rank):
-        rank_to_coset[qr] = cid
-    table = [columns_per_coset[rank_to_coset[qr]] for qr in range(m)]
+    gen_reps = [reps[g] for g, _ in basis]
+    table = [
+        [qgroup.unrank(coset_to_rank[coset_id[brace.lam_r(reps[cid], r)]]) for r in gen_reps]
+        for cid in rank_to_coset
+    ]
     qbrace = validate_brace(qgroup, table, name=f"{brace.name}/I")
 
-    projection = {r: coset_to_rank[coset_id[r]] for r in range(n)}
-    # the projection must be a brace homomorphism
-    for a in range(n):
-        for b in range(n):
-            if projection[brace.circ_r(a, b)] != qbrace.circ_r(projection[a], projection[b]):
-                raise StructuralAnomaly("quotient projection is not multiplicative")
-    return qbrace, projection
+    projection = [coset_to_rank[cid] for cid in coset_id]
+    if not _is_circle_hom(projection, brace, qbrace):
+        raise StructuralAnomaly("quotient projection is not multiplicative")
+    return qbrace, dict(enumerate(projection))
 
 
 # -- isomorphism ---------------------------------------------------------------
@@ -515,8 +494,10 @@ def _fingerprints(brace: Brace) -> list[tuple[int, int, int]]:
 def is_isomorphic(a: Brace, b: Brace) -> dict[Element, Element] | None:
     """Search for a bijection preserving + and o; None when there is none.
 
-    Backtracks over images of the additive generators of ``a``, pruned by
-    (additive order, circle order, lambda order) fingerprints.
+    Tries images of the additive generators of ``a`` in product order,
+    pruned by (additive order, circle order, lambda order) fingerprints.
+    Each additive extension that is a bijection is tested with
+    ``_is_circle_hom`` at the circle generators of ``a``.
     """
     if a.order != b.order:
         return None
@@ -538,26 +519,8 @@ def is_isomorphic(a: Brace, b: Brace) -> dict[Element, Element] | None:
         cand.append(opts)
 
     n = a.order
-    for combo_index in itertools.product(*[range(len(c)) for c in cand]):
-        cols = tuple(gb.unrank(cand[j][ci]) for j, ci in enumerate(combo_index))
-        image = [0] * n
-        ok = True
-        for r in range(n):
-            coords = ga.unrank(r)
-            acc = gb.zero
-            for coeff, col in zip(coords, cols):
-                acc = gb.add(acc, gb.scalar_multiple(coeff, col))
-            image[r] = gb.rank(acc)
-        if len(set(image)) != n:
-            continue
-        for x in range(n):
-            ix = image[x]
-            for y in range(n):
-                if image[a.circ_r(x, y)] != b.circ_r(ix, image[y]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for combo in itertools.product(*cand):
+        image = normal_form_images(gb.add_rank, ga.moduli, combo)
+        if len(set(image)) == n and _is_circle_hom(image, a, b):
             return {ga.unrank(r): gb.unrank(image[r]) for r in range(n)}
     return None

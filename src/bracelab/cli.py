@@ -153,6 +153,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if unknown:
         results["error"] = f"unknown suites: {unknown}"
         return _finish(doc, EXIT_INPUT_ERROR, args.out, started)
+    if args.sample_budget < 1:
+        results["error"] = f"--sample-budget must be at least 1, got {args.sample_budget}"
+        return _finish(doc, EXIT_INPUT_ERROR, args.out, started)
     try:
         brace = load_brace(args.input)
     except BraceFileError as exc:
@@ -283,6 +286,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     doc = _report_skeleton("report", args.seed, {"corpus": str(args.corpus)})
     results = doc["results"]
     corpus_dir = Path(args.corpus)
+    if not corpus_dir.is_dir():
+        results["error"] = f"corpus {args.corpus} is not a directory"
+        return _finish(doc, EXIT_INPUT_ERROR, args.out, started)
     files = sorted(p.name for p in corpus_dir.glob("*.json"))
     rejected: list[dict[str, str]] = []
     rows: list[dict[str, Any]] = []

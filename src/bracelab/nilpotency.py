@@ -57,7 +57,6 @@ class PreconditionMismatch(BraceError):
 class SeriesResult:
     kind: SeriesKind
     chain: tuple[Subgroup, ...]
-    stabilized: bool
     nilpotency_class: int | None  # smallest i with term(i) = {0}, 1-based
 
     @property
@@ -114,7 +113,7 @@ def series(brace: Brace, kind: SeriesKind) -> SeriesResult:
     else:
         raise ValueError(f"unknown series kind {kind!r}")
     cls = next((i + 1 for i, t in enumerate(chain) if t.order == 1), None)
-    result = SeriesResult(kind, tuple(chain), True, cls)
+    result = SeriesResult(kind, tuple(chain), cls)
     brace._cache[("series", kind)] = result
     return result
 
@@ -157,14 +156,15 @@ def right_annihilated(brace: Brace) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A nonzero central c with A * c = 0, plus the verified ideal it generates."""
+    """A nonzero central c with A * c = 0, plus the ideal it generates.
+
+    c * A = 0 and the ideal being two-sided null are checked; a failure
+    raises StructuralAnomaly, so a certificate carries no flags.
+    """
 
     element: Element
     ideal_ranks: tuple[int, ...]
     quotient_order: int
-    a_star_c_zero: bool
-    c_star_a_zero: bool
-    ideal_two_sided_zero: bool
 
 
 def annihilator_certificate(brace: Brace) -> Certificate | None:
@@ -193,9 +193,6 @@ def annihilator_certificate(brace: Brace) -> Certificate | None:
         element=brace.element(c),
         ideal_ranks=ideal.ranks,
         quotient_order=brace.order // ideal.order,
-        a_star_c_zero=True,
-        c_star_a_zero=True,
-        ideal_two_sided_zero=True,
     )
 
 

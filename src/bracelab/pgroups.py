@@ -40,6 +40,7 @@ from .abelian import (
     abelian_basis,
     closure_generators,
     group_closure,
+    normal_form_images,
     prime_power,
 )
 from .brace import Brace, BraceError
@@ -85,6 +86,7 @@ class GroupModel(TableGroup):
         self.tag = tag
         self.p = p
         self.alpha = alpha
+        self.bounds = bounds
         k = len(bounds)
         self.gens = {g: tuple(int(i == j) for i in range(k)) for j, g in enumerate("PQR"[:k])}
         self.elements = [tuple(reversed(e)) for e in itertools.product(*[range(b) for b in reversed(bounds)])]
@@ -254,11 +256,7 @@ def _collect(tag: str, p: int, alpha: int | None = None) -> GroupModel:
             if word is None or any(g not in images for g, _ in word):
                 raise GroupModelError(f"{tag}: no relation gives {x}^-1 {y} {x}")
             img.append(_eval_word(mul, pow_r, word, images))
-        phi = [0] * n
-        for j, w in enumerate(weights):
-            for r in range(w, w * bounds[gens[j]]):
-                low = r % w
-                phi[r] = mul(phi[r - w], img[j]) if low == 0 else mul(phi[low], phi[r - low])
+        phi = normal_form_images(mul, [bounds[y] for y in images], img)
         if len(set(phi)) != n:
             raise RelationFailure(f"{tag}: {x}-action is not a bijection on N")
         rows = [table[a * n : (a + 1) * n] for a in range(n)]
@@ -514,24 +512,10 @@ def _iso_from_model(model: GroupModel, target: TableGroup) -> dict[tuple, int] |
     mul, pow_r = target.mul_r, lru_cache(maxsize=None)(target.pow_r)  # powers recur across branches
     images: dict[str, int] = {}
 
-    def full_map() -> dict[tuple, int] | None:
-        gen_imgs = [images[g] for g in gen_names]
-        mapping: dict[tuple, int] = {}
-        seen = set()
-        for e in model.elements:
-            acc = 0
-            for coeff, gi in zip(e, gen_imgs):
-                if coeff:
-                    acc = mul(acc, pow_r(gi, coeff))
-            if acc in seen:
-                return None
-            seen.add(acc)
-            mapping[e] = acc
-        return mapping
-
     def search(i: int) -> dict[tuple, int] | None:
         if i == len(gen_names):
-            return full_map()
+            ranks = normal_form_images(mul, model.bounds, [images[g] for g in gen_names])
+            return dict(zip(model.elements, ranks)) if len(set(ranks)) == n else None
         g = gen_names[i]
         for c in cands[i]:
             images[g] = c

@@ -212,9 +212,12 @@ def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int =
     relation (exhaustive up to EXHAUSTIVE_LIMIT, seeded sampling above).
 
     The braid check stops at the first failing triple, which is the witness;
-    triples_checked counts the triples up to and including it.
+    triples_checked counts the triples up to and including it.  Sampling
+    needs sample_budget >= 1; a smaller budget raises ValueError.
     """
     n = sol.n
+    if n > EXHAUSTIVE_LIMIT and sample_budget < 1:
+        raise ValueError(f"sample_budget must be at least 1 to sample the braid check, got {sample_budget}")
     involutive = _involutive(sol)
     nondeg = _nondegenerate(sol)
     exhaustive = n <= EXHAUSTIVE_LIMIT

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,15 @@ def test_verify_suite_subset(dm2p3_file, tmp_path, capsys):
 
 def test_verify_unknown_suite_is_input_error(dm2p3_file):
     assert run_cli(["verify", "--input", str(dm2p3_file), "--suite", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_verify_sample_budget_below_one_is_input_error(budget, capsys):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "verify" / "exponent-5.json"
+    assert run_cli(["verify", "--input", str(path), "--suite", "ybe", "--sample-budget", budget]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "error"
+    assert doc["results"] == {"error": f"--sample-budget must be at least 1, got {budget}"}
 
 
 def test_verify_corrupted_file_exit2(tmp_path, dm2p3_file):
@@ -205,6 +215,16 @@ def test_report_empty_corpus(tmp_path, capsys):
     assert run_cli(["report", "--corpus", str(corpus)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"]["rows"] == []
+
+
+def test_report_missing_or_file_corpus_is_input_error(tmp_path, capsys):
+    not_a_dir = tmp_path / "file.json"
+    not_a_dir.write_text("{}")
+    for corpus in (tmp_path / "missing", not_a_dir):
+        assert run_cli(["report", "--corpus", str(corpus)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "error"
+        assert doc["results"] == {"error": f"corpus {corpus} is not a directory"}
 
 
 def test_report_rejects_corrupted_member(tmp_path, capsys):

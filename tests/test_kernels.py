@@ -7,6 +7,7 @@ sets, counts, witnesses and error texts.
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import gcd
 
@@ -15,16 +16,30 @@ import pytest
 from bracelab import nilpotency, pgroups
 from bracelab.abelian import (
     AbelianGroup,
+    Automorphism,
     NotBijective,
     NotHomomorphism,
     StructuralAnomaly,
     Subgroup,
     TableGroup,
+    abelian_basis,
+    all_automorphisms,
     group_closure,
+    identity_automorphism,
     subgroup_closure,
     validate_automorphism,
 )
-from bracelab.brace import Brace, BraceError, _check_cocycle, brace_report, validate_brace
+from bracelab.brace import (
+    Brace,
+    BraceError,
+    NotAnIdeal,
+    _check_cocycle,
+    _fingerprints,
+    brace_report,
+    is_isomorphic,
+    quotient_brace,
+    validate_brace,
+)
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.nilpotency import (
     Certificate,
@@ -142,7 +157,7 @@ def ref_annihilator_certificate(brace: Brace) -> Certificate | None:
     ideal = brace.ideal_generated(brace.element(c))
     if not all(brace.star_r(x, a) == 0 and brace.star_r(a, x) == 0 for x in ideal for a in range(n)):
         raise StructuralAnomaly("ideal generated by certificate is not two-sided null")
-    return Certificate(brace.element(c), ideal.ranks, n // ideal.order, True, True, True)
+    return Certificate(brace.element(c), ideal.ranks, n // ideal.order)
 
 
 def ref_commuting_powers(brace: Brace) -> tuple[bool, int]:
@@ -161,6 +176,123 @@ def ref_commuting_powers(brace: Brace) -> tuple[bool, int]:
                     pairs += 1
                     ok = ok and all(star(x, star(y, a)) == star(y, star(x, a)) for a in range(n))
     return ok, pairs
+
+
+def ref_perm(f: Automorphism, group: AbelianGroup) -> tuple[int, ...]:
+    """Each element mapped as a coordinate tuple, then looked up by rank."""
+    return tuple(group.rank(f.apply(e)) for e in group.elements)
+
+
+def ref_ideal_generated(brace: Brace, c: int) -> Subgroup:
+    """Closed under +, every lambda_a and stars with every a on both sides: 3 |I| n calls a pass."""
+    n = brace.order
+    members = set(subgroup_closure(brace.group, [c]).ranks)
+    while True:
+        new = {
+            y
+            for x in members
+            for a in range(n)
+            for y in (brace.lam_r(a, x), brace.star_r(a, x), brace.star_r(x, a))
+        }
+        if new <= members:
+            return Subgroup(tuple(members))
+        members = set(subgroup_closure(brace.group, members | new).ranks)
+
+
+def ref_is_ideal(brace: Brace, sub: Subgroup) -> bool:
+    """0, -x and x + y in sub, and lambda_a(x), a * x and x * a in sub for every a."""
+    mem = sub.members()
+    add, neg = brace.group.add_rank, brace.group.neg_rank
+    if 0 not in mem or any(neg[x] not in mem or any(add(x, y) not in mem for y in mem) for x in mem):
+        return False
+    return all(
+        brace.lam_r(a, x) in mem and brace.star_r(a, x) in mem and brace.star_r(x, a) in mem
+        for a in range(brace.order)
+        for x in mem
+    )
+
+
+def ref_quotient(brace: Brace, ideal: Subgroup) -> tuple[Brace, dict[int, int]]:
+    """Coset coordinates by repeated addition, the induced lambda checked constant
+    on each coset, and the projection checked multiplicative on all n^2 pairs."""
+    if not ref_is_ideal(brace, ideal):
+        raise NotAnIdeal(f"subset of order {ideal.order} fails ideal closure")
+    group, n = brace.group, brace.order
+    add = group.add_rank
+    coset_id, reps = [-1] * n, []
+    for r in range(n):
+        if coset_id[r] < 0:
+            for i in ideal:
+                coset_id[add(r, i)] = len(reps)
+            reps.append(r)
+    m = len(reps)
+
+    def qadd(x: int, y: int) -> int:
+        return coset_id[add(reps[x], reps[y])]
+
+    if m == 1:
+        qgroup = AbelianGroup(())
+        return Brace(qgroup, [0], [identity_automorphism(qgroup)], name=f"{brace.name}/I"), {r: 0 for r in range(n)}
+    basis = sorted(abelian_basis(TableGroup(m, qadd)), key=lambda t: t[1])
+    qgroup = AbelianGroup(tuple(d for _, d in basis))
+    coset_to_rank = [-1] * m
+    for qr, coords in enumerate(qgroup.elements):
+        acc = 0
+        for coeff, (g, _) in zip(coords, basis):
+            for _ in range(coeff):
+                acc = qadd(acc, g)
+        if coset_to_rank[acc] != -1:
+            raise StructuralAnomaly("quotient coordinates are not a bijection")
+        coset_to_rank[acc] = qr
+    gen_cosets = [g for g, _ in basis]
+    for cid, a in enumerate(reps):
+        for i in ideal:
+            for g in gen_cosets:
+                if coset_id[brace.lam_r(add(a, i), reps[g])] != coset_id[brace.lam_r(a, reps[g])]:
+                    raise StructuralAnomaly("induced lambda not constant on cosets")
+    rank_to_coset = [0] * m
+    for cid, qr in enumerate(coset_to_rank):
+        rank_to_coset[qr] = cid
+    table = [
+        [qgroup.unrank(coset_to_rank[coset_id[brace.lam_r(reps[rank_to_coset[qr]], reps[g])]]) for g in gen_cosets]
+        for qr in range(m)
+    ]
+    qbrace = validate_brace(qgroup, table, name=f"{brace.name}/I")
+    projection = {r: coset_to_rank[coset_id[r]] for r in range(n)}
+    for a in range(n):
+        for b in range(n):
+            if projection[brace.circ_r(a, b)] != qbrace.circ_r(projection[a], projection[b]):
+                raise StructuralAnomaly("quotient projection is not multiplicative")
+    return qbrace, projection
+
+
+def ref_is_isomorphic(a: Brace, b: Brace) -> dict | None:
+    """Each candidate extended by tuple arithmetic and checked on all n^2 circle products."""
+    if a.order != b.order:
+        return None
+    fa, fb = _fingerprints(a), _fingerprints(b)
+    if sorted(fa) != sorted(fb):
+        return None
+    ga, gb, n = a.group, b.group, a.order
+    cand = []
+    for j, g in enumerate(ga.unit_ranks):
+        opts = [r for r in range(n) if fb[r] == fa[g] and gb.element_order(gb.unrank(r)) == ga.moduli[j]]
+        if not opts:
+            return None
+        cand.append(opts)
+    for combo in itertools.product(*cand):
+        cols = [gb.unrank(r) for r in combo]
+        image = []
+        for coords in ga.elements:
+            acc = gb.zero
+            for coeff, col in zip(coords, cols):
+                acc = gb.add(acc, gb.scalar_multiple(coeff, col))
+            image.append(gb.rank(acc))
+        if len(set(image)) != n:
+            continue
+        if all(image[a.circ_r(x, y)] == b.circ_r(image[x], image[y]) for x in range(n) for y in range(n)):
+            return {ga.unrank(r): gb.unrank(image[r]) for r in range(n)}
+    return None
 
 
 # -- the braces --------------------------------------------------------------------
@@ -485,6 +617,104 @@ def test_certificate_anomalies_keep_their_texts(monkeypatch):
     monkeypatch.setattr(nilpotency, "socle", lambda b: frozenset({0, c}))
     with pytest.raises(StructuralAnomaly, match="ideal generated by certificate is not two-sided null"):
         annihilator_certificate(brace)
+
+
+# -- maps and ideals ----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def reference_braces(enumerated_braces, small_corpus):
+    return [*enumerated_braces, *small_corpus]
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2), (3, 9), (4, 4), (5, 25)])
+def test_perm_matches_the_tuple_map_on_every_candidate(moduli):
+    group = AbelianGroup(moduli)
+    cands = [[e for e in group.elements if group.scalar_multiple(d, e) == group.zero] for d in moduli]
+    bijective = set()
+    for cols in itertools.product(*cands):
+        perm = Automorphism(moduli, cols).perm(group)
+        assert perm == ref_perm(Automorphism(moduli, cols), group), cols
+        bijective.add(len(set(perm)) == group.order)
+    assert bijective == {True, False}
+
+
+def test_ideal_generated_matches_the_full_scan(reference_braces):
+    for b in reference_braces:
+        for c in range(b.order):
+            assert b.ideal_generated(b.element(c)) == ref_ideal_generated(b, c), (b.name, c)
+
+
+def test_is_ideal_matches_the_full_scan(reference_braces):
+    rng = random.Random(4)
+    outcomes = set()
+    for b in reference_braces:
+        n = b.order
+        subs = [Subgroup((0,)), Subgroup(tuple(range(n)))]
+        for _ in range(4):
+            subs.append(subgroup_closure(b.group, rng.sample(range(n), rng.randint(1, 2))))
+            # rank sets that need not be subgroups, with and without 0
+            subs.append(Subgroup(tuple({0, *rng.sample(range(n), min(n, 2))})))
+            subs.append(Subgroup(tuple(rng.sample(range(1, n), min(n - 1, 2)))))
+        for sub in subs:
+            want = ref_is_ideal(b, sub)
+            assert b.is_ideal(sub) == want, (b.name, sub.ranks)
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_quotients_match_the_full_scan_along_the_certificate_recursion(reference_braces):
+    for b in reference_braces:
+        current = b
+        while current.order > 1:
+            cert = annihilator_certificate(current)
+            if cert is None:
+                break
+            ideal = Subgroup(cert.ideal_ranks)
+            got, projection = quotient_brace(current, ideal)
+            want, want_projection = ref_quotient(current, ideal)
+            assert (got.moduli, got.lambda_columns(), got.name) == (want.moduli, want.lambda_columns(), want.name)
+            assert projection == want_projection, b.name
+            current = got
+
+
+def _relabeled(b: Brace, alpha: tuple[int, ...]) -> Brace:
+    """The brace with lambda'_{alpha(a)} = alpha . lambda_a . alpha^-1."""
+    g, n = b.group, b.order
+    inv = [0] * n
+    for r, s in enumerate(alpha):
+        inv[s] = r
+    cols = [[g.unrank(alpha[b.lam_r(inv[x], inv[e])]) for e in g.unit_ranks] for x in range(n)]
+    return validate_brace(g, cols)
+
+
+def test_is_isomorphic_matches_the_full_scan(enumerations, small_corpus):
+    rng = random.Random(5)
+    found = set()
+    for moduli, res in enumerations.items():
+        reps = res.representatives
+        auts = all_automorphisms(reps[0].group)
+        for a in reps:
+            others = [a, _relabeled(a, rng.choice(auts).perm(a.group)), rng.choice(reps)]
+            for b in others:
+                want = ref_is_isomorphic(a, b)
+                assert is_isomorphic(a, b) == want, (a.name, b.name)
+                found.add(want is not None)
+    for a in small_corpus:
+        for b in small_corpus:
+            assert is_isomorphic(a, b) == ref_is_isomorphic(a, b), (a.name, b.name)
+    assert found == {True, False}
+
+
+def test_a_subgroup_with_i_star_a_inside_that_lambda_moves_is_not_an_ideal(enumerations):
+    b = enumerations[(2, 4)].representatives[4]
+    assert b.name == "enum(2, 4)-004"
+    sub = Subgroup((b.rank((0, 0)), b.rank((1, 0))))
+    assert all(b.star_r(x, a) in sub for x in sub for a in range(b.order))
+    assert not all(b.lam_r(a, x) in sub for x in sub for a in range(b.order))
+    assert not b.is_ideal(sub) and not ref_is_ideal(b, sub)
+    with pytest.raises(NotAnIdeal):
+        quotient_brace(b, sub)
 
 
 # -- cost guards -------------------------------------------------------------------

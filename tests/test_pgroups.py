@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from bracelab import pgroups
+from bracelab.abelian import normal_form_images
 from bracelab.brace import trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.pgroups import (
@@ -92,6 +93,15 @@ def reference_table(tag: str, p: int, alpha: int | None) -> list[int]:
 def test_collected_tables_match_the_reference_formulas(tag, p):
     model = build_model(tag, p)
     assert model.table == reference_table(tag, p, model.alpha)
+
+
+@pytest.mark.parametrize("tag", NONABELIAN_TAGS)
+def test_model_ranks_are_the_normal_forms_of_the_generators(tag):
+    # rank r + |N| c is (r, c) = r . x^c, so extending the generators over the
+    # normal forms gives every rank back
+    model = build_model(tag, 3)
+    gens = [model.gen_rank(g) for g in model.gens]
+    assert normal_form_images(model.mul_r, model.bounds, gens) == list(range(model.order))
 
 
 def _patched(monkeypatch, tag: str, drop: str, add=()):

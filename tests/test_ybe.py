@@ -55,6 +55,14 @@ def test_sampled_check_above_limit():
     assert rep.passed
 
 
+def test_sample_budget_below_one_is_refused_only_when_sampling():
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match=f"sample_budget must be at least 1 .*got {budget}"):
+            check_solution(twist_solution(82), sample_budget=budget)
+        rep = check_solution(twist_solution(81), sample_budget=budget)
+        assert rep.exhaustive and rep.passed and rep.triples_checked == 81**3
+
+
 def test_retraction_classes():
     A = diagonal_brace_m1(2)
     sol = solution_from_brace(A)
@@ -229,9 +237,13 @@ def test_exhaustive_braid_matches_the_triple_loop(enumerated_braces):
 
 
 def test_sampled_braid_matches_the_triple_loop(order625_solutions):
-    # budgets of one triple, of a block and a bit, and not a multiple of the block
+    # budgets of one triple, of a block and a bit, and not a multiple of the block;
+    # a budget below one would check nothing and is refused
     sols = [solution_from_brace(trivial_brace([5, 25])), twist_solution(100), *order625_solutions]
-    for sol, budget, seed in itertools.product(sols, (0, 1, RANK_BLOCK // 3 + 1, 2500), (0, 7)):
+    for sol in sols:
+        with pytest.raises(ValueError, match="sample_budget must be at least 1"):
+            check_solution(sol, sample_budget=0)
+    for sol, budget, seed in itertools.product(sols, (1, RANK_BLOCK // 3 + 1, 2500), (0, 7)):
         report = _assert_braid_matches(sol, budget, seed)
         assert not report.exhaustive and report.seed == seed and report.passed
     failed = 0
