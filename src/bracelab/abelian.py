@@ -27,6 +27,14 @@ EXHAUSTIVE_LIMIT = 81
 RANK_BLOCK = 3 * 256
 _WORDS = struct.Struct(f"<{RANK_BLOCK}I")
 
+# Fewest braid triples that ybe.check_solution splits across two processes
+# (512 blocks of sampled triples; exhaustive checks from order 51).  On a
+# 2-vCPU machine the split breaks even near 16,384 sampled triples, where the
+# fork and the worker's re-draw of the parent's blocks eat the second CPU's
+# gain, and saves about a third from here on; smaller checks, like most of
+# the tests' calls, stay in one process.
+SPLIT_MIN_TRIPLES = 512 * (RANK_BLOCK // 3)
+
 
 def _rank_blocks(n: int, seed: int, count: int | None = None) -> Iterator[list[int]]:
     """Seeded ranks in 0..n-1, in blocks of RANK_BLOCK (the last one shorter).

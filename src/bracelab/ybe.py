@@ -11,11 +11,15 @@ trivial brace on n >= 2 points has level 1).
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass
-from operator import getitem, itemgetter
+from functools import partial
+from itertools import islice
+from operator import itemgetter
 from typing import Callable, Sequence
 
-from .abelian import EXHAUSTIVE_LIMIT, _rank_blocks
+from .abelian import EXHAUSTIVE_LIMIT, RANK_BLOCK, SPLIT_MIN_TRIPLES, _rank_blocks
 from .brace import Brace, BraceError
 
 
@@ -154,10 +158,16 @@ def _first_mismatch(lhs: tuple, rhs: tuple) -> int:
 # r12 r23 r12 = r23 r12 r23 on (x, y, z):
 #   (a, b) = r(x, y), (c, d) = r(b, z), (e, f) = r(a, c), lhs = (e, f, d);
 #   (g, h) = r(y, z), (i, j) = r(x, g), (k, l) = r(j, h), rhs = (i, k, l).
+#
+# Each kernel checks a contiguous range of the triple stream and returns
+# (triples checked from the start of the stream, first failing triple or None).
+
+Braid = tuple[int, tuple[int, int, int] | None]
 
 
-def _braid_exhaustive(sol: YBESolution) -> tuple[int, tuple[int, int, int] | None]:
-    """Every triple in (x, y, z) order, all z of a pair (x, y) at once.
+def _braid_exhaustive(sol: YBESolution, start: int, stop: int) -> Braid:
+    """The triples (x, y, z) with start <= x < stop, in (x, y, z) order, all z
+    of a pair (x, y) at once.
 
     With rows U_t, V_t of u and v, at each z: e = U_a[U_b[z]], f = V_a[U_b[z]],
     d = V_b[z], i = U_x[U_y[z]], and k, l = u[j n + h], v[j n + h] with
@@ -165,7 +175,7 @@ def _braid_exhaustive(sol: YBESolution) -> tuple[int, tuple[int, int, int] | Non
     z by z, for the first failing z.
     """
     n, u, v = sol.n, sol.u, sol.v
-    for x in range(n):
+    for x in range(start, stop):
         ux, vx = u[x * n : (x + 1) * n], v[x * n : (x + 1) * n]
         for y in range(n):
             a, b = ux[y], vx[y]
@@ -177,21 +187,22 @@ def _braid_exhaustive(sol: YBESolution) -> tuple[int, tuple[int, int, int] | Non
             if lhs != rhs:
                 z = _first_mismatch(lhs, rhs)
                 return (x * n + y) * n + z + 1, (x, y, z)
-    return n**3, None
+    return stop * n * n, None
 
 
-def _braid_sampled(sol: YBESolution, budget: int, seed: int) -> tuple[int, tuple[int, int, int] | None]:
-    """The triples of random.Random(seed).randrange(n), three draws each, a
-    block at a time: the six maps of the relation are gathered from u and v
-    through their pair ranks x * n + y for the whole block."""
+def _braid_sampled(sol: YBESolution, budget: int, seed: int, start: int, stop: int) -> Braid:
+    """Blocks start..stop-1 of the triples of random.Random(seed).randrange(n),
+    three draws each, RANK_BLOCK // 3 triples a block: the blocks before start
+    are drawn and dropped.  The six maps of the relation are gathered from u
+    and v through their pair ranks x * n + y for a whole block at once."""
     n, u, v = sol.n, sol.u, sol.v
 
     def at(xs: Sequence[int], ys: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         pick = _picker([x * n + y for x, y in zip(xs, ys)])
         return pick(u), pick(v)
 
-    checked = 0
-    for block in _rank_blocks(n, seed, 3 * budget):
+    checked = start * (RANK_BLOCK // 3)
+    for block in islice(_rank_blocks(n, seed, 3 * budget), start, stop):
         xs, ys, zs = block[0::3], block[1::3], block[2::3]
         a, b = at(xs, ys)
         c, d = at(b, zs)
@@ -207,26 +218,97 @@ def _braid_sampled(sol: YBESolution, budget: int, seed: int) -> tuple[int, tuple
     return checked, None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_two(kernel: Callable[[int, int], Braid], cut: int, stop: int) -> Braid:
+    """kernel(0, stop), with [0, cut) checked here and [cut, stop) in one
+    forked worker that sends its result back through a pipe.
+
+    The parent's range comes first in the stream, so a witness found here wins
+    and the worker is killed unread; otherwise the result is the worker's.  A
+    worker that dies or sends nothing has its range checked again here.  The
+    worker leaves only through os._exit, so nothing of the caller (finally
+    blocks, buffered output) runs twice, and it is killed and reaped before
+    this returns or raises.  If fork fails, the whole range runs here.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return kernel(0, stop)
+    if pid == 0:
+        code = 1
+        try:
+            checked, witness = kernel(cut, stop)
+            os.write(write_fd, " ".join(map(str, (checked, *(witness or ())))).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            checked, witness = kernel(0, cut)
+            if witness is not None:
+                return checked, witness
+            reply = [int(w) for w in pipe.read().split()]
+        if not reply:  # the worker died before it wrote
+            return kernel(cut, stop)
+        return reply[0], tuple(reply[1:]) or None
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _check_entries(sol: YBESolution) -> None:
+    """ValueError naming the first entry of u, then of v, outside 0..n-1."""
+    n = sol.n
+    for name, table in (("u", sol.u), ("v", sol.v)):
+        if table and (min(table) < 0 or max(table) >= n):
+            i = next(i for i, e in enumerate(table) if not 0 <= e < n)
+            raise ValueError(f"{name}({i // n}, {i % n}) = {table[i]} is outside 0..{n - 1}")
+
+
 def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int = 0) -> SolutionReport:
     """Involutivity, non-degeneracy (always exhaustive), and the braid
     relation (exhaustive up to EXHAUSTIVE_LIMIT, seeded sampling above).
 
     The braid check stops at the first failing triple, which is the witness;
     triples_checked counts the triples up to and including it.  Sampling
-    needs sample_budget >= 1; a smaller budget raises ValueError.
+    needs sample_budget >= 1; a smaller budget raises ValueError, and so does
+    an entry of u or v outside 0..n-1.
+
+    From SPLIT_MIN_TRIPLES triples on, with two usable CPUs, the braid check
+    runs in two processes (_in_two): the parent checks the first range of the
+    triple stream, one forked worker the rest.  The report is the one the
+    in-process check gives.
     """
     n = sol.n
-    if n > EXHAUSTIVE_LIMIT and sample_budget < 1:
+    _check_entries(sol)
+    exhaustive = n <= EXHAUSTIVE_LIMIT
+    if not exhaustive and sample_budget < 1:
         raise ValueError(f"sample_budget must be at least 1 to sample the braid check, got {sample_budget}")
     involutive = _involutive(sol)
     nondeg = _nondegenerate(sol)
-    exhaustive = n <= EXHAUSTIVE_LIMIT
     if exhaustive:
-        checked, witness = _braid_exhaustive(sol)
-        used_seed = None
+        # a range of x values; both halves cost the same
+        kernel, triples, used_seed = partial(_braid_exhaustive, sol), n**3, None
+        stop, cut = n, (n + 1) // 2
     else:
-        checked, witness = _braid_sampled(sol, sample_budget, seed)
-        used_seed = seed
+        # a range of blocks; the worker also draws the parent's blocks, so the parent takes 11/20
+        kernel, triples, used_seed = partial(_braid_sampled, sol, sample_budget, seed), sample_budget, seed
+        stop = -(-3 * sample_budget // RANK_BLOCK)
+        cut = -(-11 * stop // 20)
+    if triples >= SPLIT_MIN_TRIPLES and hasattr(os, "fork") and _usable_cpus() >= 2:
+        checked, witness = _in_two(kernel, cut, stop)
+    else:
+        checked, witness = kernel(0, stop)
     return SolutionReport(n, involutive, nondeg, witness is None, checked, exhaustive, used_seed, witness)
 
 

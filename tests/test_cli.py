@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from bracelab import ybe
 from bracelab.cli import main
 from bracelab.fileformat import load_brace, save_brace
 
@@ -75,6 +79,24 @@ def test_verify_sample_budget_below_one_is_input_error(budget, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "error"
     assert doc["results"] == {"error": f"--sample-budget must be at least 1, got {budget}"}
+
+
+def test_verify_ybe_split_report_is_the_in_process_one(monkeypatch, capsys):
+    # the console script's run splits the 10^6-triple braid check over two
+    # processes where two CPUs are usable; the in-process run never splits
+    root = Path(__file__).resolve().parents[1]
+    args = ["verify", "--input", str(root / "perfbench" / "inputs" / "verify" / "exponent-5.json"), "--suite", "ybe"]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, "-c", "from bracelab.cli import entry; entry()", *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    monkeypatch.setattr(ybe, "_usable_cpus", lambda: 1)
+    code = run_cli(args)
+    assert proc.returncode == code == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
+    doc = json.loads(proc.stdout)
+    assert doc["results"]["ybe"]["braid"] and doc["results"]["ybe"]["triples_checked"] == 1_000_000
 
 
 def test_verify_corrupted_file_exit2(tmp_path, dm2p3_file):

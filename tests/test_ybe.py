@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import errno
 import itertools
+import os
 import random
+import time
 
 import pytest
 
-from bracelab.abelian import RANK_BLOCK, AbelianGroup, _rank_blocks
+from bracelab import ybe
+from bracelab.abelian import RANK_BLOCK, SPLIT_MIN_TRIPLES, AbelianGroup, _rank_blocks
 from bracelab.brace import brace_report, trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.nilpotency import _sample_ranks
@@ -61,6 +65,41 @@ def test_sample_budget_below_one_is_refused_only_when_sampling():
             check_solution(twist_solution(82), sample_budget=budget)
         rep = check_solution(twist_solution(81), sample_budget=budget)
         assert rep.exhaustive and rep.passed and rep.triples_checked == 81**3
+
+
+@pytest.mark.parametrize("which, value", [("v", 4), ("v", -1), ("v", -4), ("u", 4), ("u", -1)])
+def test_out_of_range_entries_are_refused(which, value):
+    # a v entry of 4, -1 or -4 keeps every column a set of n values, and a u
+    # entry of 4 indexes past the table: each is refused, naming the entry
+    sol = twist_solution(4)
+    getattr(sol, which)[1 * 4 + 2] = value
+    with pytest.raises(ValueError, match=rf"^{which}\(1, 2\) = {value} is outside 0\.\.3$"):
+        check_solution(sol)
+
+
+def test_the_first_out_of_range_entry_is_named():
+    sol = twist_solution(4)
+    sol.u[3 * 4 + 1], sol.u[0 * 4 + 2], sol.v[0] = 9, -1, 5
+    with pytest.raises(ValueError, match=r"^u\(0, 2\) = -1 is outside"):
+        check_solution(sol)
+    sol = twist_solution(4)
+    sol.v[2 * 4 + 3], sol.v[3 * 4] = 7, 4
+    with pytest.raises(ValueError, match=r"^v\(2, 3\) = 7 is outside"):
+        check_solution(sol)
+
+
+def test_out_of_range_entries_are_refused_before_any_check(monkeypatch):
+    def never(*args):
+        raise AssertionError("ran before the entries were checked")
+
+    for name in ("_involutive", "_nondegenerate", "_braid_exhaustive", "_braid_sampled"):
+        monkeypatch.setattr(ybe, name, never)
+    monkeypatch.setattr(os, "fork", never)
+    for n in (81, 625):
+        sol = twist_solution(n)
+        sol.v[-1] = n
+        with pytest.raises(ValueError, match=rf"^v\({n - 1}, {n - 1}\) = {n} is outside 0\.\.{n - 1}$"):
+            check_solution(sol)
 
 
 def test_retraction_classes():
@@ -261,6 +300,202 @@ def test_sampled_braid_witnesses_are_pinned(order625_solutions):
     assert (report.witness, report.triples_checked) == ((122, 445, 420), 198776)
     report = check_solution(_swapped(exponent5, "v", 3), seed=7)
     assert (report.witness, report.triples_checked) == ((199, 135, 386), 29582)
+
+
+# -- the braid check split across two processes, against the in-process check --
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pids of the workers forked in this process."""
+    real, pids = os.fork, []
+
+    def counting():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+@pytest.fixture()
+def kernel_ranges(monkeypatch):
+    """The (start, stop) ranges the braid kernels are run on in this process."""
+    me, ranges = os.getpid(), []
+    for name in ("_braid_exhaustive", "_braid_sampled"):
+
+        def recording(*args, real=getattr(ybe, name)):
+            if os.getpid() == me:
+                ranges.append(args[-2:])
+            return real(*args)
+
+        monkeypatch.setattr(ybe, name, recording)
+    return ranges
+
+
+def _in_process(monkeypatch, sol: YBESolution, budget: int = 1_000_000, seed: int = 0) -> SolutionReport:
+    with monkeypatch.context() as patch:
+        patch.setattr(ybe, "_usable_cpus", lambda: 1)
+        return check_solution(sol, sample_budget=budget, seed=seed)
+
+
+def _assert_split_matches(monkeypatch, ranges, sol: YBESolution, budget: int = 1_000_000, seed: int = 0) -> str:
+    """The split report equals the in-process one and the triple loop; returns
+    the side ('parent' or 'worker') whose range holds the first failing triple."""
+    split = check_solution(sol, sample_budget=budget, seed=seed)
+    serial = _in_process(monkeypatch, sol, budget, seed)
+    # the parent ran [0, cut) of the split check, the in-process check [0, stop)
+    [(start, cut), (_, stop)] = ranges
+    assert start == 0 < cut < stop, ranges
+    assert split == serial
+    assert (split.braid, split.triples_checked, split.witness) == ref_braid(sol, budget, seed)
+    if split.braid:
+        return "none"
+    if split.exhaustive:
+        return "parent" if split.witness[0] < cut else "worker"
+    return "parent" if split.triples_checked <= cut * (RANK_BLOCK // 3) else "worker"
+
+
+# ([brace,] tamper seed of u, side of the first failing triple), picked by the triple loop's index
+TAMPERED_625 = [
+    ("m1", 0, "parent"), ("m1", 3, "parent"), ("m1", 8, "worker"), ("m1", 25, "worker"), ("m2", 14, "worker")
+]
+TAMPERED_81 = [(2, "parent"), (0, "parent"), (17, "worker"), (6, "worker")]
+
+
+@pytest.mark.parametrize("brace, tamper, side", TAMPERED_625)
+def test_split_sampled_braid_matches_the_serial_check(
+    monkeypatch, kernel_ranges, order625_solutions, brace, tamper, side
+):
+    sol = _swapped(order625_solutions[("m1", "m2").index(brace)], "u", tamper)
+    assert _assert_split_matches(monkeypatch, kernel_ranges, sol, SPLIT_MIN_TRIPLES) == side
+
+
+def test_split_sampled_braid_at_the_default_budget(monkeypatch, kernel_ranges, order625_solutions):
+    sol = _swapped(order625_solutions[0], "u", 1)
+    assert _assert_split_matches(monkeypatch, kernel_ranges, sol) == "parent"
+
+
+@pytest.mark.parametrize("tamper, side", TAMPERED_81)
+def test_split_exhaustive_braid_matches_the_serial_check(monkeypatch, kernel_ranges, tamper, side):
+    # tampered twists fail at x spread over the whole range; 17 fails in the worker's first row
+    sol = _swapped(twist_solution(81), "u", tamper)
+    assert _assert_split_matches(monkeypatch, kernel_ranges, sol) == side
+
+
+@pytest.mark.parametrize("blocks", [-1, 0, 1])
+def test_split_starts_at_the_threshold(monkeypatch, forks, order625_solutions, blocks):
+    budget = SPLIT_MIN_TRIPLES + blocks * (RANK_BLOCK // 3)
+    m1, m2, _ = order625_solutions
+    for sol in (m2, _swapped(m1, "u", 8)):
+        report = check_solution(sol, sample_budget=budget)
+        assert report == _in_process(monkeypatch, sol, budget)
+        assert (report.braid, report.triples_checked, report.witness) == ref_braid(sol, budget, 0)
+    assert len(forks) == (0 if blocks < 0 else 2)
+
+
+def test_split_only_with_two_cpus_and_fork(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert ybe._usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, usable in ((None, 1), (1, 1), (2, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert ybe._usable_cpus() == usable
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert check_solution(twist_solution(81)).passed and forks == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    assert check_solution(twist_solution(81)).passed
+
+
+def test_no_worker_is_left_after_check_solution(forks, order625_solutions):
+    # a pass, an early failure in the parent's range, and an order-81 pass
+    m1 = order625_solutions[0]
+    for sol, budget in ((m1, SPLIT_MIN_TRIPLES), (_swapped(m1, "u", 0), SPLIT_MIN_TRIPLES), (twist_solution(81), 1)):
+        check_solution(sol, sample_budget=budget)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 3
+
+
+def test_an_exception_in_the_parent_range_kills_the_worker(monkeypatch, forks, order625_solutions):
+    me = os.getpid()
+
+    def kernel(*args):
+        if os.getpid() != me:
+            time.sleep(120)  # outlives the check unless killed
+        raise RuntimeError("parent range")
+
+    monkeypatch.setattr(ybe, "_braid_sampled", kernel)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent range"):
+        check_solution(order625_solutions[0])
+    assert time.monotonic() - started < 60 and len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("tamper", [None, 0, 8])
+def test_a_worker_that_dies_is_checked_again_here(monkeypatch, forks, kernel_ranges, order625_solutions, tamper):
+    # a pass, a failure in the parent's range, and one in the worker's range
+    m1, me = order625_solutions[0], os.getpid()
+    sol = m1 if tamper is None else _swapped(m1, "u", tamper)
+    want = _in_process(monkeypatch, sol, SPLIT_MIN_TRIPLES)
+    del kernel_ranges[:]
+    real = ybe._braid_sampled
+
+    def dying(*args):
+        if os.getpid() != me:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(ybe, "_braid_sampled", dying)
+    assert check_solution(sol, sample_budget=SPLIT_MIN_TRIPLES) == want
+    assert len(forks) == 1 and len(kernel_ranges) == (1 if tamper == 0 else 2)
+
+
+def test_an_exception_in_the_worker_range_is_the_serial_one(monkeypatch, forks, order625_solutions):
+    # the kernel raises on the last block, in whichever process checks it
+    real = ybe._braid_sampled
+    last = SPLIT_MIN_TRIPLES // (RANK_BLOCK // 3) - 1
+
+    def failing_late(sol, budget, seed, start, stop):
+        if start <= last < stop:
+            raise RuntimeError(f"block {last}")
+        return real(sol, budget, seed, start, stop)
+
+    monkeypatch.setattr(ybe, "_braid_sampled", failing_late)
+    for check in (_in_process, lambda _, *args: check_solution(args[0], sample_budget=args[1])):
+        with pytest.raises(RuntimeError, match=f"^block {last}$"):
+            check(monkeypatch, order625_solutions[0], SPLIT_MIN_TRIPLES)
+    assert len(forks) == 1
+
+
+def test_a_failed_fork_checks_everything_here(monkeypatch, order625_solutions):
+    sol = _swapped(order625_solutions[0], "u", 8)
+    want = _in_process(monkeypatch, sol, SPLIT_MIN_TRIPLES)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert check_solution(sol, sample_budget=SPLIT_MIN_TRIPLES) == want
+
+
+def test_the_caller_finally_runs_once(tmp_path, forks, order625_solutions):
+    # a worker that returned or raised would run this finally block too
+    log = tmp_path / "finally.log"
+    m1 = order625_solutions[0]
+    for sol in (m1, _swapped(m1, "u", 0), _swapped(m1, "u", 8)):
+        try:
+            check_solution(sol, sample_budget=SPLIT_MIN_TRIPLES)
+        finally:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 3
+    assert len(forks) == 3
 
 
 def ref_retraction(sol: YBESolution) -> YBESolution:
