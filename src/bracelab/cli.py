@@ -281,6 +281,30 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return _finish(doc, exit_code, args.out, started)
 
 
+def _report_row(corpus_dir: Path, fname: str) -> dict[str, Any]:
+    """One report row.  The brace and its YBE solution (2 n^2 entries) are
+    locals or unnamed, so neither outlives the row."""
+    brace = load_brace(corpus_dir / fname)
+    right = series(brace, "right")
+    left = series(brace, "left")
+    strong = series(brace, "strong")
+    cert = annihilator_certificate(brace)
+    mpl = multipermutation_level(solution_from_brace(brace))
+    return {
+        "file": fname,
+        "name": brace.name,
+        "moduli": list(brace.moduli),
+        "additive_type": sorted(brace.moduli),
+        "multiplicative": _multiplicative_label(brace),
+        "left_class": left.nilpotency_class,
+        "right_class": right.nilpotency_class,
+        "strong_class": strong.nilpotency_class,
+        "right_nilpotent": right.reaches_zero,
+        "certificate": list(cert.element) if cert else None,
+        "multipermutation_level": mpl,
+    }
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     started = time.monotonic()
     doc = _report_skeleton("report", args.seed, {"corpus": str(args.corpus)})
@@ -294,31 +318,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows: list[dict[str, Any]] = []
     for fname in files:
         try:
-            brace = load_brace(corpus_dir / fname)
+            rows.append(_report_row(corpus_dir, fname))
         except BraceFileError as exc:
             rejected.append({"file": fname, "error": str(exc)})
-            continue
-        right = series(brace, "right")
-        left = series(brace, "left")
-        strong = series(brace, "strong")
-        cert = annihilator_certificate(brace)
-        sol = solution_from_brace(brace)
-        mpl = multipermutation_level(sol)
-        rows.append(
-            {
-                "file": fname,
-                "name": brace.name,
-                "moduli": list(brace.moduli),
-                "additive_type": sorted(brace.moduli),
-                "multiplicative": _multiplicative_label(brace),
-                "left_class": left.nilpotency_class,
-                "right_class": right.nilpotency_class,
-                "strong_class": strong.nilpotency_class,
-                "right_nilpotent": right.reaches_zero,
-                "certificate": list(cert.element) if cert else None,
-                "multipermutation_level": mpl,
-            }
-        )
     results["rows"] = rows
     results["rejected"] = rejected
     if rejected:

@@ -11,6 +11,12 @@ Light's associativity test on the generators, exhaustive at every order) and
 checked against its defining relations; the tests also compare each table
 with a hand-written collection formula, rank for rank.
 
+``build_model`` builds and proves a model on every call and caches nothing.
+Classification reads ``model_profile``, cached per (tag, p): the model's
+fingerprint, bounds and normal-form tuples, computed from one build, so each
+model is built at most once per process and its n^2 table is garbage as soon
+as its profile exists.
+
 Tag summary (odd p unless noted):
 
     VII   P^{p^2}=Q^p=R^p=1, PQ=QP, PR=RP, R^-1 Q R = Q P^p
@@ -432,7 +438,6 @@ def _check_group(model: GroupModel) -> None:
                 raise RelationFailure(f"{where}: failed associativity")
 
 
-@lru_cache(maxsize=None)
 def build_model(tag: str, p: int, alpha: int | None = None) -> GroupModel:
     """Build a model, prove it a group from its generators and check its
     defining relations; raises on bad prime, bad alpha, or any failed check."""
@@ -464,6 +469,32 @@ def build_model(tag: str, p: int, alpha: int | None = None) -> GroupModel:
     return model
 
 
+@dataclass(frozen=True)
+class ModelProfile:
+    """What classification reads of a built model, nothing of size n^2: its
+    fingerprint, the tag's parameters and bounds, and the normal-form tuples
+    that key a witness, in rank order."""
+
+    tag: str
+    p: int
+    alpha: int | None
+    bounds: tuple[int, ...]
+    fingerprint: GroupFingerprint
+    elements: tuple[tuple[int, ...], ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+
+@lru_cache(maxsize=None)
+def model_profile(tag: str, p: int) -> ModelProfile:
+    """The profile of ``build_model(tag, p)``, built once per process; the
+    model and its table are garbage when this returns."""
+    model = build_model(tag, p)
+    return ModelProfile(model.tag, model.p, model.alpha, model.bounds, fingerprint(model), tuple(model.elements))
+
+
 # -- classification --------------------------------------------------------------------
 
 
@@ -484,15 +515,17 @@ class Classification:
         return "unmatched"
 
 
-def _iso_from_model(model: GroupModel, target: TableGroup) -> dict[tuple, int] | None:
-    """Generator-image backtracking from a validated model into a table group.
+def _iso_from_model(model: GroupModel | ModelProfile, target: TableGroup) -> dict[tuple, int] | None:
+    """Generator-image backtracking from a built model, or its profile, into a
+    table group.
 
     Images of P, Q, R are tried in that order among target elements of the
     generators' orders in the model, so a relation in one generator holds for
     every candidate; a relation between generators is checked as soon as all
-    of its generators have images.  The normal-form extension is then checked
-    bijective, which makes the map an isomorphism because the presentation is
-    faithful.
+    of its generators have images.  ``_collect`` makes generator j the element
+    (1_N, 1) of N x| C_e, so its order is its bound e and no table is read.  The
+    normal-form extension is then checked bijective, which makes the map an
+    isomorphism because the presentation is faithful.
     """
     n = model.order
     if target.order != n:
@@ -501,8 +534,8 @@ def _iso_from_model(model: GroupModel, target: TableGroup) -> dict[tuple, int] |
     for r, o in enumerate(target.element_orders):
         by_order.setdefault(o, []).append(r)
 
-    gen_names = list(model.gens)
-    cands = [by_order.get(model.element_orders[model.gen_rank(g)], []) for g in gen_names]
+    gen_names = "PQR"[: len(model.bounds)]
+    cands = [by_order.get(e, []) for e in model.bounds]
     # due[i]: the relations between generators whose last generator is gen_names[i]
     due: list[list[tuple[Word, Word]]] = [[] for _ in gen_names]
     for _, lhs, rhs in presentation(model.tag, model.p, model.alpha):
@@ -535,12 +568,12 @@ def classify_multiplicative_group(brace: Brace) -> Classification:
     """Match the circle group of a p^4 brace against the model family.
 
     Abelian circle groups are reported with their cyclic decomposition.  Only
-    models of the target's exponent are built and compared: p^3 for G4 and
-    p^2 for every other tag (a nonabelian group of order p^4 with an element
-    of order p^3 has a cyclic maximal subgroup, so it is G4).  A nonabelian
-    group with no model match raises NoMatch for odd p >= 5, where the family
-    is known to cover every possibility; at p in {2, 3} the result is
-    reported unmatched with its fingerprint.
+    the profiles of models of the target's exponent are built and compared:
+    p^3 for G4 and p^2 for every other tag (a nonabelian group of order p^4
+    with an element of order p^3 has a cyclic maximal subgroup, so it is G4).
+    A nonabelian group with no model match raises NoMatch for odd p >= 5,
+    where the family is known to cover every possibility; at p in {2, 3} the
+    result is reported unmatched with its fingerprint.
     """
     from .nilpotency import InputShapeMismatch
 
@@ -560,12 +593,12 @@ def classify_multiplicative_group(brace: Brace) -> Classification:
     for tag in NONABELIAN_TAGS if p != 2 else ("G4",):
         if (p ** 3 if tag == "G4" else p * p) != fp.exponent:
             continue
-        model = build_model(tag, p)
-        if fingerprint(model) != fp:
+        profile = model_profile(tag, p)
+        if profile.fingerprint != fp:
             continue
-        witness = _iso_from_model(model, target)
+        witness = _iso_from_model(profile, target)
         if witness is not None:
-            matched.append(model.tag)
+            matched.append(profile.tag)
             if first_witness is None:
                 first_witness = witness
     if matched:

@@ -122,12 +122,13 @@ def solution_from_brace(brace: Brace) -> YBESolution:
 
 
 def _involutive(sol: YBESolution) -> bool:
-    """r(r(x, y)) = (x, y) for every pair, a row x at a time."""
+    """r(r(x, y)) = (x, y) for every pair, a row x at a time: u and v gathered
+    at the pair ranks r(x, y) of row x are x and y for every y."""
     n, u, v = sol.n, sol.u, sol.v
-    ys = list(range(n))
+    ys = tuple(range(n))
     for x in range(n):
-        at = [uu * n + vv for uu, vv in zip(u[x * n : (x + 1) * n], v[x * n : (x + 1) * n])]
-        if any(u[i] != x for i in at) or [v[i] for i in at] != ys:
+        at = _picker([uu * n + vv for uu, vv in zip(u[x * n : (x + 1) * n], v[x * n : (x + 1) * n])])
+        if at(u) != (x,) * n or at(v) != ys:
             return False
     return True
 
@@ -318,8 +319,15 @@ def retraction(sol: YBESolution) -> YBESolution:
 
     Row x of u and of v, read through the classes, must equal row cls[x] of
     the quotient read along the classes of y; a failure names the first
-    (x, y) in row-major order.
+    (x, y) in row-major order.  An entry of u or v outside 0..n-1 raises
+    ValueError, as in check_solution.
     """
+    _check_entries(sol)
+    return _retract(sol)
+
+
+def _retract(sol: YBESolution) -> YBESolution:
+    """``retraction`` of a solution whose entries are in range."""
     n = sol.n
     class_of: dict[tuple[int, ...], int] = {}
     cls = [0] * n
@@ -354,11 +362,14 @@ def multipermutation_level(sol: YBESolution) -> int | None:
     """Least k with |Ret^k| = 1; None when the size stops shrinking above 1.
 
     Every step shrinks the solution or returns, so at most n - 1 steps run.
+    The input is range-checked once, as in ``retraction``; each step's output
+    holds class indices, in range by construction.
     """
+    _check_entries(sol)
     steps = 0
     current = sol
     while current.n > 1:
-        nxt = retraction(current)
+        nxt = _retract(current)
         if nxt.n == current.n:
             return None
         current = nxt

@@ -231,6 +231,46 @@ def test_report_no_match_row_fails_with_report(exponent5_brace, tmp_path):
     assert doc["results"]["corpus_invariants"]["violations"] == ["exp5.json: circle group matches no model"]
 
 
+# Linux keeps the high-water RSS of the memory a process replaces at exec, and
+# a vfork child replaces its parent's, so a report started from this test
+# process would inherit the test process's peak.  A small interpreter starts
+# it instead and reports the child's ru_maxrss (kB on Linux) from os.wait4.
+_PEAK_RSS_DRIVER = """
+import os, subprocess, sys
+cmd = [sys.executable, "-c", "from bracelab.cli import entry; entry()", "report", "--corpus", sys.argv[1]]
+proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def _report_peak_rss_kb(corpus: Path) -> int:
+    """Peak RSS in kB of one `bracelab report` run in a fresh interpreter."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_DRIVER, str(corpus)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    code, peak_kb = map(int, proc.stdout.split())
+    assert proc.returncode == code == 0, proc.stderr
+    return peak_kb
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and hasattr(os, "wait4")), reason="needs Linux os.wait4")
+def test_report_memory_does_not_grow_with_classification(tmp_path):
+    # the three order-625 rows against a small order-8 corpus: the difference
+    # is what those rows keep alive, independent of the interpreter's base size
+    inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "report"
+    big = tmp_path / "big"
+    big.mkdir()
+    for name in ("04-trivial_25__25_.json", "07-diagonal-m1_p=5.json", "10-diagonal-m2_p=5.json"):
+        (big / name).write_bytes((inputs / "builtin" / name).read_bytes())
+    grown_mb = (_report_peak_rss_kb(big) - _report_peak_rss_kb(inputs / "order8")) / 1024
+    assert grown_mb < 20, f"report on three order-625 braces peaks {grown_mb:.1f} MB above order 8"
+
+
 def test_report_empty_corpus(tmp_path, capsys):
     corpus = tmp_path / "empty"
     corpus.mkdir()

@@ -584,7 +584,6 @@ def test_build_path_draws_no_samples(monkeypatch):
         raise AssertionError("build_model drew sampled ranks")
 
     monkeypatch.setattr(pgroups, "_rank_blocks", no_samples)
-    build_model.cache_clear()
     for tag in NONABELIAN_TAGS:
         assert build_model(tag, 5).order == 625
     with pytest.raises(AssertionError, match="sampled ranks"):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import collections
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -12,6 +15,7 @@ from bracelab.brace import trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.pgroups import (
     BadAlpha,
+    GroupModel,
     GroupModelError,
     NONABELIAN_TAGS,
     NoMatch,
@@ -22,6 +26,7 @@ from bracelab.pgroups import (
     build_model,
     classify_multiplicative_group,
     fingerprint,
+    model_profile,
     smallest_nonresidue,
     verify_presentation_relations,
 )
@@ -296,7 +301,94 @@ def test_classify_at_p2_reports_unmatched_without_raising():
 
 
 def test_classify_builds_no_model_of_another_exponent(exponent5_brace):
-    build_model.cache_clear()
+    model_profile.cache_clear()
     with pytest.raises(NoMatch):
         classify_multiplicative_group(exponent5_brace)
-    assert build_model.cache_info().currsize == 0
+    assert model_profile.cache_info().currsize == 0
+
+
+# -- classification from cached profiles, against the model path ----------------------
+
+
+@pytest.mark.parametrize(
+    "tag, p",
+    [(tag, p) for p in (3, 5) for tag in NONABELIAN_TAGS] + [("G4", 2)],
+)
+def test_generator_orders_are_the_bounds(tag, p):
+    # _iso_from_model reads a generator's order from its bound, not the table
+    model = build_model(tag, p)
+    assert [model.element_orders[model.gen_rank(g)] for g in model.gens] == list(model.bounds)
+
+
+def _reference_classification(brace, models: dict) -> tuple:
+    """(kind, tag, matched_tags, fingerprint, witness) from built models:
+    every tag of the prime, compared by fingerprint and searched with the
+    full GroupModel."""
+    p = round(brace.order ** 0.25)
+    fp = fingerprint(brace.circle)
+    if fp.abelian:
+        return "abelian", None, (), fp, None
+    matched, witness = [], None
+    for tag in NONABELIAN_TAGS if p != 2 else ("G4",):
+        if (tag, p) not in models:
+            models[tag, p] = build_model(tag, p)
+        model = models[tag, p]
+        if fingerprint(model) != fp:
+            continue
+        found = _iso_from_model(model, brace.circle)
+        if found is not None:
+            matched.append(tag)
+            witness = witness or found
+    return ("tag" if matched else "unmatched"), (matched[0] if matched else None), tuple(matched), fp, witness
+
+
+def test_profile_classification_matches_the_model_path(builtin_corpus, enumerations):
+    braces = [b for b in builtin_corpus if round(b.order ** 0.25) ** 4 == b.order]
+    braces += enumerations[(4, 4)].representatives[::4]
+    assert sum(b.order == 625 for b in braces) == 3 and sum(b.order == 16 for b in braces) > 20
+    models: dict = {}
+    kinds = set()
+    for brace in braces:
+        cls = classify_multiplicative_group(brace)
+        got = (cls.kind, cls.tag, cls.matched_tags, cls.fingerprint, cls.witness)
+        assert got == _reference_classification(brace, models), brace.name
+        kinds.add(cls.kind)
+    assert kinds == {"abelian", "tag", "unmatched"}
+
+
+def test_classification_keeps_no_model_alive(monkeypatch):
+    built = []
+    collect = pgroups._collect
+
+    def tracked(*args):
+        model = collect(*args)
+        built.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(pgroups, "_collect", tracked)
+    model_profile.cache_clear()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, GroupModel)}
+    assert classify_multiplicative_group(diagonal_brace_m1(5)).tag == "VIII"
+    assert classify_multiplicative_group(diagonal_brace_m2(5)).tag == "G4"
+    gc.collect()
+    assert len(built) == 8  # the seven exponent-p^2 tags, then G4
+    assert all(ref() is None for ref in built)
+    assert [o for o in gc.get_objects() if isinstance(o, GroupModel) and id(o) not in before] == []
+
+
+def test_each_model_is_built_once_per_process(monkeypatch, enumerations):
+    builds = collections.Counter()
+    collect = pgroups._collect
+
+    def counted(tag, p, alpha=None):
+        builds[tag, p] += 1
+        return collect(tag, p, alpha)
+
+    monkeypatch.setattr(pgroups, "_collect", counted)
+    model_profile.cache_clear()
+    order16 = [diagonal_brace_m1(2), diagonal_brace_m2(2), *enumerations[(4, 4)].representatives[::8]]
+    for brace in [*order16, diagonal_brace_m1(3), diagonal_brace_m2(3)] * 2:
+        classify_multiplicative_group(brace)
+    assert builds[("G4", 2)] == 1
+    assert ("VIII", 3) in builds and ("G4", 3) in builds
+    assert set(builds.values()) == {1}

@@ -70,11 +70,13 @@ def test_sample_budget_below_one_is_refused_only_when_sampling():
 @pytest.mark.parametrize("which, value", [("v", 4), ("v", -1), ("v", -4), ("u", 4), ("u", -1)])
 def test_out_of_range_entries_are_refused(which, value):
     # a v entry of 4, -1 or -4 keeps every column a set of n values, and a u
-    # entry of 4 indexes past the table: each is refused, naming the entry
-    sol = twist_solution(4)
-    getattr(sol, which)[1 * 4 + 2] = value
-    with pytest.raises(ValueError, match=rf"^{which}\(1, 2\) = {value} is outside 0\.\.3$"):
-        check_solution(sol)
+    # entry of 4 indexes past the table: each is refused, naming the entry,
+    # by the checks, the retraction and the level (which gave level 1 for v = -1)
+    for check in (check_solution, retraction, multipermutation_level):
+        sol = twist_solution(4)
+        getattr(sol, which)[1 * 4 + 2] = value
+        with pytest.raises(ValueError, match=rf"^{which}\(1, 2\) = {value} is outside 0\.\.3$"):
+            check(sol)
 
 
 def test_the_first_out_of_range_entry_is_named():
@@ -100,6 +102,14 @@ def test_out_of_range_entries_are_refused_before_any_check(monkeypatch):
         sol.v[-1] = n
         with pytest.raises(ValueError, match=rf"^v\({n - 1}, {n - 1}\) = {n} is outside 0\.\.{n - 1}$"):
             check_solution(sol)
+
+
+def test_level_checks_its_input_once(monkeypatch):
+    calls = []
+    check = ybe._check_entries
+    monkeypatch.setattr(ybe, "_check_entries", lambda sol: calls.append(sol.n) or check(sol))
+    assert multipermutation_level(solution_from_brace(diagonal_brace_m2(3))) == 2
+    assert calls == [81]
 
 
 def test_retraction_classes():
@@ -543,3 +553,16 @@ def test_retraction_matches_the_pair_scan(enumerated_braces):
     for sol, which, seed in itertools.product(sols, "uv", range(2)):
         ill_defined += not _same_retraction(_swapped(sol, which, seed))
     assert ill_defined > 10
+
+
+def _ref_involutive(sol: YBESolution) -> bool:
+    return all(sol.apply(*sol.apply(x, y)) == (x, y) for x in range(sol.n) for y in range(sol.n))
+
+
+def test_involutive_matches_the_pairwise_definition(enumerated_braces):
+    sols = [solution_from_brace(b) for b in enumerated_braces[::3]]
+    sols += [twist_solution(n) for n in (1, 2, 5)] + [identity_pair_map(n) for n in (1, 2, 5)]
+    tampered = [_swapped(sol, which, seed) for sol in sols if sol.n > 2 for which in "uv" for seed in range(2)]
+    verdicts = [ybe._involutive(sol) for sol in sols + tampered]
+    assert verdicts == [_ref_involutive(sol) for sol in sols + tampered]
+    assert all(verdicts[: len(sols)]) and not all(verdicts[len(sols) :])
