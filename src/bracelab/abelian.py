@@ -141,9 +141,6 @@ class AbelianGroup:
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.moduli))
 
-    def sub(self, a: Element, b: Element) -> Element:
-        return tuple((x - y) % d for x, y, d in zip(a, b, self.moduli))
-
     def neg(self, a: Element) -> Element:
         return tuple((-x) % d for x, d in zip(a, self.moduli))
 
@@ -487,9 +484,6 @@ class Subgroup:
     def elements(self, group: AbelianGroup) -> list[Element]:
         return [group.unrank(i) for i in self.ranks]
 
-    def is_trivial(self) -> bool:
-        return self.ranks == (0,)
-
 
 def subgroup_closure(group: AbelianGroup, seed_ranks: Iterable[int]) -> Subgroup:
     """Smallest additively closed subset containing the seeds and 0."""
@@ -578,13 +572,7 @@ def abelian_basis(group: TableGroup) -> list[tuple[int, int]]:
         if best is None:
             raise StructuralAnomaly("no basis element with matching order; group not abelian?")
         gens.append((best, d))
-        powers = [0]
-        y = best
-        for _ in range(d - 1):
-            powers.append(y)
-            y = add(y, best)
-        new_span = {add(s, q) for s in span for q in powers}
-        if len(new_span) != len(span) * d:
+        span = set(normal_form_images(add, [o for _, o in gens], [g for g, _ in gens]))
+        if len(span) != prod(o for _, o in gens):
             raise StructuralAnomaly("span did not grow multiplicatively")
-        span = new_span
     return gens

@@ -366,12 +366,6 @@ def brace_report(
     return BraceReport(n, tuple(violations), checks)
 
 
-def brace_from_lambda_ranks(group: AbelianGroup, images: Sequence[Sequence[int]], name: str = "") -> Brace:
-    """Build from per-element generator images given as ranks, then validate."""
-    columns = [[group.unrank(r) for r in row] for row in images]
-    return validate_brace(group, columns, name=name)
-
-
 def brace_from_circ_table(group: AbelianGroup, circ: Sequence[Sequence[int]], name: str = "") -> Brace:
     """Recover lambda from a multiplication table (lambda_a(b) = a o b - a).
 

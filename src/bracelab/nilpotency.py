@@ -10,16 +10,17 @@ The identity suite evaluates the power-star expansion
 
     P * P^n = C1(n) P*(P*(P*P)) + C2(n) P*(P*P) + n (P*P)
 
-with exact integer coefficients C1(n) = (n-2)(n-1)n/6 and C2(n) = n(n-1)/2
-(products of consecutive integers, so no modular inverses are ever needed and
-the checks run at p = 2 and 3).  Stages with preconditions are skipped with an
-explicit reason when those preconditions fail.
+with the binomial coefficients C1(n) = C(n, 3) and C2(n) = C(n, 2) as exact
+integers (so no modular inverses are ever needed and the checks run at p = 2
+and 3).  Stages with preconditions are skipped with an explicit reason when
+those preconditions fail.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Literal, Sequence
 
 from .abelian import (
@@ -30,6 +31,7 @@ from .abelian import (
     _rank_blocks,
     group_closure,
     multiples_subgroup,
+    normal_form_images,
     prime_power,
     subgroup_closure,
 )
@@ -270,18 +272,6 @@ class SuiteReport:
         raise KeyError(name)
 
 
-def _c1(n: int) -> int:
-    num = (n - 2) * (n - 1) * n
-    assert num % 6 == 0
-    return num // 6
-
-
-def _c2(n: int) -> int:
-    num = n * (n - 1)
-    assert num % 2 == 0
-    return num // 2
-
-
 _PPN_SKIP = "left series does not reach 0 by term 5"
 
 
@@ -298,7 +288,7 @@ def _ppn_check(brace: Brace, P: int) -> tuple[int, int | None]:
     last = 2 * brace.circle.element_orders[P]
     pk = 0  # P^0
     for nn in range(last + 1):
-        rhs = g.add_rank(g.add_rank(scal(_c1(nn), pppp), scal(_c2(nn), ppp)), scal(nn, pp))
+        rhs = g.add_rank(g.add_rank(scal(comb(nn, 3), pppp), scal(comb(nn, 2), ppp)), scal(nn, pp))
         if brace.star_r(P, pk) != rhs:
             return nn + 1, nn
         pk = brace.circ_r(pk, P)
@@ -339,30 +329,12 @@ def _coverage(brace: Brace, P: int, q_ranks: Sequence[int]) -> tuple[bool, dict[
     """
     n = brace.order
     orders = brace.circle.element_orders
-    ordP = orders[P]
-    p_powers = [0] * ordP
-    acc = 0
-    for k in range(ordP):
-        p_powers[k] = acc
-        acc = brace.circ_r(acc, P)
-
     per_ordering: dict[str, bool] = {}
     union: set[int] = set()
     for perm in itertools.permutations(range(len(q_ranks))):
-        words = {0}
-        for idx in perm:
-            q = q_ranks[idx]
-            oq = orders[q]
-            new = set()
-            for w in words:
-                acc = w
-                for _ in range(oq):
-                    new.add(acc)
-                    acc = brace.circ_r(acc, q)
-            words = new
-        reached = {brace.circ_r(pk, w) for pk in p_powers for w in words}
-        key = ",".join(str(i) for i in perm)
-        per_ordering[key] = len(reached) == n
+        gens = [P, *(q_ranks[i] for i in perm)]
+        reached = set(normal_form_images(brace.circ_r, [orders[x] for x in gens], gens))
+        per_ordering[",".join(str(i) for i in perm)] = len(reached) == n
         union |= reached
     return len(union) == n, per_ordering
 
@@ -397,7 +369,7 @@ def theorem_stage_results(brace: Brace, ctx: TheoremContext) -> list[StageResult
     a3 = brace.subset_star(range(brace.order), brace.subset_star(range(brace.order), range(brace.order)))
     p_pm = circle.pow_r(P, pm)
     lhs1 = scal(pm, pp) in a3
-    lhs2 = srank(P, p_pm) == g.add_rank(scal(_c2(pm), ppp), scal(pm, pp))
+    lhs2 = srank(P, p_pm) == g.add_rank(scal(comb(pm, 2), ppp), scal(pm, pp))
     results.append(
         StageResult(
             "prop1",
@@ -595,7 +567,6 @@ class SuiteScope:
     )
     sample_budget: int = 20
     seed: int = 0
-    context: TheoremContext | None = None
 
 
 def _sample_ranks(n: int, budget: int, seed: int) -> list[int]:
@@ -632,11 +603,7 @@ def _stage_commuting_powers(brace: Brace, scope: SuiteScope) -> StageResult:
     seen: set[frozenset[int]] = set()
     ranks = _sample_ranks(brace.order, scope.sample_budget, scope.seed)
     for c in ranks:
-        powers = []
-        acc = 0
-        for _ in range(brace.circle.element_orders[c]):
-            powers.append(acc)
-            acc = brace.circ_r(acc, c)
+        powers = normal_form_images(brace.circ_r, [brace.circle.element_orders[c]], [c])
         key = frozenset(powers)
         if key in seen:
             continue
@@ -677,15 +644,7 @@ def find_g4_pair(brace: Brace) -> tuple[int, int] | None:
             qinv = circle.inv[Q]
             if brace.circ_r(brace.circ_r(qinv, P), Q) != conj_target:
                 continue
-            reached = set()
-            qc = 0
-            for _ in range(p):
-                pk = qc
-                for _ in range(p3):
-                    reached.add(pk)
-                    pk = brace.circ_r(pk, P)
-                qc = brace.circ_r(qc, Q)
-            if len(reached) == n:
+            if len(set(normal_form_images(brace.circ_r, [p, p3], [Q, P]))) == n:
                 return P, Q
     return None
 
@@ -752,7 +711,7 @@ def identity_suite(brace: Brace, scope: SuiteScope | None = None) -> SuiteReport
         elif stage == "commuting_powers":
             out.append(_stage_commuting_powers(brace, scope))
         elif stage == "theorem_stages":
-            ctx = scope.context or discover_theorem_context(brace)
+            ctx = discover_theorem_context(brace)
             if ctx is None:
                 out.append(
                     StageResult(

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+from math import prod
+
 import pytest
 
+from bracelab.abelian import abelian_basis
 from bracelab.brace import trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.nilpotency import (
     InputShapeMismatch,
     PreconditionMismatch,
+    _coverage,
     annihilator_certificate,
     center_star,
     certify_right_nilpotent,
@@ -16,6 +22,7 @@ from bracelab.nilpotency import (
     find_g4_pair,
     identity_suite,
     left_class_at_most,
+    p4_shape,
     pa_bound_check,
     right_annihilated,
     series,
@@ -208,6 +215,126 @@ def test_find_g4_pair_matches_conjugation_convention():
     conj = B.circ_r(B.circ_r(B.circle.inv[Q], P), Q)
     assert conj == B.circle.pow_r(P, 1 + 9)
     assert find_g4_pair(diagonal_brace_m1(3)) is None
+
+
+def _circle_powers(brace, x):
+    """[x^0, x^1, ...] up to the circle order of x, by repeated right products."""
+    powers = [0]
+    for _ in range(brace.circle.element_orders[x] - 1):
+        powers.append(brace.circ_r(powers[-1], x))
+    return powers
+
+
+def _coverage_by_hand(brace, P, q_ranks):
+    """Reference for _coverage: grow {q_perm0^c0 o q_perm1^c1 ...} factor by
+    factor as a set, then put the powers of P in front."""
+    n = brace.order
+    per_ordering = {}
+    union = set()
+    for perm in itertools.permutations(range(len(q_ranks))):
+        words = {0}
+        for idx in perm:
+            q = q_ranks[idx]
+            new = set()
+            for w in words:
+                acc = w
+                for _ in range(brace.circle.element_orders[q]):
+                    new.add(acc)
+                    acc = brace.circ_r(acc, q)
+            words = new
+        reached = {brace.circ_r(pk, w) for pk in _circle_powers(brace, P) for w in words}
+        per_ordering[",".join(str(i) for i in perm)] = len(reached) == n
+        union |= reached
+    return len(union) == n, per_ordering
+
+
+def _assert_coverage_matches(brace, pair_samples):
+    p, m = p4_shape(brace)
+    small = [q for q in range(1, brace.order) if brace.circle.element_orders[q] <= p ** m]
+    calls = [(P, [q]) for P in range(brace.order) for q in small]
+    rng = random.Random(brace.order * 31 + m)
+    pairs = list(itertools.combinations(small, 2))
+    calls += [(rng.randrange(brace.order), list(qs)) for qs in rng.sample(pairs, min(pair_samples, len(pairs)))]
+    covered = 0
+    for P, qs in calls:
+        got = _coverage(brace, P, qs)
+        want = _coverage_by_hand(brace, P, qs)
+        assert got[0] == want[0] and list(got[1].items()) == list(want[1].items()), (brace.name, P, qs)
+        covered += got[0]
+    return covered
+
+
+@pytest.mark.parametrize("make", [diagonal_brace_m1, diagonal_brace_m2])
+@pytest.mark.parametrize("p", [2, 3])
+def test_coverage_matches_the_hand_built_word_sets(make, p):
+    covered = _assert_coverage_matches(make(p), pair_samples=200)
+    assert (covered > 0) == (make is diagonal_brace_m2)  # no small Q-set covers on m = 1
+
+
+def test_coverage_matches_the_hand_built_word_sets_on_c4xc4(enumerated_braces):
+    c4c4 = [b for b in enumerated_braces if b.moduli == (4, 4)]
+    assert len(c4c4) == 83 and all(p4_shape(b) == (2, 1) for b in c4c4)
+    assert sum(_assert_coverage_matches(b, pair_samples=10) for b in c4c4) > 0
+
+
+def _g4_pair_by_hand(brace):
+    """Reference for find_g4_pair: the same search, with {Q^c o P^k} built by
+    hand from the powers of Q and P."""
+    p = p4_shape(brace)[0]
+    circle = brace.circle
+    orders = circle.element_orders
+    for P in (r for r in range(1, brace.order) if orders[r] == p ** 3):
+        for Q in (r for r in range(1, brace.order) if orders[r] == p):
+            if brace.circ_r(brace.circ_r(circle.inv[Q], P), Q) != circle.pow_r(P, 1 + p * p):
+                continue
+            words = {brace.circ_r(qc, pk) for qc in _circle_powers(brace, Q) for pk in _circle_powers(brace, P)}
+            if len(words) == brace.order:
+                return P, Q
+    return None
+
+
+def test_find_g4_pair_fills_the_group(builtin_corpus, enumerated_braces):
+    found = 0
+    for brace in [*builtin_corpus, *enumerated_braces]:
+        shape = p4_shape(brace)
+        pair = find_g4_pair(brace)
+        if shape is not None and shape[1] == 2 and brace.order <= 81:
+            assert pair == _g4_pair_by_hand(brace), brace.name
+        if pair is None:
+            continue
+        p, (P, Q) = shape[0], pair
+        spow = brace.circle.pow_r
+        words = {brace.circ_r(spow(Q, c), spow(P, k)) for c in range(p) for k in range(p ** 3)}
+        assert words == set(range(brace.order)), brace.name
+        found += 1
+    assert found == 3  # diagonal-m2 at p = 2, 3 and 5
+
+
+def test_quotient_bases_span_each_quotient(builtin_corpus, enumerated_braces, monkeypatch):
+    """Every abelian_basis that certify_right_nilpotent's quotients ask for has
+    elements of the stated orders whose sums reach each coset exactly once."""
+    seen = []
+
+    def recording_basis(group):
+        basis = abelian_basis(group)
+        seen.append((group, basis))
+        return basis
+
+    monkeypatch.setattr("bracelab.brace.abelian_basis", recording_basis)
+    for brace in [*builtin_corpus, *enumerated_braces]:
+        certify_right_nilpotent(brace)
+    assert len(seen) > len(builtin_corpus)
+    for group, basis in seen:
+        assert prod(d for _, d in basis) == group.order
+        assert all(group.element_orders[g] == d for g, d in basis)
+        span = set()
+        for coeffs in itertools.product(*(range(d) for _, d in basis)):
+            acc = 0
+            for (g, _), c in zip(basis, coeffs):
+                for _ in range(c):
+                    acc = group.mul_r(acc, g)
+            span.add(acc)
+        assert span == set(range(group.order))
 
 
 def test_pa_bound_examples():
