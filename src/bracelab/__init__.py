@@ -67,7 +67,6 @@ from .nilpotency import (
     theorem1_check,
 )
 from .pgroups import (
-    BadAlpha,
     Classification,
     GroupFingerprint,
     GroupModel,

@@ -36,6 +36,7 @@ from .abelian import (
     subgroup_closure,
 )
 from .brace import Brace, BraceError, quotient_brace
+from .pgroups import _iso_from_model, presented
 
 SeriesKind = Literal["left", "right", "strong"]
 
@@ -366,7 +367,7 @@ def theorem_stage_results(brace: Brace, ctx: TheoremContext) -> list[StageResult
         results.append(StageResult("ppn", "failed" if witness else "passed", checks, witness=witness))
 
     # prop1: p^m (P*P) in A^3 and the reduced expansion of P*P^{p^m}
-    a3 = brace.subset_star(range(brace.order), brace.subset_star(range(brace.order), range(brace.order)))
+    a3 = series(brace, "left").term(3)  # A*(A*A)
     p_pm = circle.pow_r(P, pm)
     lhs1 = scal(pm, pp) in a3
     lhs2 = srank(P, p_pm) == g.add_rank(scal(comb(pm, 2), ppp), scal(pm, pp))
@@ -626,27 +627,14 @@ def _stage_commuting_powers(brace: Brace, scope: SuiteScope) -> StageResult:
 
 def find_g4_pair(brace: Brace) -> tuple[int, int] | None:
     """A pair (P, Q) with circle orders p^3 and p, Q^{-1} o P o Q = P^{1+p^2},
-    and {Q^c o P^k} covering the brace; None when no such pair exists."""
+    and {P^k o Q^c} covering the brace: the generator images of the first
+    isomorphism from the G4 presentation onto the circle group (P by rank,
+    then Q by rank).  None when no such pair exists."""
     shape = p4_shape(brace)
     if shape is None or shape[1] != 2:
         return None
-    p = shape[0]
-    n = brace.order
-    p3 = p ** 3
-    target_exp = 1 + p * p
-    circle = brace.circle
-    orders = circle.element_orders
-    ps = [r for r in range(1, n) if orders[r] == p3]
-    qs = [r for r in range(1, n) if orders[r] == p]
-    for P in ps:
-        conj_target = circle.pow_r(P, target_exp)
-        for Q in qs:
-            qinv = circle.inv[Q]
-            if brace.circ_r(brace.circ_r(qinv, P), Q) != conj_target:
-                continue
-            if len(set(normal_form_images(brace.circ_r, [p, p3], [Q, P]))) == n:
-                return P, Q
-    return None
+    witness = _iso_from_model(presented("G4", shape[0]), brace.circle)
+    return None if witness is None else (witness[(1, 0)], witness[(0, 1)])
 
 
 def _stage_rel_suite(brace: Brace, scope: SuiteScope) -> StageResult:

@@ -1,21 +1,22 @@
 """Concrete multiplication models for the nonabelian groups of order p^4 used
 by the verification suites, and classification of a brace's circle group.
 
-The relations of each tag are written once, as words in ``presentation``.
-``_collect`` builds every model from them as iterated split extensions on
-ranks (power relations give the bounds, conjugation and commuting relations
-the actions), and classification checks candidate generator images against
-the same list.  Every built model is then proved a group from its
-generators (identity, generator rows that permute the ranks, generation, and
-Light's associativity test on the generators, exhaustive at every order) and
-checked against its defining relations; the tests also compare each table
-with a hand-written collection formula, rank for rank.
+The relations of each tag are written once, as words in ``presentation``,
+and ``presented`` parses them: power relations give the generator names and
+bounds, conjugation and commuting relations the actions.  Every other fact
+about a tag is read from that parse.  ``_collect`` builds each model from it
+as iterated split extensions on ranks, and classification screens a tag by
+its largest bound and checks candidate generator images against its
+relations.  Every built model is then proved a group from its generators
+(identity, generator rows that permute the ranks, generation, and Light's
+associativity test on the generators, exhaustive at every order) and checked
+against its defining relations; the tests also compare each table with a
+hand-written collection formula, rank for rank.
 
 ``build_model`` builds and proves a model on every call and caches nothing.
-Classification reads ``model_profile``, cached per (tag, p): the model's
-fingerprint, bounds and normal-form tuples, computed from one build, so each
-model is built at most once per process and its n^2 table is garbage as soon
-as its profile exists.
+Classification reads ``model_fingerprint``, cached per (tag, p) and computed
+from one build, so each model is built at most once per process and its n^2
+table is garbage as soon as its fingerprint exists.
 
 Tag summary (odd p unless noted):
 
@@ -62,10 +63,6 @@ class UnsupportedPrime(GroupModelError):
     """The tag's presentation is not available at this prime."""
 
 
-class BadAlpha(GroupModelError):
-    """alpha does not lie in the residue class the tag requires."""
-
-
 class RelationFailure(GroupModelError):
     """A defining relation fails in the built model."""
 
@@ -79,23 +76,28 @@ def smallest_nonresidue(p: int) -> int:
     return next(a for a in range(2, p) if a % p not in squares)
 
 
+def _normal_forms(bounds: Sequence[int]) -> list[tuple[int, ...]]:
+    """Exponent tuples under ``bounds`` in rank order: little-endian, first
+    coordinate fastest, so the identity tuple has rank 0."""
+    return [tuple(reversed(e)) for e in itertools.product(*[range(b) for b in reversed(bounds)])]
+
+
 class GroupModel(TableGroup):
     """A tagged group on exponent tuples, with its product as a flat n*n table.
 
-    Generators P, Q (, R) are the unit exponent tuples, in that order.  Rank
-    order is little-endian over the exponent bounds (first coordinate
-    fastest), so the identity tuple has rank 0; ``table[i * n + j]`` is the
-    rank of the product of ranks i and j.
+    The generators are the unit exponent tuples, named and ordered as in the
+    tag's ``presented`` parse.  Ranks follow ``_normal_forms`` of the bounds;
+    ``table[i * n + j]`` is the rank of the product of ranks i and j.
     """
 
-    def __init__(self, tag: str, p: int, bounds: tuple[int, ...], table: list[int], alpha: int | None = None):
+    def __init__(self, tag: str, p: int, bounds: tuple[int, ...], table: list[int]):
         self.tag = tag
         self.p = p
-        self.alpha = alpha
+        self.presented = presented(tag, p)
         self.bounds = bounds
         k = len(bounds)
-        self.gens = {g: tuple(int(i == j) for i in range(k)) for j, g in enumerate("PQR"[:k])}
-        self.elements = [tuple(reversed(e)) for e in itertools.product(*[range(b) for b in reversed(bounds)])]
+        self.gens = {g: tuple(int(i == j) for i in range(k)) for j, g in enumerate(self.presented.gen_names)}
+        self.elements = _normal_forms(bounds)
         self._weights = [prod(bounds[:j]) for j in range(k)]
         self.table = table
         n = len(self.elements)
@@ -111,8 +113,7 @@ class GroupModel(TableGroup):
         return self.rank(self.gens[name])
 
     def __repr__(self) -> str:
-        a = f", alpha={self.alpha}" if self.alpha is not None else ""
-        return f"GroupModel({self.tag}, p={self.p}{a})"
+        return f"GroupModel({self.tag}, p={self.p})"
 
 
 # -- fingerprints -------------------------------------------------------------------
@@ -165,8 +166,18 @@ def fingerprint(group: TableGroup) -> GroupFingerprint:
 Word = Sequence[tuple[str, int]]  # (generator, exponent) pairs, read left to right
 
 
-def presentation(tag: str, p: int, alpha: int | None = None) -> list[tuple[str, Word, Word]]:
-    """The tag's defining relations as (name, lhs, rhs) words in P, Q, R."""
+def presentation(tag: str, p: int) -> list[tuple[str, Word, Word]]:
+    """The tag's defining relations at the prime p, as (name, lhs, rhs) words.
+
+    Raises UnsupportedPrime when p is not prime, and at p = 2 for every tag
+    but G4.  XI, XII and XIII fix alpha at 0, 1 and the smallest quadratic
+    non-residue mod p; every alpha of the same residue class gives an
+    isomorphic group.
+    """
+    if prime_power(p) != (p, 1):
+        raise UnsupportedPrime(f"p = {p} is not prime")
+    if tag != "G4" and p == 2:
+        raise UnsupportedPrime(f"tag {tag} requires an odd prime")
     P, Q, R = ("P", 1), ("Q", 1), ("R", 1)
 
     def conj(x: str, y: str) -> Word:  # x^-1 y x
@@ -204,6 +215,7 @@ def presentation(tag: str, p: int, alpha: int | None = None) -> list[tuple[str, 
             ("R^-1 P R = P Q", conj("R", "P"), (P, Q)),
         ]
     elif tag in ("XI", "XII", "XIII"):
+        alpha = 0 if tag == "XI" else 1 if tag == "XII" else smallest_nonresidue(p)
         rels += [
             ("Q^-1 P Q = P^{1+p}", conj("Q", "P"), (("P", 1 + p),)),
             ("R^-1 P R = P Q", conj("R", "P"), (P, Q)),
@@ -225,8 +237,44 @@ def _eval_word(
     return 0 if out is None else out
 
 
-def _collect(tag: str, p: int, alpha: int | None = None) -> GroupModel:
-    """Tabulate the tag's group from ``presentation`` as iterated split extensions.
+@dataclass(frozen=True)
+class Presented:
+    """A tag's presentation at p, parsed once; it holds no table.
+
+    ``gen_names`` are the generators that have a power relation, sorted (the
+    order ``_collect`` extends by), ``bounds`` their exponents in that
+    relation, and ``action[x, y]`` the word for x^-1 y x given by a
+    conjugation relation, or y from a commuting relation (x the later name).
+    """
+
+    relations: tuple[tuple[str, Word, Word], ...]
+    gen_names: tuple[str, ...]
+    bounds: tuple[int, ...]
+    action: dict[tuple[str, str], Word]
+
+
+def presented(tag: str, p: int) -> Presented:
+    """Parse ``presentation(tag, p)``: every relation must be a power relation
+    x^e = 1, a conjugation relation x^-1 y x = w or a commuting relation yx = xy."""
+    relations = tuple(presentation(tag, p))
+    bounds: dict[str, int] = {}
+    action: dict[tuple[str, str], Word] = {}
+    for name, lhs, rhs in relations:
+        gs = [g for g, _ in lhs]
+        if len(lhs) == 1 and not rhs:
+            bounds[gs[0]] = lhs[0][1]
+        elif len(lhs) == 3 and lhs == ((gs[2], -1), (gs[1], 1), (gs[2], 1)):
+            action[gs[2], gs[1]] = rhs
+        elif len(lhs) == 2 and rhs == lhs[::-1] and lhs[0][1] == lhs[1][1] == 1:
+            action[max(gs), min(gs)] = ((min(gs), 1),)
+        else:
+            raise GroupModelError(f"{tag}: {name!r} is not a power, commuting or conjugation relation")
+    gen_names = tuple(sorted(bounds))
+    return Presented(relations, gen_names, tuple(bounds[g] for g in gen_names), action)
+
+
+def _collect(tag: str, p: int) -> GroupModel:
+    """Tabulate the tag's group from its ``presented`` parse as iterated split extensions.
 
     Every generator x has a power relation x^e = 1, which gives its bound e,
     and acts on the group N of the earlier generators by phi(y) = x^-1 y x,
@@ -237,32 +285,19 @@ def _collect(tag: str, p: int, alpha: int | None = None) -> GroupModel:
     rank r + |N| c: collection from a polycyclic presentation (Holt, Eick
     and O'Brien, Handbook of Computational Group Theory, 2005, ch. 8).
     """
-    bounds: dict[str, int] = {}
-    action: dict[tuple[str, str], Word] = {}  # (x, y) -> the word for x^-1 y x
-    for name, lhs, rhs in presentation(tag, p, alpha):
-        gs = [g for g, _ in lhs]
-        if len(lhs) == 1 and not rhs:
-            bounds[gs[0]] = lhs[0][1]
-        elif len(lhs) == 3 and lhs == ((gs[2], -1), (gs[1], 1), (gs[2], 1)):
-            action[gs[2], gs[1]] = rhs
-        elif len(lhs) == 2 and rhs == lhs[::-1] and lhs[0][1] == lhs[1][1] == 1:
-            action[max(gs), min(gs)] = ((min(gs), 1),)
-        else:
-            raise GroupModelError(f"{tag}: {name!r} is not a power, commuting or conjugation relation")
-    gens = sorted(bounds)
-    table, n, weights = [0], 1, []  # the trivial group; weights[j] = rank of gens[j]
-    for x in gens:
-        e = bounds[x]
+    spec = presented(tag, p)
+    table, n, weights = [0], 1, []  # the trivial group; weights[j] = rank of gen_names[j]
+    for x, e in zip(spec.gen_names, spec.bounds):
         group = TableGroup(n, lambda i, j, t=table, n=n: t[i * n + j])
         mul, pow_r = group.mul_r, group.pow_r
-        images = dict(zip(gens, weights))
+        images = dict(zip(spec.gen_names, weights))
         img = []
         for y in images:
-            word = action.get((x, y))
+            word = spec.action.get((x, y))
             if word is None or any(g not in images for g, _ in word):
                 raise GroupModelError(f"{tag}: no relation gives {x}^-1 {y} {x}")
             img.append(_eval_word(mul, pow_r, word, images))
-        phi = normal_form_images(mul, [bounds[y] for y in images], img)
+        phi = normal_form_images(mul, spec.bounds[: len(weights)], img)
         if len(set(phi)) != n:
             raise RelationFailure(f"{tag}: {x}-action is not a bijection on N")
         rows = [table[a * n : (a + 1) * n] for a in range(n)]
@@ -292,7 +327,7 @@ def _collect(tag: str, p: int, alpha: int | None = None) -> GroupModel:
                 table[a * m : (a + 1) * m] = [ranks[t + o] for o in offsets for t in base]
         weights.append(n)
         n = m
-    return GroupModel(tag, p, tuple(bounds[g] for g in gens), table, alpha=alpha)
+    return GroupModel(tag, p, spec.bounds, table)
 
 
 def _holds(check: Callable[[], bool]) -> bool:
@@ -309,7 +344,7 @@ def defining_relations(model: GroupModel) -> list[tuple[str, bool]]:
     mul, pow_r = model.mul_r, model.pow_r
     return [
         (name, _holds(lambda: _eval_word(mul, pow_r, lhs, images) == _eval_word(mul, pow_r, rhs, images)))
-        for name, lhs, rhs in presentation(model.tag, model.p, model.alpha)
+        for name, lhs, rhs in model.presented.relations
     ]
 
 
@@ -438,30 +473,10 @@ def _check_group(model: GroupModel) -> None:
                 raise RelationFailure(f"{where}: failed associativity")
 
 
-def build_model(tag: str, p: int, alpha: int | None = None) -> GroupModel:
+def build_model(tag: str, p: int) -> GroupModel:
     """Build a model, prove it a group from its generators and check its
-    defining relations; raises on bad prime, bad alpha, or any failed check."""
-    if prime_power(p) != (p, 1):
-        raise UnsupportedPrime(f"p = {p} is not prime")
-    if tag != "G4" and p == 2:
-        raise UnsupportedPrime(f"tag {tag} requires an odd prime")
-    squares = {(x * x) % p for x in range(1, p)}
-    if tag == "XI":
-        alpha = 0 if alpha is None else alpha
-        if alpha % p != 0:
-            raise BadAlpha("XI requires alpha = 0 mod p")
-    elif tag == "XII":
-        alpha = 1 if alpha is None else alpha
-        if alpha % p not in squares:
-            raise BadAlpha("XII requires alpha a nonzero quadratic residue mod p")
-    elif tag == "XIII":
-        alpha = smallest_nonresidue(p) if alpha is None else alpha
-        if alpha % p in squares or alpha % p == 0:
-            raise BadAlpha(f"XIII requires a non-residue mod {p}")
-    elif alpha is not None:
-        raise BadAlpha(f"tag {tag} takes no alpha")
-
-    model = _collect(tag, p, alpha)
+    defining relations; raises on an unsupported prime or any failed check."""
+    model = _collect(tag, p)
     _check_group(model)
     bad = [name for name, ok in defining_relations(model) if not ok]
     if bad:
@@ -469,30 +484,16 @@ def build_model(tag: str, p: int, alpha: int | None = None) -> GroupModel:
     return model
 
 
-@dataclass(frozen=True)
-class ModelProfile:
-    """What classification reads of a built model, nothing of size n^2: its
-    fingerprint, the tag's parameters and bounds, and the normal-form tuples
-    that key a witness, in rank order."""
-
-    tag: str
-    p: int
-    alpha: int | None
-    bounds: tuple[int, ...]
-    fingerprint: GroupFingerprint
-    elements: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
 @lru_cache(maxsize=None)
-def model_profile(tag: str, p: int) -> ModelProfile:
-    """The profile of ``build_model(tag, p)``, built once per process; the
-    model and its table are garbage when this returns."""
+def model_fingerprint(tag: str, p: int) -> GroupFingerprint:
+    """The fingerprint of ``build_model(tag, p)``, built once per process; the
+    model and its table are garbage when this returns.  Classification screens
+    a tag by its largest bound, so that bound must be the model's exponent."""
     model = build_model(tag, p)
-    return ModelProfile(model.tag, model.p, model.alpha, model.bounds, fingerprint(model), tuple(model.elements))
+    fp = fingerprint(model)
+    if fp.exponent != max(model.bounds):
+        raise StructuralAnomaly(f"{tag} at p={p}: exponent {fp.exponent} is not the largest bound {model.bounds}")
+    return fp
 
 
 # -- classification --------------------------------------------------------------------
@@ -515,30 +516,32 @@ class Classification:
         return "unmatched"
 
 
-def _iso_from_model(model: GroupModel | ModelProfile, target: TableGroup) -> dict[tuple, int] | None:
-    """Generator-image backtracking from a built model, or its profile, into a
-    table group.
+def _iso_from_model(model: Presented | GroupModel, target: TableGroup) -> dict[tuple, int] | None:
+    """Generator-image backtracking from a parsed presentation, or a built
+    model's, into a table group.
 
-    Images of P, Q, R are tried in that order among target elements of the
-    generators' orders in the model, so a relation in one generator holds for
-    every candidate; a relation between generators is checked as soon as all
-    of its generators have images.  ``_collect`` makes generator j the element
-    (1_N, 1) of N x| C_e, so its order is its bound e and no table is read.  The
-    normal-form extension is then checked bijective, which makes the map an
-    isomorphism because the presentation is faithful.
+    Images of the generators are tried in ``gen_names`` order, each among
+    target elements of its bound's order, in rank order, so a relation in one
+    generator holds for every candidate; a relation between generators is
+    checked as soon as all of its generators have images.  ``_collect`` makes
+    generator j the element (1_N, 1) of N x| C_e, so its order is its bound e
+    and no table is read.  The normal-form extension is then checked
+    bijective, which makes the map an isomorphism because the presentation
+    is faithful.  The witness maps each normal-form tuple to its image rank.
     """
-    n = model.order
+    spec = model.presented if isinstance(model, GroupModel) else model
+    n = prod(spec.bounds)
     if target.order != n:
         return None
     by_order: dict[int, list[int]] = {}
     for r, o in enumerate(target.element_orders):
         by_order.setdefault(o, []).append(r)
 
-    gen_names = "PQR"[: len(model.bounds)]
-    cands = [by_order.get(e, []) for e in model.bounds]
+    gen_names = spec.gen_names
+    cands = [by_order.get(e, []) for e in spec.bounds]
     # due[i]: the relations between generators whose last generator is gen_names[i]
     due: list[list[tuple[Word, Word]]] = [[] for _ in gen_names]
-    for _, lhs, rhs in presentation(model.tag, model.p, model.alpha):
+    for _, lhs, rhs in spec.relations:
         factors = (*lhs, *rhs)
         if len({g for g, _ in factors}) > 1:
             due[max(gen_names.index(g) for g, _ in factors)].append((lhs, rhs))
@@ -547,8 +550,8 @@ def _iso_from_model(model: GroupModel | ModelProfile, target: TableGroup) -> dic
 
     def search(i: int) -> dict[tuple, int] | None:
         if i == len(gen_names):
-            ranks = normal_form_images(mul, model.bounds, [images[g] for g in gen_names])
-            return dict(zip(model.elements, ranks)) if len(set(ranks)) == n else None
+            ranks = normal_form_images(mul, spec.bounds, [images[g] for g in gen_names])
+            return dict(zip(_normal_forms(spec.bounds), ranks)) if len(set(ranks)) == n else None
         g = gen_names[i]
         for c in cands[i]:
             images[g] = c
@@ -567,13 +570,14 @@ def _iso_from_model(model: GroupModel | ModelProfile, target: TableGroup) -> dic
 def classify_multiplicative_group(brace: Brace) -> Classification:
     """Match the circle group of a p^4 brace against the model family.
 
-    Abelian circle groups are reported with their cyclic decomposition.  Only
-    the profiles of models of the target's exponent are built and compared:
-    p^3 for G4 and p^2 for every other tag (a nonabelian group of order p^4
-    with an element of order p^3 has a cyclic maximal subgroup, so it is G4).
-    A nonabelian group with no model match raises NoMatch for odd p >= 5,
-    where the family is known to cover every possibility; at p in {2, 3} the
-    result is reported unmatched with its fingerprint.
+    Abelian circle groups are reported with their cyclic decomposition.  A
+    tag whose presentation is not available at p is skipped, and only the
+    tags whose largest bound is the target's exponent have their model built
+    and compared (``model_fingerprint`` checks that bound is the model's
+    exponent).  A nonabelian group with no model match raises NoMatch for
+    p >= 5; at p in {2, 3} the result is reported unmatched with its
+    fingerprint.  The family still lacks the two groups of exponent p in
+    Burnside's list, so at p >= 5 a circle group of exponent p raises NoMatch.
     """
     from .nilpotency import InputShapeMismatch
 
@@ -590,15 +594,16 @@ def classify_multiplicative_group(brace: Brace) -> Classification:
         return Classification("abelian", None, shape, fp, None)
     matched: list[str] = []
     first_witness: dict[tuple, int] | None = None
-    for tag in NONABELIAN_TAGS if p != 2 else ("G4",):
-        if (p ** 3 if tag == "G4" else p * p) != fp.exponent:
+    for tag in NONABELIAN_TAGS:
+        try:
+            spec = presented(tag, p)
+        except UnsupportedPrime:
             continue
-        profile = model_profile(tag, p)
-        if profile.fingerprint != fp:
+        if max(spec.bounds) != fp.exponent or model_fingerprint(tag, p) != fp:
             continue
-        witness = _iso_from_model(profile, target)
+        witness = _iso_from_model(spec, target)
         if witness is not None:
-            matched.append(profile.tag)
+            matched.append(tag)
             if first_witness is None:
                 first_witness = witness
     if matched:

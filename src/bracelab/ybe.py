@@ -19,8 +19,16 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .abelian import EXHAUSTIVE_LIMIT, RANK_BLOCK, SPLIT_MIN_TRIPLES, _rank_blocks
+from .abelian import EXHAUSTIVE_LIMIT, RANK_BLOCK, _rank_blocks
 from .brace import Brace, BraceError
+
+# Fewest braid triples that check_solution splits across two processes (512
+# blocks of sampled triples; exhaustive checks from order 51).  On a 2-vCPU
+# machine the split breaks even near 16,384 sampled triples, where the fork
+# and the worker's re-draw of the parent's blocks eat the second CPU's gain,
+# and saves about a third from here on; smaller checks, like most of the
+# tests' calls, stay in one process.
+SPLIT_MIN_TRIPLES = 512 * (RANK_BLOCK // 3)
 
 
 class PropertyFailure(BraceError):

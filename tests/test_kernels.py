@@ -484,7 +484,7 @@ def _tampered_model(tag: str, at: tuple[int, int], to: int, p: int = 3) -> Group
     bounds = tuple(max(e[t] for e in model.elements) + 1 for t in range(len(model.elements[0])))
     table = list(model.table)
     table[at[0] * model.order + at[1]] = to
-    return GroupModel(tag, p, bounds, table, alpha=model.alpha)
+    return GroupModel(tag, p, bounds, table)
 
 
 def test_associativity_count_on_tampered_models():

@@ -11,6 +11,7 @@ import pytest
 from bracelab.abelian import abelian_basis
 from bracelab.brace import trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
+from bracelab.enumeration import enumerate_braces
 from bracelab.nilpotency import (
     InputShapeMismatch,
     PreconditionMismatch,
@@ -295,7 +296,9 @@ def _g4_pair_by_hand(brace):
 
 def test_find_g4_pair_fills_the_group(builtin_corpus, enumerated_braces):
     found = 0
-    for brace in [*builtin_corpus, *enumerated_braces]:
+    c2xc8 = enumerate_braces((2, 8)).representatives
+    assert len(c2xc8) == 66
+    for brace in [*builtin_corpus, *enumerated_braces, *c2xc8]:
         shape = p4_shape(brace)
         pair = find_g4_pair(brace)
         if shape is not None and shape[1] == 2 and brace.order <= 81:
@@ -307,7 +310,7 @@ def test_find_g4_pair_fills_the_group(builtin_corpus, enumerated_braces):
         words = {brace.circ_r(spow(Q, c), spow(P, k)) for c in range(p) for k in range(p ** 3)}
         assert words == set(range(brace.order)), brace.name
         found += 1
-    assert found == 3  # diagonal-m2 at p = 2, 3 and 5
+    assert found == 9  # diagonal-m2 at p = 2, 3 and 5, and 6 classes on C2 x C8
 
 
 def test_quotient_bases_span_each_quotient(builtin_corpus, enumerated_braces, monkeypatch):

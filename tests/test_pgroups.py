@@ -12,9 +12,8 @@ import pytest
 from bracelab import pgroups
 from bracelab.abelian import normal_form_images
 from bracelab.brace import trivial_brace
-from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
+from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2, ring_brace
 from bracelab.pgroups import (
-    BadAlpha,
     GroupModel,
     GroupModelError,
     NONABELIAN_TAGS,
@@ -26,8 +25,9 @@ from bracelab.pgroups import (
     build_model,
     classify_multiplicative_group,
     fingerprint,
-    model_profile,
-    smallest_nonresidue,
+    model_fingerprint,
+    presentation,
+    presented,
     verify_presentation_relations,
 )
 
@@ -82,7 +82,10 @@ def reference_model(tag: str, p: int, alpha: int | None):
     return (p2, p, p), mul
 
 
-def reference_table(tag: str, p: int, alpha: int | None) -> list[int]:
+def reference_table(tag: str, p: int) -> list[int]:
+    # XIII: the smallest non-residue, found by Euler's criterion a^((p-1)/2) = -1
+    nonresidue = next((a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1), None)
+    alpha = {"XI": 0, "XII": 1, "XIII": nonresidue}.get(tag)
     bounds, mul = reference_model(tag, p, alpha)
     elements = [tuple(reversed(e)) for e in itertools.product(*[range(b) for b in reversed(bounds)])]
     index = {e: i for i, e in enumerate(elements)}
@@ -97,7 +100,7 @@ def reference_table(tag: str, p: int, alpha: int | None) -> list[int]:
 )
 def test_collected_tables_match_the_reference_formulas(tag, p):
     model = build_model(tag, p)
-    assert model.table == reference_table(tag, p, model.alpha)
+    assert model.table == reference_table(tag, p)
 
 
 @pytest.mark.parametrize("tag", NONABELIAN_TAGS)
@@ -113,9 +116,9 @@ def _patched(monkeypatch, tag: str, drop: str, add=()):
     """presentation() of ``tag`` without the relation named ``drop``, plus ``add``."""
     original = pgroups.presentation
 
-    def patched(t, p, alpha=None):
-        rels = [r for r in original(t, p, alpha) if r[0] != drop]
-        return rels + list(add) if t == tag else original(t, p, alpha)
+    def patched(t, p):
+        rels = [r for r in original(t, p) if r[0] != drop]
+        return rels + list(add) if t == tag else original(t, p)
 
     monkeypatch.setattr(pgroups, "presentation", patched)
 
@@ -171,18 +174,6 @@ def test_xi_family_derived_identity_at_p3():
         assert m.mul_r(m.mul_r(m.inv_r(R), pp), R) == pp
 
 
-def test_alpha_validation():
-    m = build_model("XIII", 5, 2)
-    assert m.alpha == 2
-    assert smallest_nonresidue(5) == 2
-    with pytest.raises(BadAlpha):
-        build_model("XIII", 5, 4)  # 4 = 2^2 is a residue
-    with pytest.raises(BadAlpha):
-        build_model("XII", 5, 2)  # 2 is a non-residue
-    with pytest.raises(BadAlpha):
-        build_model("XI", 5, 1)
-
-
 def test_unsupported_prime():
     with pytest.raises(UnsupportedPrime):
         build_model("VIII", 2)
@@ -204,11 +195,18 @@ def test_fingerprints():
 
 
 def test_g4_exponent_is_unique_among_tags():
-    # classification builds only the models whose exponent is the target's
+    # classification builds only the models whose largest bound is the target's
+    # exponent, and only the tags whose presentation exists at the prime
     for p in (3, 5):
         exps = {tag: fingerprint(build_model(tag, p)).exponent for tag in NONABELIAN_TAGS}
         assert exps["G4"] == p ** 3
         assert all(v == p * p for t, v in exps.items() if t != "G4")
+        assert all(v == max(presented(t, p).bounds) for t, v in exps.items())
+    assert fingerprint(build_model("G4", 2)).exponent == max(presented("G4", 2).bounds) == 8
+    for tag in NONABELIAN_TAGS:
+        if tag != "G4":
+            with pytest.raises(UnsupportedPrime):
+                presentation(tag, 2)
 
 
 def test_roundtrip_classification_p3_up_to_the_known_coincidence():
@@ -301,13 +299,48 @@ def test_classify_at_p2_reports_unmatched_without_raising():
 
 
 def test_classify_builds_no_model_of_another_exponent(exponent5_brace):
-    model_profile.cache_clear()
+    model_fingerprint.cache_clear()
     with pytest.raises(NoMatch):
         classify_multiplicative_group(exponent5_brace)
-    assert model_profile.cache_info().currsize == 0
+    assert model_fingerprint.cache_info().currsize == 0
 
 
-# -- classification from cached profiles, against the model path ----------------------
+def _patch_h3xc(monkeypatch):
+    """Add the tag H3xC to ``presentation`` (not to NONABELIAN_TAGS): P, Q, R
+    and S of order p, R^-1 Q R = Q P, and every other pair commuting, which
+    is p^{1+2}_+ x C_p, of exponent p."""
+    original = pgroups.presentation
+
+    def patched(tag, p):
+        if tag != "H3xC":
+            return original(tag, p)
+        gens = "PQRS"
+        return [
+            *[(f"{g}^p = 1", ((g, p),), ()) for g in gens],
+            *[
+                (f"{a}{b} = {b}{a}", ((a, 1), (b, 1)), ((b, 1), (a, 1)))
+                for a, b in itertools.combinations(gens, 2)
+                if (a, b) != ("Q", "R")
+            ],
+            ("R^-1 Q R = Q P", (("R", -1), ("Q", 1), ("R", 1)), (("Q", 1), ("P", 1))),
+        ]
+
+    monkeypatch.setattr(pgroups, "presentation", patched)
+
+
+@pytest.mark.parametrize("p", [3, pytest.param(5, marks=pytest.mark.slow)])
+def test_four_generator_presentation_matches_the_exponent_p_ring_brace(monkeypatch, p):
+    _patch_h3xc(monkeypatch)
+    assert presented("H3xC", p).gen_names == ("P", "Q", "R", "S")
+    model = build_model("H3xC", p)
+    assert model.bounds == (p,) * 4 and sorted(model.gens) == ["P", "Q", "R", "S"]
+    circle = ring_brace((p,) * 4, {(0, 1): (0, 0, 1, 0)}).circle
+    assert fingerprint(model) == fingerprint(circle)
+    assert fingerprint(model).exponent == p
+    assert_isomorphism(model, circle, _iso_from_model(presented("H3xC", p), circle))
+
+
+# -- classification from cached fingerprints, against the model path ------------------
 
 
 @pytest.mark.parametrize(
@@ -366,7 +399,7 @@ def test_classification_keeps_no_model_alive(monkeypatch):
         return model
 
     monkeypatch.setattr(pgroups, "_collect", tracked)
-    model_profile.cache_clear()
+    model_fingerprint.cache_clear()
     before = {id(o) for o in gc.get_objects() if isinstance(o, GroupModel)}
     assert classify_multiplicative_group(diagonal_brace_m1(5)).tag == "VIII"
     assert classify_multiplicative_group(diagonal_brace_m2(5)).tag == "G4"
@@ -380,12 +413,12 @@ def test_each_model_is_built_once_per_process(monkeypatch, enumerations):
     builds = collections.Counter()
     collect = pgroups._collect
 
-    def counted(tag, p, alpha=None):
+    def counted(tag, p):
         builds[tag, p] += 1
-        return collect(tag, p, alpha)
+        return collect(tag, p)
 
     monkeypatch.setattr(pgroups, "_collect", counted)
-    model_profile.cache_clear()
+    model_fingerprint.cache_clear()
     order16 = [diagonal_brace_m1(2), diagonal_brace_m2(2), *enumerations[(4, 4)].representatives[::8]]
     for brace in [*order16, diagonal_brace_m1(3), diagonal_brace_m2(3)] * 2:
         classify_multiplicative_group(brace)

@@ -11,11 +11,12 @@ import time
 import pytest
 
 from bracelab import ybe
-from bracelab.abelian import RANK_BLOCK, SPLIT_MIN_TRIPLES, AbelianGroup, _rank_blocks
+from bracelab.abelian import RANK_BLOCK, AbelianGroup, _rank_blocks
 from bracelab.brace import brace_report, trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.nilpotency import _sample_ranks
 from bracelab.ybe import (
+    SPLIT_MIN_TRIPLES,
     NotWellDefined,
     SolutionReport,
     YBESolution,
