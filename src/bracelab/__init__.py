@@ -2,15 +2,14 @@
 
 Core objects are :class:`~bracelab.abelian.AbelianGroup` (coordinate-tuple
 elements over cyclic moduli) and :class:`~bracelab.brace.Brace` (a lambda
-table defining the circle and star operations).  On top of those sit
-nilpotency series and certificates, an identity suite, multiplication models
-for the nonabelian groups of order p^4, exhaustive enumeration with a
-holomorph oracle, and Yang-Baxter solution checks.
+table of rank permutations defining the circle and star operations).  On top
+of those sit nilpotency series and certificates, an identity suite,
+multiplication models for the nonabelian groups of order p^4, exhaustive
+enumeration with a holomorph oracle, and Yang-Baxter solution checks.
 """
 
 from .abelian import (
     AbelianGroup,
-    Automorphism,
     NotBijective,
     NotHomomorphism,
     StructuralAnomaly,

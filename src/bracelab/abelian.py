@@ -2,8 +2,9 @@
 
 Elements are coordinate tuples, reduced componentwise; ranks follow a
 little-endian mixed-radix rule (rank(a) = sum a_i * prod_{j<i} d_j), and every
-table or file in the package indexes elements by that rank.  All values are
-immutable after construction, so concurrent reads are safe.
+table or file in the package indexes elements by that rank.  An additive
+automorphism is its rank permutation: the tuple of the images of all ranks.
+All values are immutable after construction, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -204,115 +205,69 @@ class AbelianGroup:
         return f"AbelianGroup{self.moduli}"
 
 
-class Automorphism:
-    """Additive automorphism, stored by its columns (images of generators)."""
-
-    __slots__ = ("moduli", "columns", "_perm", "_inv_perm")
-
-    def __init__(self, moduli: tuple[int, ...], columns: tuple[Element, ...]):
-        self.moduli = moduli
-        self.columns = columns
-        self._perm: tuple[int, ...] | None = None
-        self._inv_perm: tuple[int, ...] | None = None
-
-    def apply(self, e: Element) -> Element:
-        img = [0] * len(self.moduli)
-        for coeff, col in zip(e, self.columns):
-            if coeff:
-                for t, (x, d) in enumerate(zip(col, self.moduli)):
-                    img[t] = (img[t] + coeff * x) % d
-        return tuple(img)
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other, as an automorphism (columns are mapped columns)."""
-        return Automorphism(self.moduli, tuple(self.apply(c) for c in other.columns))
-
-    def perm(self, group: AbelianGroup) -> tuple[int, ...]:
-        """The images of all ranks: the columns extended additively over the normal forms."""
-        if self._perm is None:
-            cols = [group.rank(c) for c in self.columns]
-            self._perm = tuple(normal_form_images(group.add_rank, group.moduli, cols))
-        return self._perm
-
-    def inv_perm(self, group: AbelianGroup) -> tuple[int, ...]:
-        if self._inv_perm is None:
-            p = self.perm(group)
-            inv = [0] * len(p)
-            for i, v in enumerate(p):
-                inv[v] = i
-            self._inv_perm = tuple(inv)
-        return self._inv_perm
-
-    def perm_order(self, group: AbelianGroup) -> int:
-        p = self.perm(group)
-        seen = [False] * len(p)
-        out = 1
-        for start in range(len(p)):
-            if seen[start]:
-                continue
-            length = 0
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = p[i]
-                length += 1
-            out = out * length // gcd(out, length)
-        return out
-
-    def is_identity(self) -> bool:
-        k = len(self.moduli)
-        return all(col == tuple(1 if t == j else 0 for t in range(k)) for j, col in enumerate(self.columns))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Automorphism)
-            and self.moduli == other.moduli
-            and self.columns == other.columns
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.moduli, self.columns))
-
-    def __repr__(self) -> str:
-        return f"Automorphism(columns={self.columns})"
+def perm_inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a permutation of ranks."""
+    inv = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inv[v] = i
+    return tuple(inv)
 
 
-def identity_automorphism(group: AbelianGroup) -> Automorphism:
-    k = len(group.moduli)
-    cols = tuple(tuple(1 if t == j else 0 for t in range(k)) for j in range(k))
-    return Automorphism(group.moduli, cols)
+def perm_order(perm: Sequence[int]) -> int:
+    """The order of a permutation of ranks: the lcm of its cycle lengths."""
+    seen = [False] * len(perm)
+    out = 1
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = perm[i]
+            length += 1
+        out = out * length // gcd(out, length)
+    return out
 
 
-def validate_automorphism(group: AbelianGroup, columns: Sequence[Sequence[int]]) -> Automorphism:
-    """Accept candidate columns iff they induce a well-defined bijection.
+def validate_automorphism(group: AbelianGroup, columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The automorphism with these columns (images of the generators e_j), as
+    its rank permutation; raises unless they induce a well-defined bijection.
 
-    Column j must have additive order dividing d_j (well-definedness); the
-    induced map is then checked bijective by full image enumeration.
+    Column j must have k coordinates and additive order dividing d_j
+    (well-definedness); the columns are then extended additively over the
+    normal forms, and the map is checked bijective.
     """
+    k = len(group.moduli)
+    if len(columns) != k:
+        raise NotHomomorphism(f"expected {k} columns, got {len(columns)}")
+    for j, col in enumerate(columns):
+        if len(col) != k:
+            raise NotHomomorphism(f"column {j} has {len(col)} coordinates, expected {k}")
     cols = tuple(group.reduce(c) for c in columns)
-    if len(cols) != len(group.moduli):
-        raise NotHomomorphism(f"expected {len(group.moduli)} columns, got {len(cols)}")
     for j, col in enumerate(cols):
         d = group.moduli[j]
         if group.scalar_multiple(d, col) != group.zero:
             raise NotHomomorphism(f"column {j} has order not dividing {d}: {col}")
-    phi = Automorphism(group.moduli, cols)
-    if len(set(phi.perm(group))) != group.order:
+    perm = tuple(normal_form_images(group.add_rank, group.moduli, [group.rank(c) for c in cols]))
+    if len(set(perm)) != group.order:
         raise NotBijective(f"columns {cols} do not induce a bijection")
-    return phi
+    return perm
 
 
-def all_automorphisms(group: AbelianGroup) -> list[Automorphism]:
-    """Every automorphism, sorted by the rank tuple of its columns."""
-    candidates: list[list[Element]] = []
-    for d in group.moduli:
-        candidates.append([e for e in group.elements if group.scalar_multiple(d, e) == group.zero])
+def all_automorphisms(group: AbelianGroup) -> list[tuple[int, ...]]:
+    """Every automorphism as its rank permutation, in increasing order of its
+    images of the unit ranks (the product below runs over rank-ordered
+    candidates, so no sort is needed)."""
+    candidates = [
+        [r for r, e in enumerate(group.elements) if group.scalar_multiple(d, e) == group.zero]
+        for d in group.moduli
+    ]
     out = []
     for combo in itertools.product(*candidates):
-        phi = Automorphism(group.moduli, tuple(combo))
-        if len(set(phi.perm(group))) == group.order:
-            out.append(phi)
-    out.sort(key=lambda f: tuple(group.rank(c) for c in f.columns))
+        perm = tuple(normal_form_images(group.add_rank, group.moduli, combo))
+        if len(set(perm)) == group.order:
+            out.append(perm)
     return out
 
 

@@ -1,7 +1,9 @@
 """The brace data structure and its operations.
 
 A left brace is stored as an abelian group plus one additive automorphism
-lambda_a per element rank.  The two products are derived views:
+lambda_a per element rank, kept as its rank permutation (see ``abelian``);
+columns, the images of the generators e_j, exist only at the file boundary.
+The two products are derived views:
 
     a o b = a + lambda_a(b)          (the multiplicative group)
     a * b = lambda_a(b) - b          (so a o b = a * b + a + b)
@@ -21,7 +23,6 @@ from typing import Iterable, Sequence
 
 from .abelian import (
     AbelianGroup,
-    Automorphism,
     Element,
     NotBijective,
     NotHomomorphism,
@@ -31,8 +32,8 @@ from .abelian import (
     _rank_blocks,
     abelian_basis,
     closure_generators,
-    identity_automorphism,
     normal_form_images,
+    perm_order,
     subgroup_closure,
     validate_automorphism,
 )
@@ -82,26 +83,19 @@ class BraceReport:
 class Brace:
     """Validated left brace; construct via ``validate_brace`` or the builders.
 
-    ``circle`` is the circle group (A, o) on ranks; ``circ_r`` is its product.
+    lambda_a is the rank permutation ``perms[lambda_ids[a]]``; ``perms`` may
+    list automorphisms that no rank uses.  ``circle`` is the circle group
+    (A, o) on ranks; ``circ_r`` is its product.  ``cache`` memoises derived
+    analyses (series, A * A, ...).
     """
 
-    __slots__ = (
-        "group",
-        "lambda_ids",
-        "auts",
-        "_perms",
-        "circ_r",
-        "circle",
-        "_cache",
-        "name",
-    )
+    __slots__ = ("group", "lambda_ids", "perms", "circ_r", "circle", "cache", "name")
 
-    def __init__(self, group: AbelianGroup, lambda_ids: list[int], auts: list[Automorphism], name: str = ""):
+    def __init__(self, group: AbelianGroup, lambda_ids: list[int], perms: list[tuple[int, ...]], name: str = ""):
         self.group = group
         self.lambda_ids = lambda_ids
-        self.auts = auts
-        self._perms: list[tuple[int, ...]] = [f.perm(group) for f in auts]
-        add, perms = group.add_rank, self._perms
+        self.perms = perms
+        add = group.add_rank
 
         # a closure over the tables, not a bound method: the brace, its
         # circle group and its tables then form no reference cycle
@@ -110,7 +104,7 @@ class Brace:
 
         self.circ_r = circ_r
         self.circle = TableGroup(group.order, circ_r)
-        self._cache: dict = {}  # memo for derived analyses (series, centers, A * A, ...)
+        self.cache: dict = {}
         self.name = name
 
     # -- basics ---------------------------------------------------------------
@@ -129,11 +123,11 @@ class Brace:
     def element(self, i: int) -> Element:
         return self.group.unrank(i)
 
-    def lambda_of(self, a: Element) -> Automorphism:
-        return self.auts[self.lambda_ids[self.rank(a)]]
-
     def lambda_columns(self) -> list[tuple[Element, ...]]:
-        return [self.auts[i].columns for i in self.lambda_ids]
+        """Each lambda_a as its columns, the images of the unit ranks, by rank a."""
+        units, unrank = self.group.unit_ranks, self.group.unrank
+        cols = {i: tuple(unrank(self.perms[i][u]) for u in units) for i in set(self.lambda_ids)}
+        return [cols[i] for i in self.lambda_ids]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -152,11 +146,11 @@ class Brace:
     # -- rank-level operations (hot paths) -------------------------------------
 
     def lam_r(self, a: int, b: int) -> int:
-        return self._perms[self.lambda_ids[a]][b]
+        return self.perms[self.lambda_ids[a]][b]
 
     def star_r(self, a: int, b: int) -> int:
         g = self.group
-        return g.add_rank(self._perms[self.lambda_ids[a]][b], g.neg_rank[b])
+        return g.add_rank(self.perms[self.lambda_ids[a]][b], g.neg_rank[b])
 
     # -- element-level operations ----------------------------------------------
 
@@ -199,10 +193,10 @@ class Brace:
 
     def star_span(self) -> Subgroup:
         """A * A, cached (the additive span of all pairwise stars)."""
-        span = self._cache.get("star_span")
+        span = self.cache.get("star_span")
         if span is None:
             n = range(self.order)
-            span = self._cache["star_span"] = self.subset_star(n, n)
+            span = self.cache["star_span"] = self.subset_star(n, n)
         return span
 
     def _ideal_closure(self, seeds: Iterable[int]) -> Subgroup:
@@ -237,19 +231,6 @@ class Brace:
         return 0 in sub and self._ideal_closure(sub).members() == sub.members()
 
 
-def _dedupe_lambdas(group: AbelianGroup, lambdas: Sequence[Automorphism]) -> tuple[list[int], list[Automorphism]]:
-    ids: list[int] = []
-    auts: list[Automorphism] = []
-    index: dict[tuple, int] = {}
-    for f in lambdas:
-        key = f.columns
-        if key not in index:
-            index[key] = len(auts)
-            auts.append(f)
-        ids.append(index[key])
-    return ids, auts
-
-
 def _check_cocycle(brace: Brace) -> tuple[Element, Element] | None:
     """First pair violating lambda_{a o b} = lambda_a . lambda_b, or None.
 
@@ -258,21 +239,23 @@ def _check_cocycle(brace: Brace) -> tuple[Element, Element] | None:
     0, and every element is a word in ``brace.circle.generators``, built from
     0 by right multiplication.  So the law holds everywhere iff it holds
     at (a, g) for each generator g, n |gens| pairs.  Only on a failure are all
-    n^2 pairs scanned in order, for the first witness.  Compositions are
+    n^2 pairs scanned in order, for the first witness.  Both sides are
+    additive, so they are compared at the unit ranks e_j; the right side is
     memoised per distinct lambda pair.
     """
     n = brace.order
-    ids = brace.lambda_ids
-    auts = brace.auts
-    circ = brace.circ_r
-    comp: dict[tuple[int, int], tuple] = {}
+    ids, perms, circ = brace.lambda_ids, brace.perms, brace.circ_r
+    units = brace.group.unit_ranks
+    at_units = [tuple(p[u] for u in units) for p in perms]  # lambda(e_j) over j
+    comp: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def holds(a: int, b: int) -> bool:
         key = (ids[a], ids[b])
-        cols = comp.get(key)
-        if cols is None:
-            cols = comp[key] = auts[key[0]].compose(auts[key[1]]).columns
-        return auts[ids[circ(a, b)]].columns == cols
+        images = comp.get(key)
+        if images is None:
+            first = perms[key[0]]
+            images = comp[key] = tuple(first[x] for x in at_units[key[1]])
+        return at_units[ids[circ(a, b)]] == images
 
     if all(holds(a, g) for g in brace.circle.generators for a in range(n)):
         return None
@@ -291,9 +274,11 @@ def _table_violations(
     caller's check.
     """
     found: list[tuple[BraceError, tuple]] = []
-    lambdas: list[Automorphism] = []
+    identity = tuple(range(group.order))
     # each distinct column set is validated once; the verdict depends on it alone
-    verdicts: dict[tuple, Automorphism | NotHomomorphism | NotBijective] = {}
+    verdicts: dict[tuple, tuple[int, ...] | NotHomomorphism | NotBijective] = {}
+    index: dict[tuple[int, ...], int] = {}  # distinct perm -> its lambda id
+    ids: list[int] = []
     for i, cols in enumerate(lambda_columns):
         key = tuple(map(tuple, cols))
         verdict = verdicts.get(key)
@@ -303,17 +288,16 @@ def _table_violations(
             except (NotHomomorphism, NotBijective) as exc:
                 verdict = exc
             verdicts[key] = verdict
-        if isinstance(verdict, Automorphism):
-            lambdas.append(verdict)
-        else:
+        if isinstance(verdict, Exception):
             err = NotAutomorphism(i, str(verdict))
             err.__cause__ = verdict
             found.append((err, (i, str(verdict))))
-            lambdas.append(identity_automorphism(group))
-    if not lambdas[0].is_identity():
+            verdict = identity
+        ids.append(index.setdefault(verdict, len(index)))
+    perms = list(index)
+    if perms[ids[0]] != identity:
         found.append((BadLambdaZero("lambda at rank 0 must be the identity"), (0,)))
-    ids, auts = _dedupe_lambdas(group, lambdas)
-    brace = Brace(group, ids, auts, name=name)
+    brace = Brace(group, ids, perms, name=name)
     if not found:
         witness = _check_cocycle(brace)
         if witness is not None:
@@ -385,7 +369,7 @@ def brace_from_circ_table(group: AbelianGroup, circ: Sequence[Sequence[int]], na
         columns.append([group.unrank(raw[g]) for g in gen_ranks])
     brace = validate_brace(group, columns, name=name)
     for a in range(n):
-        perm = brace._perms[brace.lambda_ids[a]]
+        perm = brace.perms[brace.lambda_ids[a]]
         if list(perm) != raw_rows[a]:
             b = next(b for b in range(n) if perm[b] != raw_rows[a][b])
             raise NotAutomorphism(a, f"table map is not additive at b={group.unrank(b)}")
@@ -394,8 +378,8 @@ def brace_from_circ_table(group: AbelianGroup, circ: Sequence[Sequence[int]], na
 
 def trivial_brace(moduli: Sequence[int], name: str = "") -> Brace:
     group = AbelianGroup(moduli)
-    ident = identity_automorphism(group)
-    return Brace(group, [0] * group.order, [ident], name=name or f"trivial{tuple(moduli)}")
+    identity = tuple(range(group.order))
+    return Brace(group, [0] * group.order, [identity], name=name or f"trivial{tuple(moduli)}")
 
 
 # -- quotients ----------------------------------------------------------------
@@ -475,11 +459,12 @@ def quotient_brace(brace: Brace, ideal: Subgroup) -> tuple[Brace, dict[int, int]
 
 def _fingerprints(brace: Brace) -> list[tuple[int, int, int]]:
     g = brace.group
+    lambda_orders = {i: perm_order(brace.perms[i]) for i in set(brace.lambda_ids)}
     return [
         (
             g.element_order(g.unrank(r)),
             brace.circle.element_orders[r],
-            brace.auts[brace.lambda_ids[r]].perm_order(g),
+            lambda_orders[brace.lambda_ids[r]],
         )
         for r in range(brace.order)
     ]

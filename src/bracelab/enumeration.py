@@ -5,8 +5,9 @@ A lambda table is a map A -> Aut(A,+) with lambda_0 = id satisfying the
 cocycle law lambda_{a + lambda_a(b)} = lambda_a . lambda_b; the search
 branches over automorphism choices for the smallest-rank undetermined
 element and propagates the law from each new assignment, pruning
-contradictions.  Candidates are tried in increasing automorphism rank
-(lexicographic column order), so the representative list is deterministic.
+contradictions.  Candidates are tried in the order of ``all_automorphisms``
+(lexicographic in the images of the unit ranks), so the representative list
+is deterministic.
 Isomorphism classes are marked as whole Aut(A,+)-orbits of tables.
 
 The oracle counts regular subgroups of Hol(A) = A x| Aut(A): valid lambda
@@ -25,7 +26,7 @@ from .abelian import (
     all_automorphisms,
     aut_order,
     checked_moduli,
-    identity_automorphism,
+    perm_inverse,
 )
 from .brace import Brace, BraceError
 
@@ -71,14 +72,13 @@ def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = F
     if not force and n_aut > MAX_AUT:
         raise GuardExceeded(f"|Aut| = {n_aut} exceeds guard {MAX_AUT}; use force")
     group = AbelianGroup(moduli)
-    auts = all_automorphisms(group)
+    perms = all_automorphisms(group)
 
     n = group.order
-    k = len(auts)
-    perms = [f.perm(group) for f in auts]
+    k = len(perms)
     perm_index = {p: i for i, p in enumerate(perms)}
-    inv = [perm_index[f.inv_perm(group)] for f in auts]
-    comp: dict[int, int] = {}  # i * k + j -> index of auts[i] . auts[j], filled on demand
+    inv = [perm_index[perm_inverse(p)] for p in perms]
+    comp: dict[int, int] = {}  # i * k + j -> index of perms[i] . perms[j], filled on demand
 
     def compose(i: int, j: int) -> int:
         key = i * k + j
@@ -89,7 +89,7 @@ def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = F
         return out
 
     add = group.add_flat
-    identity_id = perm_index[identity_automorphism(group).perm(group)]
+    identity_id = perm_index[tuple(range(n))]
 
     tables: list[tuple[int, ...]] = []
     nodes = 0
@@ -160,7 +160,7 @@ def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = F
         for j in orbit:
             marked[j] = True
         name = f"enum{tuple(group.moduli)}-{len(reps):03d}"
-        reps.append(Brace(group, list(table), auts, name=name))
+        reps.append(Brace(group, list(table), perms, name=name))
         sizes.append(len(orbit))
     return EnumerationResult(
         group.moduli, tuple(reps), len(tables), len(reps), tuple(sizes), nodes
@@ -194,14 +194,16 @@ def holomorph_count_oracle(moduli) -> OracleResult:
     if n_aut > ORACLE_MAX_AUT:
         raise GuardExceeded(f"|Aut| = {n_aut} exceeds oracle guard {ORACLE_MAX_AUT}")
     group = AbelianGroup(moduli)
-    auts = all_automorphisms(group)
+    perms = all_automorphisms(group)
 
     n = group.order
-    k = len(auts)
-    perms = [f.perm(group) for f in auts]
-    aut_index = {f.columns: i for i, f in enumerate(auts)}
-    comp_table = [[aut_index[auts[i].compose(auts[j]).columns] for j in range(k)] for i in range(k)]
-    identity_id = aut_index[identity_automorphism(group).columns]
+    k = len(perms)
+    # an automorphism is determined by its images of the unit ranks
+    units = group.unit_ranks
+    at_units = [tuple(p[u] for u in units) for p in perms]
+    aut_index = {images: i for i, images in enumerate(at_units)}
+    comp_table = [[aut_index[tuple(p[x] for x in images)] for images in at_units] for p in perms]
+    identity_id = aut_index[tuple(units)]
     inv_aut = [row.index(identity_id) for row in comp_table]
 
     add = group.add_flat

@@ -9,9 +9,11 @@ A brace file carries the moduli plus exactly one of:
 
 Deserialization always re-validates; a file is only "accepted" when the
 resulting table passes the full brace axioms.  The schema is strict: every
-number is a JSON integer (not a boolean or a float), each lambda entry has
-exactly k columns of k coordinates, coordinate i in 0..d_i-1, and each
-mul_table row has n ranks in 0..n-1; anything else is a ``BraceFileError``.
+number is a JSON integer (not a boolean or a float), ``version`` is 1,
+``metadata`` (optional) is an object whose ``name`` (optional) is a string,
+each lambda entry has exactly k columns of k coordinates, coordinate i in
+0..d_i-1, and each mul_table row has n ranks in 0..n-1; anything else is a
+``BraceFileError``.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ def doc_to_brace(doc: dict[str, Any]) -> Brace:
         raise BraceFileError("document is not a JSON object")
     if doc.get("format") != FORMAT:
         raise BraceFileError(f"format must be {FORMAT!r}, got {doc.get('format')!r}")
-    if doc.get("version") != VERSION:
-        raise BraceFileError(f"unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    if not (_is_int(version) and version == VERSION):
+        raise BraceFileError(f"unsupported version {version!r}")
     moduli = doc.get("moduli")
     if not isinstance(moduli, list) or not all(_is_int(d) for d in moduli):
         raise BraceFileError("moduli must be a list of integers")
@@ -74,10 +77,12 @@ def doc_to_brace(doc: dict[str, Any]) -> Brace:
     has_mul = "mul_table" in doc
     if has_lambda == has_mul:
         raise BraceFileError("exactly one of lambda_table / mul_table is required")
-    name = ""
-    meta = doc.get("metadata")
-    if isinstance(meta, dict):
-        name = str(meta.get("name", ""))
+    meta = doc.get("metadata", {})
+    if not isinstance(meta, dict):
+        raise BraceFileError("metadata must be an object")
+    name = meta.get("name", "")
+    if not isinstance(name, str):
+        raise BraceFileError("metadata name must be a string")
     # sizes are checked against prod(moduli) before the group is built
     try:
         moduli = checked_moduli(moduli)

@@ -83,7 +83,7 @@ def series(brace: Brace, kind: SeriesKind) -> SeriesResult:
     can never drop below their stable values).  Otherwise iteration continues
     to a hard horizon, and exhausting it raises StructuralAnomaly.
     """
-    cached = brace._cache.get(("series", kind))
+    cached = brace.cache.get(("series", kind))
     if cached is not None:
         return cached
     full = Subgroup(tuple(range(brace.order)))
@@ -117,7 +117,7 @@ def series(brace: Brace, kind: SeriesKind) -> SeriesResult:
         raise ValueError(f"unknown series kind {kind!r}")
     cls = next((i + 1 for i, t in enumerate(chain) if t.order == 1), None)
     result = SeriesResult(kind, tuple(chain), cls)
-    brace._cache[("series", kind)] = result
+    brace.cache[("series", kind)] = result
     return result
 
 
@@ -140,17 +140,18 @@ def center_star(brace: Brace) -> frozenset[int]:
 
 def socle(brace: Brace) -> frozenset[int]:
     """Ranks of elements a with a * b = 0 for every b: a * b = lambda_a(b) - b, so lambda_a = id."""
-    ids = {i for i in set(brace.lambda_ids) if brace.auts[i].is_identity()}
+    identity = tuple(range(brace.order))
+    ids = {i for i in set(brace.lambda_ids) if brace.perms[i] == identity}
     return frozenset(a for a, i in enumerate(brace.lambda_ids) if i in ids)
 
 
 def right_annihilated(brace: Brace) -> frozenset[int]:
     """Ranks of c with A * c = 0: a * c = lambda_a(c) - c, so every lambda in use fixes c."""
-    cached = brace._cache.get("right_annihilated")
+    cached = brace.cache.get("right_annihilated")
     if cached is None:
-        perms = [brace._perms[i] for i in set(brace.lambda_ids)]
+        perms = [brace.perms[i] for i in set(brace.lambda_ids)]
         cached = frozenset(c for c in range(brace.order) if all(p[c] == c for p in perms))
-        brace._cache["right_annihilated"] = cached
+        brace.cache["right_annihilated"] = cached
     return cached
 
 
@@ -518,7 +519,7 @@ def discover_theorem_context(brace: Brace) -> TheoremContext | None:
     circle order at most p^m, smallest ranks first.  Candidate families whose
     circle closure is a proper subgroup are pruned before the coverage check.
     """
-    cached = brace._cache.get("theorem_context", False)
+    cached = brace.cache.get("theorem_context", False)
     if cached is not False:
         return cached
     result = None
@@ -549,7 +550,7 @@ def discover_theorem_context(brace: Brace) -> TheoremContext | None:
             if found:
                 result = found
                 break
-    brace._cache["theorem_context"] = result
+    brace.cache["theorem_context"] = result
     return result
 
 

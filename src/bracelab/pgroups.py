@@ -564,7 +564,12 @@ def _iso_from_model(model: Presented | GroupModel, target: TableGroup) -> dict[t
                     return mapping
         return None
 
-    return search(0)
+    try:
+        return search(0)
+    finally:
+        # search refers to itself through its closure cell; without this the
+        # cycle keeps the target's tables alive until the cyclic collector runs
+        del search
 
 
 def classify_multiplicative_group(brace: Brace) -> Classification:

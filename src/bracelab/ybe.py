@@ -19,7 +19,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .abelian import EXHAUSTIVE_LIMIT, RANK_BLOCK, _rank_blocks
+from .abelian import EXHAUSTIVE_LIMIT, RANK_BLOCK, _rank_blocks, perm_inverse
 from .brace import Brace, BraceError
 
 # Fewest braid triples that check_solution splits across two processes (512
@@ -111,13 +111,13 @@ def solution_from_brace(brace: Brace) -> YBESolution:
     so v = lambda_u^-1(x).
     """
     n = brace.order
-    group, ids, auts = brace.group, brace.lambda_ids, brace.auts
-    inverses = {i: auts[i].inv_perm(group) for i in set(ids)}
+    ids, perms = brace.lambda_ids, brace.perms
+    inverses = {i: perm_inverse(perms[i]) for i in set(ids)}
     inv_of = [inverses[i] for i in ids]  # lambda_u^-1 by rank u
     u = [0] * (n * n)
     v = [0] * (n * n)
     for x in range(n):
-        row = brace._perms[ids[x]]
+        row = perms[ids[x]]
         at_x = [q[x] for q in inv_of]  # lambda_u^-1(x) by rank u
         u[x * n : (x + 1) * n] = row
         v[x * n : (x + 1) * n] = [at_x[uu] for uu in row]

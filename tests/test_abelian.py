@@ -16,12 +16,12 @@ from bracelab.abelian import (
     abelian_basis,
     all_automorphisms,
     aut_order,
-    identity_automorphism,
     multiples_subgroup,
     primary_invariants,
     subgroup_generated,
     validate_automorphism,
 )
+from bracelab.brace import NotAutomorphism, validate_brace
 
 
 @pytest.mark.parametrize(
@@ -78,17 +78,22 @@ def test_scalar_componentwise_property(n, data):
     assert g.scalar_multiple(n, a) == tuple((n * x) % d for x, d in zip(a, g.moduli))
 
 
+def _apply(g: AbelianGroup, perm: tuple[int, ...], e: tuple[int, ...]) -> tuple[int, ...]:
+    """A rank permutation applied to a coordinate tuple."""
+    return g.unrank(perm[g.rank(e)])
+
+
 def test_validate_automorphism_accepts_identity():
     g = AbelianGroup([4, 4])
     phi = validate_automorphism(g, [(1, 0), (0, 1)])
-    assert phi.is_identity()
+    assert phi == tuple(range(g.order))
 
 
 def test_validate_automorphism_diag():
     g = AbelianGroup([4, 4])
     phi = validate_automorphism(g, [(3, 0), (0, 1)])
-    assert phi.apply((1, 0)) == (3, 0)
-    assert phi.apply((1, 1)) == (3, 1)
+    assert _apply(g, phi, (1, 0)) == (3, 0)
+    assert _apply(g, phi, (1, 1)) == (3, 1)
 
 
 def test_validate_automorphism_rejects_non_bijection():
@@ -103,13 +108,29 @@ def test_validate_automorphism_rejects_order_violation():
         validate_automorphism(g, [(0, 1), (0, 1)])
 
 
+@pytest.mark.parametrize(
+    "moduli,columns",
+    [([2], [(1, 5)]), ([2], [(1, 7, 7)]), ([2], [()]), ([4, 4], [(1, 0), (0,)]), ([4, 4], [(1, 0, 0), (0, 1)])],
+)
+def test_validate_automorphism_rejects_a_column_of_the_wrong_length(moduli, columns):
+    # a column is not truncated or padded to k coordinates
+    with pytest.raises(NotHomomorphism, match="coordinates, expected"):
+        validate_automorphism(AbelianGroup(moduli), columns)
+
+
+def test_validate_brace_rejects_over_long_columns():
+    with pytest.raises(NotAutomorphism) as exc:
+        validate_brace(AbelianGroup([2]), [[(1, 5)], [(1, 7, 7)]])
+    assert exc.value.rank == 0 and isinstance(exc.value.__cause__, NotHomomorphism)
+
+
 def test_automorphism_additivity_exhaustive():
     g = AbelianGroup([4, 4])
     for cols in ([(3, 0), (0, 1)], [(1, 2), (2, 1)], [(0, 1), (1, 0)]):
         phi = validate_automorphism(g, cols)
         for a in g.elements:
             for b in g.elements:
-                assert phi.apply(g.add(a, b)) == g.add(phi.apply(a), phi.apply(b))
+                assert _apply(g, phi, g.add(a, b)) == g.add(_apply(g, phi, a), _apply(g, phi, b))
 
 
 def test_automorphism_additivity_sampled_above_81():
@@ -121,17 +142,19 @@ def test_automorphism_additivity_sampled_above_81():
     for _ in range(100_000):
         a = g.unrank(rng.randrange(g.order))
         b = g.unrank(rng.randrange(g.order))
-        assert phi.apply(g.add(a, b)) == g.add(phi.apply(a), phi.apply(b))
+        assert _apply(g, phi, g.add(a, b)) == g.add(_apply(g, phi, a), _apply(g, phi, b))
 
 
 def test_automorphism_compose_matches_pointwise():
+    # the automorphism whose columns are f(h(e_j)) is f after h at every element
     g = AbelianGroup([2, 8])
     auts = all_automorphisms(g)
     assert len(auts) == 16
     f, h = auts[3], auts[7]
-    fh = f.compose(h)
+    fh = validate_automorphism(g, [_apply(g, f, _apply(g, h, e)) for e in [(1, 0), (0, 1)]])
+    assert fh in auts
     for e in g.elements:
-        assert fh.apply(e) == f.apply(h.apply(e))
+        assert _apply(g, fh, e) == _apply(g, f, _apply(g, h, e))
 
 
 def test_subgroup_generated_examples():
@@ -212,11 +235,24 @@ def _abelian_groups(n: int) -> list[tuple[int, ...]]:
     [m for n in range(2, 17) for m in _abelian_groups(n)] + [(), (6,), (4, 2), (2, 6), (3, 9), (27,), (3, 3, 3)],
 )
 def test_aut_order_counts_the_automorphisms(moduli):
-    assert aut_order(moduli) == len(all_automorphisms(AbelianGroup(moduli)))
+    g = AbelianGroup(moduli)
+    auts = all_automorphisms(g)
+    assert aut_order(moduli) == len(auts)
+    # the enumeration's candidate order: strictly increasing in the unit-rank images
+    units = g.unit_ranks
+    images = [tuple(p[u] for u in units) for p in auts]
+    assert all(x < y for x, y in zip(images, images[1:]))
+    # each is a bijection with p[a + b] = p[a] + p[b]; b = e_j is enough, as
+    # every b is a sum of unit ranks
+    ranks = set(range(g.order))
+    for p in auts:
+        assert set(p) == ranks
+        assert all(p[g.add_rank(a, e)] == g.add_rank(p[a], p[e]) for a in range(g.order) for e in units)
 
 
 def test_trivial_group():
     g = AbelianGroup(())
     assert g.order == 1
     assert g.elements == [()]
-    assert identity_automorphism(g).is_identity()
+    assert all_automorphisms(g) == [(0,)]
+    assert validate_automorphism(g, []) == (0,)

@@ -31,7 +31,8 @@ def test_diagonal_m1_nonabelian(p):
     A = diagonal_brace_m1(p)
     assert not A.is_circ_abelian()
     # lambda depends on the second coordinate mod p
-    assert A.lambda_of((0, p)).is_identity() == (pow(1 + p, p, p * p) == 1)
+    lam = A.perms[A.lambda_ids[A.rank((0, p))]]
+    assert (lam == tuple(range(A.order))) == (pow(1 + p, p, p * p) == 1)
 
 
 def test_diagonal_m1_p2_star_value():

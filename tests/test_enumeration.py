@@ -6,27 +6,36 @@ import pytest
 
 from functools import cache
 
-from bracelab.abelian import AbelianGroup, all_automorphisms, identity_automorphism
+from bracelab.abelian import AbelianGroup, all_automorphisms
 from bracelab.brace import Brace, brace_report, is_isomorphic, trivial_brace
 from bracelab import enumeration
 from bracelab.enumeration import GuardExceeded, enumerate_braces, holomorph_count_oracle
+
+
+def _apply(group, cols, e):
+    """The additive map with these columns (images of the e_j), applied to a coordinate tuple."""
+    img = group.zero
+    for coeff, col in zip(e, cols):
+        img = group.add(img, group.scalar_multiple(coeff, col))
+    return img
 
 
 def _pairwise_reference(moduli):
     """The same search with a full fixed-point closure at every node and a
     pairwise ``is_isomorphic`` dedupe, as a reference for the orbit marking.
 
-    Returns the representative tables, the class sizes and the node count.
+    Automorphisms are composed as columns of coordinate tuples.  Returns the
+    representative tables, the class sizes and the node count.
     """
     group = AbelianGroup(moduli)
-    auts = all_automorphisms(group)
+    perms = all_automorphisms(group)
     n = group.order
-    perms = [f.perm(group) for f in auts]
-    index = {f.columns: i for i, f in enumerate(auts)}
+    columns = [tuple(group.unrank(p[u]) for u in group.unit_ranks) for p in perms]
+    index = {cols: i for i, cols in enumerate(columns)}
 
     @cache
     def compose(i, j):
-        return index[auts[i].compose(auts[j]).columns]
+        return index[tuple(_apply(group, columns[i], c) for c in columns[j])]
 
     def close(assign):
         changed = True
@@ -53,20 +62,20 @@ def _pairwise_reference(moduli):
             tables.append(assign)
             return
         u = assign.index(-1)
-        for cand in range(len(auts)):
+        for cand in range(len(perms)):
             trial = list(assign)
             trial[u] = cand
             if close(trial):
                 dfs(trial)
 
     start = [-1] * n
-    start[0] = index[identity_automorphism(group).columns]
+    start[0] = index[tuple(group.unrank(u) for u in group.unit_ranks)]
     if close(start):
         dfs(start)
 
     reps, sizes = [], []
     for table in tables:
-        b = Brace(group, table, auts)
+        b = Brace(group, table, perms)
         for i, r in enumerate(reps):
             if is_isomorphic(b, r) is not None:
                 sizes[i] += 1
@@ -129,7 +138,7 @@ def test_oracle_structure():
 
 def test_c4_representatives_are_the_known_pair(enumerations):
     res = enumerations[(4,)]
-    ids = [[b.lambda_of((x,)).apply((1,)) for x in range(4)] for b in res.representatives]
+    ids = [[b.element(b.lam_r(b.rank((x,)), b.rank((1,)))) for x in range(4)] for b in res.representatives]
     # trivial table, then the doubling-ring pattern id, neg, id, neg
     assert ids[0] == [(1,), (1,), (1,), (1,)]
     assert ids[1] == [(1,), (3,), (1,), (3,)]

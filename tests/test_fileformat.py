@@ -64,6 +64,18 @@ def test_rejects_wrong_format_fields():
     bad4["mul_table"] = [[0]]
     with pytest.raises(BraceFileError):
         doc_to_brace(bad4)
+    # values that compare equal to 1, and metadata of the wrong JSON type
+    for version in (True, 1.0, "1"):
+        with pytest.raises(BraceFileError, match="unsupported version"):
+            doc_to_brace(dict(doc, version=version))
+    for meta in (["x", 1], "x", None):
+        with pytest.raises(BraceFileError, match="metadata must be an object"):
+            doc_to_brace(dict(doc, metadata=meta))
+    for name in (["x", 1], 7, None, {"x": 1}):
+        with pytest.raises(BraceFileError, match="metadata name must be a string"):
+            doc_to_brace(dict(doc, metadata={"name": name}))
+    assert doc_to_brace(dict(doc, metadata={})).name == ""
+    assert doc_to_brace(dict(doc, metadata={"construction": "x"})).name == ""
 
 
 def test_rejects_corrupted_lambda_row(tmp_path):

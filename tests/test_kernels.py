@@ -16,7 +16,6 @@ import pytest
 from bracelab import nilpotency, pgroups
 from bracelab.abelian import (
     AbelianGroup,
-    Automorphism,
     NotBijective,
     NotHomomorphism,
     StructuralAnomaly,
@@ -25,7 +24,6 @@ from bracelab.abelian import (
     abelian_basis,
     all_automorphisms,
     group_closure,
-    identity_automorphism,
     subgroup_closure,
     validate_automorphism,
 )
@@ -102,16 +100,15 @@ def ref_solution(brace: Brace) -> tuple[list[int], list[int]]:
 
 def ref_validation(group: AbelianGroup, table) -> tuple | None:
     """Every lambda in rank order, then lambda_0 = id, then all n^2 pairs in order."""
-    lambdas = []
+    perms = []
     for i, cols in enumerate(table):
         try:
-            lambdas.append(validate_automorphism(group, cols))
+            perms.append(validate_automorphism(group, cols))
         except (NotHomomorphism, NotBijective) as exc:
             return ("NotAutomorphism", f"lambda at rank {i}: {exc}", i, type(exc))
-    if not lambdas[0].is_identity():
-        return ("BadLambdaZero", "lambda at rank 0 must be the identity")
     n = group.order
-    perms = [f.perm(group) for f in lambdas]
+    if perms[0] != tuple(range(n)):
+        return ("BadLambdaZero", "lambda at rank 0 must be the identity")
     for a in range(n):
         for b in range(n):
             c = group.add_rank(a, perms[a][b])
@@ -178,9 +175,17 @@ def ref_commuting_powers(brace: Brace) -> tuple[bool, int]:
     return ok, pairs
 
 
-def ref_perm(f: Automorphism, group: AbelianGroup) -> tuple[int, ...]:
-    """Each element mapped as a coordinate tuple, then looked up by rank."""
-    return tuple(group.rank(f.apply(e)) for e in group.elements)
+def ref_perm(columns, group: AbelianGroup) -> tuple[int, ...]:
+    """Each element e mapped as a coordinate tuple, sum_j e_j * column j, then
+    looked up by rank."""
+
+    def apply(e):
+        img = group.zero
+        for coeff, col in zip(e, columns):
+            img = group.add(img, group.scalar_multiple(coeff, col))
+        return img
+
+    return tuple(group.rank(apply(e)) for e in group.elements)
 
 
 def ref_ideal_generated(brace: Brace, c: int) -> Subgroup:
@@ -232,7 +237,7 @@ def ref_quotient(brace: Brace, ideal: Subgroup) -> tuple[Brace, dict[int, int]]:
 
     if m == 1:
         qgroup = AbelianGroup(())
-        return Brace(qgroup, [0], [identity_automorphism(qgroup)], name=f"{brace.name}/I"), {r: 0 for r in range(n)}
+        return Brace(qgroup, [0], [(0,)], name=f"{brace.name}/I"), {r: 0 for r in range(n)}
     basis = sorted(abelian_basis(TableGroup(m, qadd)), key=lambda t: t[1])
     qgroup = AbelianGroup(tuple(d for _, d in basis))
     coset_to_rank = [-1] * m
@@ -305,7 +310,7 @@ def kernel_braces(enumerated_braces, small_corpus):
 
 def test_corpus_holds_unused_automorphisms(kernel_braces):
     # right_annihilated must read the lambdas in use, not every listed automorphism
-    assert any(len(set(b.lambda_ids)) < len(b.auts) for b in kernel_braces)
+    assert any(len(set(b.lambda_ids)) < len(b.perms) for b in kernel_braces)
     assert sum(b.order == 81 for b in kernel_braces) == 4
 
 
@@ -373,7 +378,7 @@ def test_subset_star_matches_full_scan(kernel_braces):
 
 def test_right_annihilated_and_center_match_full_scan(kernel_braces):
     for b in kernel_braces:
-        b._cache.pop("right_annihilated", None)
+        b.cache.pop("right_annihilated", None)
         assert right_annihilated(b) == ref_right_annihilated(b), b.name
         assert center_star(b) == ref_center_star(b), b.name
         assert TableGroup(b.order, b.circ_r).center == ref_center_star(b), b.name
@@ -443,8 +448,8 @@ def test_law_failing_off_the_first_generator_is_caught(moduli, table):
     lambdas = [validate_automorphism(group, cols) for cols in table]
     brace = Brace(group, list(range(group.order)), lambdas)
     first = brace.circle.generators[0]
-    composed = [tuple(brace.lam_r(a, x) for x in brace._perms[first]) for a in range(group.order)]
-    assert all(brace._perms[brace.circ_r(a, first)] == composed[a] for a in range(group.order))
+    composed = [tuple(brace.lam_r(a, x) for x in brace.perms[first]) for a in range(group.order)]
+    assert all(brace.perms[brace.circ_r(a, first)] == composed[a] for a in range(group.order))
     want = ref_validation(group, table)
     assert want[0] == "CocycleViolation"
     assert _outcome(group, table) == want
@@ -630,12 +635,17 @@ def reference_braces(enumerated_braces, small_corpus):
 def test_perm_matches_the_tuple_map_on_every_candidate(moduli):
     group = AbelianGroup(moduli)
     cands = [[e for e in group.elements if group.scalar_multiple(d, e) == group.zero] for d in moduli]
-    bijective = set()
+    bijective = []
     for cols in itertools.product(*cands):
-        perm = Automorphism(moduli, cols).perm(group)
-        assert perm == ref_perm(Automorphism(moduli, cols), group), cols
-        bijective.add(len(set(perm)) == group.order)
-    assert bijective == {True, False}
+        perm = ref_perm(cols, group)
+        if len(set(perm)) == group.order:
+            assert validate_automorphism(group, cols) == perm, cols
+            bijective.append(perm)
+        else:
+            with pytest.raises(NotBijective):
+                validate_automorphism(group, cols)
+    assert 0 < len(bijective) < len(list(itertools.product(*cands)))
+    assert all_automorphisms(group) == bijective
 
 
 def test_ideal_generated_matches_the_full_scan(reference_braces):
@@ -694,7 +704,7 @@ def test_is_isomorphic_matches_the_full_scan(enumerations, small_corpus):
         reps = res.representatives
         auts = all_automorphisms(reps[0].group)
         for a in reps:
-            others = [a, _relabeled(a, rng.choice(auts).perm(a.group)), rng.choice(reps)]
+            others = [a, _relabeled(a, rng.choice(auts)), rng.choice(reps)]
             for b in others:
                 want = ref_is_isomorphic(a, b)
                 assert is_isomorphic(a, b) == want, (a.name, b.name)
@@ -746,7 +756,7 @@ def test_fingerprint_makes_linearly_many_products(braces_625):
 
 def test_cocycle_check_makes_linearly_many_products(braces_625):
     for b in braces_625:
-        fresh = Brace(b.group, b.lambda_ids, b.auts)
+        fresh = Brace(b.group, b.lambda_ids, b.perms)
         fresh.circ_r, calls = _counted(fresh.circ_r)
         fresh.circle = TableGroup(b.order, fresh.circ_r)
         assert _check_cocycle(fresh) is None

@@ -409,6 +409,25 @@ def test_classification_keeps_no_model_alive(monkeypatch):
     assert [o for o in gc.get_objects() if isinstance(o, GroupModel) and id(o) not in before] == []
 
 
+def test_isomorphism_search_leaves_no_cycle_holding_the_circle_group():
+    """With the cyclic collector off, a brace's circle group (and the tables it
+    holds) dies with the brace after classification and the G4 pair search."""
+    from bracelab.nilpotency import find_g4_pair
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for build, search in ((diagonal_brace_m1, classify_multiplicative_group), (diagonal_brace_m2, find_g4_pair)):
+            brace = build(3)
+            circle = weakref.ref(brace.circle)
+            assert search(brace) is not None
+            del brace
+            assert circle() is None, build.__name__
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_each_model_is_built_once_per_process(monkeypatch, enumerations):
     builds = collections.Counter()
     collect = pgroups._collect

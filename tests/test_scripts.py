@@ -57,3 +57,15 @@ def test_build_corpus_writes_and_reports_the_corpus(tmp_path):
     assert report["results"]["rejected"] == [] and report["results"]["corpus_invariants"]["violations"] == []
     assert sum(name.startswith("enum-") for name in files) == 27
     assert sum(not name.startswith("enum-") for name in files) == 10
+
+
+def test_gate_digest_runs_the_eighteen_benchmark_commands(tmp_path):
+    proc = _run("scripts/gate_digest.py", str(tmp_path / "gate"))
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert len(rows) == 18 and all(len(row) == 3 and len(row[2]) == 64 for row in rows)
+    codes = {name: int(code) for name, code, _ in rows}
+    assert len(codes) == 18 and [name.split("-")[0] for name in codes].count("enumerate") == 9
+    # the exponent-5 circle group matches no order-p^4 model yet
+    assert {name for name, code in codes.items() if code} == {"verify-exponent-5"}
+    assert codes["verify-exponent-5"] == 1
