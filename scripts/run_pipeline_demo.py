@@ -11,9 +11,8 @@ from __future__ import annotations
 import sys
 
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
-from bracelab.nilpotency import annihilator_certificate, series, theorem1_check
+from bracelab.nilpotency import annihilator_certificate, series, socle_series_length, theorem1_check
 from bracelab.pgroups import classify_multiplicative_group
-from bracelab.ybe import multipermutation_level, solution_from_brace
 
 
 def summarize(brace, P, Qs, m) -> None:
@@ -29,7 +28,7 @@ def summarize(brace, P, Qs, m) -> None:
     print(f"   multiplicative group: {cls.label()}")
     r = series(brace, "right")
     cert = annihilator_certificate(brace)
-    lvl = multipermutation_level(solution_from_brace(brace))
+    lvl = socle_series_length(brace)
     print(f"   right class: {r.nilpotency_class}, certificate: {cert.element if cert else None}, mpl: {lvl}")
 
 

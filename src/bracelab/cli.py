@@ -34,10 +34,11 @@ from .nilpotency import (
     identity_suite,
     pa_bound_check,
     series,
+    socle_series_length,
     theorem1_check,
 )
 from .pgroups import NoMatch, classify_multiplicative_group
-from .ybe import check_solution, multipermutation_level, solution_from_brace
+from .ybe import check_solution, solution_from_brace
 
 REPORT_FORMAT = "bracelab/run-report"
 REPORT_VERSION = 1
@@ -207,7 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "braid": rep.braid,
             "triples_checked": rep.triples_checked,
             "exhaustive": rep.exhaustive,
-            "multipermutation_level": multipermutation_level(sol),
+            "multipermutation_level": socle_series_length(brace),
         }
         failed |= not rep.passed
     if args.theorem1:
@@ -282,14 +283,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _report_row(corpus_dir: Path, fname: str) -> dict[str, Any]:
-    """One report row.  The brace and its YBE solution (2 n^2 entries) are
-    locals or unnamed, so neither outlives the row."""
+    """One report row.  The brace is a local, so it does not outlive the row.
+    The multipermutation level comes from the socle series of the brace, so
+    no YBE solution (2 n^2 entries) is built."""
     brace = load_brace(corpus_dir / fname)
     right = series(brace, "right")
     left = series(brace, "left")
     strong = series(brace, "strong")
     cert = annihilator_certificate(brace)
-    mpl = multipermutation_level(solution_from_brace(brace))
     return {
         "file": fname,
         "name": brace.name,
@@ -301,7 +302,7 @@ def _report_row(corpus_dir: Path, fname: str) -> dict[str, Any]:
         "strong_class": strong.nilpotency_class,
         "right_nilpotent": right.reaches_zero,
         "certificate": list(cert.element) if cert else None,
-        "multipermutation_level": mpl,
+        "multipermutation_level": socle_series_length(brace),
     }
 
 
@@ -381,7 +382,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     except (ValueError, BraceError) as exc:
         results["error"] = f"{type(exc).__name__}: {exc}"
         return _finish(doc, EXIT_INPUT_ERROR, args.out, started)
-    save_brace(brace, args.output, construction=spec.name())
+    try:
+        save_brace(brace, args.output, construction=spec.name())
+    except OSError as exc:
+        results["error"] = f"{type(exc).__name__}: {exc}"
+        return _finish(doc, EXIT_INPUT_ERROR, args.out, started)
     results["written"] = str(args.output)
     results["order"] = brace.order
     results["name"] = brace.name

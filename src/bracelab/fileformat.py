@@ -122,6 +122,6 @@ def save_brace(brace: Brace, path: str | Path, name: str | None = None, construc
 def load_brace(path: str | Path) -> Brace:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise BraceFileError(f"cannot read {path}: {exc}") from exc
     return doc_to_brace(doc)

@@ -145,6 +145,25 @@ def socle(brace: Brace) -> frozenset[int]:
     return frozenset(a for a, i in enumerate(brace.lambda_ids) if i in ids)
 
 
+def socle_series_length(brace: Brace) -> int | None:
+    """Multipermutation level of the brace's YBE solution r_A, without building r_A.
+
+    Retraction merges x and y when lambda_x = lambda_y, that is when they lie
+    in one coset of Soc(A) = ker lambda, so Ret(r_A) is r_{A/Soc(A)} (Rump
+    2007; Cedo, Jespers and Okninski 2014).  The level is the number of socle
+    quotients down to order 1: 0 for the order-1 brace, None when the socle
+    is {0} above order 1 (the retraction stops shrinking).
+    """
+    steps, current = 0, brace
+    while current.order > 1:
+        soc = socle(current)
+        if len(soc) == 1:
+            return None
+        current, _ = quotient_brace(current, Subgroup(tuple(soc)))
+        steps += 1
+    return steps
+
+
 def right_annihilated(brace: Brace) -> frozenset[int]:
     """Ranks of c with A * c = 0: a * c = lambda_a(c) - c, so every lambda in use fixes c."""
     cached = brace.cache.get("right_annihilated")

@@ -7,6 +7,11 @@ involutive and non-degenerate.  Retraction identifies points with equal left
 component maps; the multipermutation level is the number of retraction steps
 to reach a single point (level 0 for an already-trivial solution, so the
 trivial brace on n >= 2 points has level 1).
+
+``retraction`` and ``multipermutation_level`` work on any solution table.
+For a brace, Ret(r_A) = r_{A/Soc(A)} with Soc(A) = ker lambda, so
+``nilpotency.socle_series_length`` gives the same level from the socle
+quotients of the brace, without building the 2 n^2 table entries.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bracelab import ybe
+from bracelab import cli, ybe
 from bracelab.cli import main
 from bracelab.fileformat import load_brace, save_brace
 
@@ -219,6 +219,24 @@ def test_report_certificate_without_right_nilpotency(enumerations, tmp_path):
     assert doc["results"]["corpus_invariants"]["right_nilpotent_implies_certificate"]
 
 
+def test_report_builds_no_ybe_solution(builtin_corpus, monkeypatch, tmp_path):
+    # a report row reads the multipermutation level from the socle series
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i, brace in enumerate(builtin_corpus):
+        save_brace(brace, corpus / f"{i:02d}.json")
+
+    def refuse(brace):
+        raise AssertionError("report built a YBE solution")
+
+    monkeypatch.setattr(cli, "solution_from_brace", refuse)
+    out = tmp_path / "report.json"
+    assert run_cli(["report", "--corpus", str(corpus), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["results"]["rows"]) == len(builtin_corpus)
+    assert doc["results"]["corpus_invariants"]["mpl_iff_right_nilpotent"]
+
+
 def test_report_no_match_row_fails_with_report(exponent5_brace, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -289,6 +307,33 @@ def test_report_missing_or_file_corpus_is_input_error(tmp_path, capsys):
         assert doc["results"] == {"error": f"corpus {corpus} is not a directory"}
 
 
+UNREADABLE_FILES = [
+    pytest.param(b"\xff\xfe{}", "codec can't decode", id="undecodable"),
+    pytest.param(b"[" * 100_000, "maximum recursion depth", id="over-nested"),
+]
+
+
+@pytest.mark.parametrize("content, error", UNREADABLE_FILES)
+def test_verify_unreadable_file_exit2(tmp_path, capsys, content, error):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert run_cli(["verify", "--input", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["validate"]["accepted"] is False
+    assert error in doc["results"]["validate"]["error"]
+
+
+@pytest.mark.parametrize("content, error", UNREADABLE_FILES)
+def test_report_rejects_unreadable_member(tmp_path, capsys, content, error):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "unreadable.json").write_bytes(content)
+    assert run_cli(["report", "--corpus", str(corpus)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    (rejected,) = doc["results"]["rejected"]
+    assert rejected["file"] == "unreadable.json" and error in rejected["error"]
+
+
 def test_report_rejects_corrupted_member(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -314,3 +359,12 @@ def test_report_determinism(tmp_path):
 def test_build_input_errors(tmp_path):
     assert run_cli(["build", "--family", "trivial", "--output", str(tmp_path / "x.json")]) == 2
     assert run_cli(["build", "--family", "ring", "--preset", "nope", "--output", str(tmp_path / "x.json")]) == 2
+
+
+def test_build_into_missing_directory_exit2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert run_cli(["build", "--family", "trivial", "--moduli", "2", "--output", str(target)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "error"
+    assert doc["results"]["error"].startswith("FileNotFoundError: ")
+    assert not target.parent.exists()

@@ -28,8 +28,10 @@ from bracelab.nilpotency import (
     right_annihilated,
     series,
     socle,
+    socle_series_length,
     theorem1_check,
 )
+from bracelab.ybe import multipermutation_level, solution_from_brace
 
 
 def test_series_trivial():
@@ -83,6 +85,16 @@ def test_socle(enumerated_braces):
     for b in enumerated_braces:
         n = b.order
         assert socle(b) == frozenset(a for a in range(n) if all(b.star_r(a, x) == 0 for x in range(n))), b.name
+
+
+def test_socle_series_length_is_the_retraction_level(builtin_corpus, enumerated_braces, enumerations, exponent5_brace):
+    # Ret(r_A) = r_{A/Soc(A)}: the socle series gives the level that retracting the solution gives
+    for b in [*builtin_corpus, *enumerated_braces, exponent5_brace, trivial_brace([])]:
+        assert socle_series_length(b) == multipermutation_level(solution_from_brace(b)), b.name
+    assert socle_series_length(trivial_brace([])) == 0
+    assert socle_series_length(trivial_brace([4, 4])) == 1
+    c4c4 = [socle_series_length(b) for b in enumerations[(4, 4)].representatives]
+    assert c4c4.count(None) == 5
 
 
 def test_annihilator_certificate_examples():
