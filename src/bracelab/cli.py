@@ -51,11 +51,18 @@ ALL_SUITES = ("series", "identity", "certify", "classify", "pa-bound", "ybe")
 
 
 def _emit(doc: dict[str, Any], out: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Write the report to ``out``, or to stdout.  A report that cannot be
+    written to ``out`` becomes an input error, with the reason under
+    ``results.out_error``, and goes to stdout instead."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        try:
+            Path(out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+            return
+        except OSError as exc:
+            doc["results"]["out_error"] = f"{type(exc).__name__}: {exc}"
+            doc["exit_code"] = EXIT_INPUT_ERROR
+            doc["status"] = "error"
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _report_skeleton(command: str, seed: int, inputs: dict[str, Any]) -> dict[str, Any]:
@@ -76,7 +83,7 @@ def _finish(doc: dict[str, Any], exit_code: int, out: str | None, started: float
     doc["status"] = {EXIT_PASS: "pass", EXIT_CHECK_FAILURE: "fail"}.get(exit_code, "error")
     _emit(doc, out)
     print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)
-    return exit_code
+    return doc["exit_code"]
 
 
 def _parse_moduli(text: str) -> list[int]:
@@ -253,14 +260,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     results["isomorphism_classes"] = res.isomorphism_classes
     results["class_sizes"] = list(res.class_sizes)
     written: list[str] = []
+    results["files"] = written
     if args.out_dir:
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, rep in enumerate(res.representatives):
-            path = out_dir / f"brace-{'x'.join(map(str, res.moduli))}-{i:03d}.json"
-            save_brace(rep, path, construction="enumerate")
-            written.append(path.name)
-    results["files"] = written
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for i, rep in enumerate(res.representatives):
+                path = out_dir / f"brace-{'x'.join(map(str, res.moduli))}-{i:03d}.json"
+                save_brace(rep, path, construction="enumerate")
+                written.append(path.name)
+        except OSError as exc:
+            results["error"] = f"{type(exc).__name__}: {exc}"
+            return _finish(doc, EXIT_INPUT_ERROR, args.out, started)
     exit_code = EXIT_PASS
     if args.oracle:
         try:

@@ -6,9 +6,21 @@ cocycle law lambda_{a + lambda_a(b)} = lambda_a . lambda_b; the search
 branches over automorphism choices for the smallest-rank undetermined
 element and propagates the law from each new assignment, pruning
 contradictions.  Candidates are tried in the order of ``all_automorphisms``
-(lexicographic in the images of the unit ranks), so the representative list
-is deterministic.
-Isomorphism classes are marked as whole Aut(A,+)-orbits of tables.
+(lexicographic in the images of the unit ranks).
+
+lambda: (A, o) -> Aut(A,+) is a homomorphism, so when |A| = p^k its image
+is a p-group and lies in a conjugate of one fixed Sylow p-subgroup S of
+Aut(A,+).  Conjugating a table by alpha conjugates its image, so every
+isomorphism class has a table with every lambda_a in S (an S-table), and the
+search branches over S only.  For any other order S is all of Aut.
+
+Isomorphism classes are marked as whole Aut(A,+)-orbits of tables.  Each
+class is represented by its least member, compared as a tuple of perm
+indices.  That is the table a search over all of Aut finds first: such a
+search emits every table, and in lexicographic order, since it branches on
+the smallest unassigned rank with candidates in index order and two tables
+below one node agree on every rank before the one it branches on.  So the
+representatives, their order and their names do not depend on S.
 
 The oracle counts regular subgroups of Hol(A) = A x| Aut(A): valid lambda
 tables correspond exactly to regular subgroups, and brace isomorphism
@@ -27,6 +39,8 @@ from .abelian import (
     aut_order,
     checked_moduli,
     perm_inverse,
+    perm_order,
+    prime_power,
 )
 from .brace import Brace, BraceError
 
@@ -50,7 +64,58 @@ class EnumerationResult:
     nodes_explored: int
 
     def __post_init__(self) -> None:
-        assert self.isomorphism_classes == len(self.representatives)
+        if not self.isomorphism_classes == len(self.representatives) == len(self.class_sizes):
+            raise StructuralAnomaly(
+                f"{self.isomorphism_classes} classes but {len(self.representatives)} representatives"
+                f" and {len(self.class_sizes)} class sizes"
+            )
+        if self.total_tables != sum(self.class_sizes):
+            raise StructuralAnomaly(f"{self.total_tables} tables but class sizes sum to {sum(self.class_sizes)}")
+
+
+def _p_part(m: int, p: int) -> int:
+    """The largest power of p dividing m."""
+    out = 1
+    while m % (out * p) == 0:
+        out *= p
+    return out
+
+
+def sylow_subgroup(perms: list[tuple[int, ...]], p: int) -> list[int]:
+    """Indices into ``perms``, a whole automorphism group, of one Sylow
+    p-subgroup, in increasing order.
+
+    Normaliser ascent: a p-subgroup S that is not Sylow lies properly in a
+    Sylow P, and N_P(S) > S, so some p-element x outside S normalises S, and
+    S<x> is again a p-group.  The first such x in list order is added until
+    |S| is the p-part of |Aut|.
+    """
+    target = _p_part(len(perms), p)
+    index = {q: i for i, q in enumerate(perms)}
+    inv = [index[perm_inverse(q)] for q in perms]
+
+    def mul(i: int, j: int) -> int:
+        qi = perms[i]
+        return index[tuple(qi[x] for x in perms[j])]
+
+    p_elements = [i for i, q in enumerate(perms) if _p_part(perm_order(q), p) == perm_order(q)]
+    members = {index[tuple(range(len(perms[0])))]}
+    gens: list[int] = []
+    while len(members) < target:
+        x = next(
+            (x for x in p_elements if x not in members and all(mul(mul(x, g), inv[x]) in members for g in gens)),
+            None,
+        )
+        if x is None:
+            raise StructuralAnomaly(f"no p-element normalises a subgroup of order {len(members)} < {target}")
+        gens.append(x)
+        # x normalises S, so S<x> is the union of the cosets S x^i
+        grown, power = set(members), x
+        while power not in members:
+            grown |= {mul(s, power) for s in members}
+            power = mul(power, x)
+        members = grown
+    return sorted(members)
 
 
 def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = False) -> EnumerationResult:
@@ -59,10 +124,15 @@ def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = F
     Guarded by group order and |Aut(A,+)| (automorphism counts explode long
     before the order does, e.g. |Aut(C_2^4)| = 20160); ``force`` overrides.
 
-    Isomorphism classes are the orbits of the tables under conjugation by
-    Aut(A,+), lambda -> alpha . lambda_{alpha^-1(.)} . alpha^-1.  Tables are
-    walked in search order and each one not yet in a known orbit becomes the
-    next representative, so every class is named after its first table.
+    When |A| = p^k the search branches over a Sylow p-subgroup S of Aut(A,+)
+    only (see the module docstring); otherwise S is all of Aut.  Isomorphism
+    classes are the orbits of the tables under conjugation by Aut(A,+),
+    lambda -> alpha . lambda_{alpha^-1(.)} . alpha^-1.  Found tables are
+    walked in search order and each one not yet in a known orbit is
+    conjugated by every alpha: the class size is the number of distinct
+    conjugates, the conjugates that are S-tables are marked, and the
+    representative is the least conjugate as a tuple of perm indices.
+    Classes are sorted and named by that representative.
     """
     moduli = checked_moduli(moduli)
     order = prod(moduli)
@@ -77,7 +147,6 @@ def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = F
     n = group.order
     k = len(perms)
     perm_index = {p: i for i, p in enumerate(perms)}
-    inv = [perm_index[perm_inverse(p)] for p in perms]
     comp: dict[int, int] = {}  # i * k + j -> index of perms[i] . perms[j], filled on demand
 
     def compose(i: int, j: int) -> int:
@@ -87,6 +156,9 @@ def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = F
             pi, pj = perms[i], perms[j]
             out = comp[key] = perm_index[tuple(pi[x] for x in pj)]
         return out
+
+    pp = prime_power(n)
+    cands = sylow_subgroup(perms, pp[0]) if pp else list(range(k))
 
     add = group.add_flat
     identity_id = perm_index[tuple(range(n))]
@@ -126,7 +198,7 @@ def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = F
         if u is None:
             tables.append(tuple(assign))
             return
-        for cand in range(k):
+        for cand in cands:
             trial = list(assign)
             trial[u] = cand
             trial_known = known + [u]
@@ -138,33 +210,39 @@ def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = F
     if close(start, [0], [0]):
         dfs(start, [0])
 
+    pos = {s: i for i, s in enumerate(cands)}
+    inv_perms = [perm_inverse(p) for p in perms]
+    # conj[alpha][pos[s]] = alpha . s . alpha^-1 for s in S
+    conj = [
+        [perm_index[tuple(pa[perms[s][y]] for y in ia)] for s in cands]
+        for pa, ia in zip(perms, inv_perms)
+    ]
     index = {t: i for i, t in enumerate(tables)}
     marked = [False] * len(tables)
-    reps: list[Brace] = []
-    sizes: list[int] = []
+    classes: list[tuple[tuple[int, ...], int]] = []
     for i, table in enumerate(tables):
         if marked[i]:
             continue
-        orbit = set()
-        for alpha in range(k):
-            pa, ia = perms[alpha], inv[alpha]
-            conj = [0] * n
-            for a in range(n):
-                conj[pa[a]] = compose(compose(alpha, table[a]), ia)
-            j = index.get(tuple(conj))
+        at = [pos[t] for t in table]
+        # the conjugate by alpha at rank x is alpha . table[alpha^-1(x)] . alpha^-1
+        orbit = {tuple([row[at[y]] for y in ia]) for row, ia in zip(conj, inv_perms)}
+        for t in orbit:
+            j = index.get(t)
+            if j is None and not all(c in pos for c in t):
+                continue  # not an S-table
             if j is None or marked[j]:
                 raise StructuralAnomaly(
-                    f"conjugate of table {i} by automorphism {alpha} is not an unmarked enumerated table"
+                    f"a conjugate of table {i} is an S-table but not an unmarked enumerated table"
                 )
-            orbit.add(j)
-        for j in orbit:
             marked[j] = True
-        name = f"enum{tuple(group.moduli)}-{len(reps):03d}"
-        reps.append(Brace(group, list(table), perms, name=name))
-        sizes.append(len(orbit))
-    return EnumerationResult(
-        group.moduli, tuple(reps), len(tables), len(reps), tuple(sizes), nodes
+        classes.append((min(orbit), len(orbit)))
+    classes.sort()
+    reps = tuple(
+        Brace(group, list(least), perms, name=f"enum{tuple(group.moduli)}-{r:03d}")
+        for r, (least, _) in enumerate(classes)
     )
+    sizes = tuple(size for _, size in classes)
+    return EnumerationResult(group.moduli, reps, sum(sizes), len(reps), sizes, nodes)
 
 
 # -- holomorph oracle ---------------------------------------------------------------

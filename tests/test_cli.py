@@ -13,6 +13,7 @@ import pytest
 
 from bracelab import cli, ybe
 from bracelab.cli import main
+from bracelab.brace import trivial_brace
 from bracelab.fileformat import load_brace, save_brace
 
 
@@ -368,3 +369,36 @@ def test_build_into_missing_directory_exit2(tmp_path, capsys):
     assert doc["status"] == "error"
     assert doc["results"]["error"].startswith("FileNotFoundError: ")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["verify", "--input", "{brace}", "--suite", "series"], id="verify"),
+        pytest.param(["enumerate", "2"], id="enumerate"),
+        pytest.param(["report", "--corpus", "{corpus}"], id="report"),
+        pytest.param(["build", "--family", "trivial", "--moduli", "2", "--output", "{corpus}/t.json"], id="build"),
+    ],
+)
+def test_out_into_missing_directory_exit2(tmp_path, capsys, argv):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_brace(trivial_brace((2,)), corpus / "trivial.json")
+    argv = [a.format(brace=corpus / "trivial.json", corpus=corpus) for a in argv]
+    out = tmp_path / "missing" / "report.json"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["command"], doc["status"], doc["exit_code"]) == (argv[0], "error", 2)
+    assert doc["results"]["out_error"].startswith("FileNotFoundError: ")
+    assert not out.parent.exists()
+
+
+def test_enumerate_out_dir_naming_a_file_exit2(tmp_path, capsys):
+    target = tmp_path / "F"
+    target.write_text("kept")
+    assert run_cli(["enumerate", "2", "--out-dir", str(target)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "error"
+    assert doc["results"]["error"].startswith("FileExistsError: ")
+    assert doc["results"]["files"] == []
+    assert target.read_text() == "kept"

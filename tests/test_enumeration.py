@@ -5,11 +5,26 @@ from __future__ import annotations
 import pytest
 
 from functools import cache
+from math import prod
 
-from bracelab.abelian import AbelianGroup, all_automorphisms
+from bracelab.abelian import (
+    AbelianGroup,
+    StructuralAnomaly,
+    all_automorphisms,
+    aut_order,
+    perm_inverse,
+    perm_order,
+    prime_power,
+)
 from bracelab.brace import Brace, brace_report, is_isomorphic, trivial_brace
 from bracelab import enumeration
-from bracelab.enumeration import GuardExceeded, enumerate_braces, holomorph_count_oracle
+from bracelab.enumeration import (
+    EnumerationResult,
+    GuardExceeded,
+    enumerate_braces,
+    holomorph_count_oracle,
+    sylow_subgroup,
+)
 
 
 def _apply(group, cols, e):
@@ -105,14 +120,111 @@ def test_oracle_agreement(enumerations, moduli):
     assert orc.aut_conjugacy_classes == res.isomorphism_classes
 
 
-@pytest.mark.parametrize("moduli", [(2, 8), (2, 2, 2), (2, 4), (3, 3)])
+SYLOW_NODES = {(2, 8): 205, (2, 2, 2): 55, (2, 4): 41, (3, 3): 7}
+
+
+@pytest.mark.parametrize("moduli", list(SYLOW_NODES))
 def test_orbit_classes_match_pairwise_reference(moduli):
     res = enumerate_braces(moduli)
     reps, sizes, nodes = _pairwise_reference(moduli)
     assert [b.lambda_ids for b in res.representatives] == reps
     assert list(res.class_sizes) == sizes
-    assert res.nodes_explored == nodes
+    # the search branches over a Sylow subgroup of Aut, the reference over all of Aut
+    assert res.nodes_explored == SYLOW_NODES[moduli] <= nodes
     assert [b.name for b in res.representatives] == [f"enum{moduli}-{i:03d}" for i in range(len(reps))]
+
+
+def _full_aut_reference(moduli):
+    """The search over all of Aut(A,+) with first-table orbit marking: each
+    table not yet in a known orbit, in search order, is the next
+    representative.  Returns the representative tables and the class sizes."""
+    group = AbelianGroup(moduli)
+    perms = all_automorphisms(group)
+    n, k = group.order, len(perms)
+    index = {q: i for i, q in enumerate(perms)}
+
+    @cache
+    def compose(i, j):
+        return index[tuple(perms[i][x] for x in perms[j])]
+
+    def close(assign, known, todo):
+        while todo:
+            x = todo.pop()
+            for y in known:
+                for s, t in ((x, y), (y, x)):
+                    c = group.add_rank(s, perms[assign[s]][t])
+                    want = compose(assign[s], assign[t])
+                    if assign[c] < 0:
+                        assign[c] = want
+                        known.append(c)
+                        todo.append(c)
+                    elif assign[c] != want:
+                        return False
+        return True
+
+    tables = []
+
+    def dfs(assign, known):
+        if -1 not in assign:
+            tables.append(tuple(assign))
+            return
+        u = assign.index(-1)
+        for cand in range(k):
+            trial, trial_known = list(assign), known + [u]
+            trial[u] = cand
+            if close(trial, trial_known, [u]):
+                dfs(trial, trial_known)
+
+    start = [-1] * n
+    start[0] = index[tuple(range(n))]
+    if close(start, [0], [0]):
+        dfs(start, [0])
+
+    reps, sizes, marked = [], [], set()
+    for table in tables:
+        if table in marked:
+            continue
+        orbit = set()
+        for alpha in range(k):
+            ia = index[perm_inverse(perms[alpha])]
+            conj = [0] * n
+            for a in range(n):
+                conj[perms[alpha][a]] = compose(compose(alpha, table[a]), ia)
+            orbit.add(tuple(conj))
+        marked |= orbit
+        reps.append(list(table))
+        sizes.append(len(orbit))
+    return reps, sizes
+
+
+@pytest.mark.parametrize("moduli", [(2, 2, 2), (3, 9), (4, 4), (2, 2, 4), (5, 5), (2, 6)])
+def test_sylow_search_matches_full_aut_search(enumerations, moduli):
+    res = enumerations[moduli] if moduli in enumerations else enumerate_braces(moduli, max_order=27)
+    reps, sizes = _full_aut_reference(moduli)
+    assert [b.lambda_ids for b in res.representatives] == reps
+    assert [b.name for b in res.representatives] == [f"enum{moduli}-{i:03d}" for i in range(len(reps))]
+    assert list(res.class_sizes) == sizes
+    assert res.total_tables == sum(sizes)
+    pp = prime_power(prod(moduli))
+    if pp is None:
+        return
+    p = pp[0]
+    perms = all_automorphisms(AbelianGroup(moduli))
+    index = {q: i for i, q in enumerate(perms)}
+    sylow = sylow_subgroup(perms, p)
+    members = set(sylow)
+    assert sylow == sorted(members)
+    assert all(index[tuple(perms[i][x] for x in perms[j])] in members for i in sylow for j in sylow)
+    assert all(_p_part(perm_order(perms[i]), p) == perm_order(perms[i]) for i in sylow)
+    assert len(sylow) == _p_part(len(perms), p)
+
+
+def _p_part(m, p):
+    out = 1
+    while m % p == 0:
+        m //= p
+        out *= p
+    return out
 
 
 def test_order_16_noncyclic_counts(enumerations):
@@ -124,6 +236,29 @@ def test_order_16_noncyclic_counts(enumerations):
         aut = len(all_automorphisms(AbelianGroup(moduli)))
         assert aut == aut_counts[moduli]
         assert all(aut % size == 0 for size in res.class_sizes)
+
+
+@pytest.mark.slow
+def test_order_16_census(enumerations):
+    """Every brace on the five additive groups of order 16: 357 classes
+    (Guarnieri and Vendramin, Math. Comp. 2017)."""
+    expected = {(16,): 8, (2, 8): 66, (4, 4): 83, (2, 2, 4): 161, (2, 2, 2, 2): 39}
+    results = {}
+    for moduli in expected:
+        res = enumerations.get(moduli) or enumerate_braces(moduli, force=True)
+        assert all(aut_order(moduli) % size == 0 for size in res.class_sizes)
+        results[moduli] = res
+    assert {m: r.isomorphism_classes for m, r in results.items()} == expected
+    assert sum(expected.values()) == 357
+    assert results[(2, 2, 2, 2)].total_tables == 62_896
+
+
+def test_result_counts_are_checked(enumerations):
+    res = enumerations[(4,)]
+    with pytest.raises(StructuralAnomaly, match="classes"):
+        EnumerationResult(res.moduli, res.representatives, res.total_tables, 3, res.class_sizes, 0)
+    with pytest.raises(StructuralAnomaly, match="class sizes sum"):
+        EnumerationResult(res.moduli, res.representatives, 5, 2, res.class_sizes, 0)
 
 
 def test_oracle_c4xc4():
