@@ -8,6 +8,13 @@ component maps; the multipermutation level is the number of retraction steps
 to reach a single point (level 0 for an already-trivial solution, so the
 trivial brace on n >= 2 points has level 1).
 
+The braid relation of an involutive, non-degenerate map with sigma_x the row
+x of u is decided on pairs: it holds on every triple exactly when
+sigma_x sigma_{sigma_x^-1(y)} = sigma_y sigma_{sigma_y^-1(x)} for all x, y
+(Rump, Adv. Math. 193 (2005), the cycle-set law).  For a brace both sides
+are lambda_{x+y}.  Other maps, and maps that fail the law, are scanned
+triple by triple for a witness.
+
 ``retraction`` and ``multipermutation_level`` work on any solution table.
 For a brace, Ret(r_A) = r_{A/Soc(A)} with Soc(A) = ker lambda, so
 ``nilpotency.socle_series_length`` gives the same level from the socle
@@ -16,24 +23,12 @@ quotients of the brace, without building the 2 n^2 table entries.
 
 from __future__ import annotations
 
-import os
-import signal
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .abelian import EXHAUSTIVE_LIMIT, RANK_BLOCK, _rank_blocks, perm_inverse
+from .abelian import EXHAUSTIVE_LIMIT, _rank_blocks, perm_inverse
 from .brace import Brace, BraceError
-
-# Fewest braid triples that check_solution splits across two processes (512
-# blocks of sampled triples; exhaustive checks from order 51).  On a 2-vCPU
-# machine the split breaks even near 16,384 sampled triples, where the fork
-# and the worker's re-draw of the parent's blocks eat the second CPU's gain,
-# and saves about a third from here on; smaller checks, like most of the
-# tests' calls, stay in one process.
-SPLIT_MIN_TRIPLES = 512 * (RANK_BLOCK // 3)
 
 
 class PropertyFailure(BraceError):
@@ -169,19 +164,49 @@ def _first_mismatch(lhs: tuple, rhs: tuple) -> int:
     return next(t for t, (l, r) in enumerate(zip(zip(*lhs), zip(*rhs))) if l != r)
 
 
+def _cycle_set_law(sol: YBESolution) -> bool | None:
+    """sigma_x sigma_{sigma_x^-1(y)} = sigma_y sigma_{sigma_y^-1(x)} for all x, y,
+    on an involutive, left non-degenerate map (sigma_x is row x of u).
+
+    The distinct rows and their k^2 compositions are interned to ids, so with
+    L(x, y) the id of sigma_x sigma_{sigma_x^-1(y)} the law says that L is
+    symmetric; it is checked a row x of L at a time against column x, without
+    building L.  None (undecided, left to the scan) once more than n distinct
+    permutations turn up, so that the interned permutations stay within about
+    the size of u.
+    """
+    n, u = sol.n, sol.u
+    perm_id: dict[tuple[int, ...], int] = {}
+    ids = [perm_id.setdefault(tuple(u[x * n : (x + 1) * n]), len(perm_id)) for x in range(n)]
+    rows = list(perm_id)
+    inverses = [perm_inverse(row) for row in rows]
+    after = [_picker(row) for row in rows]  # after[j](s) = s o rows[j]
+    comp = []  # comp[i][j]: the id of rows[i] o rows[j]
+    for row in rows:
+        comp.append([perm_id.setdefault(along(row), len(perm_id)) for along in after])
+        if len(perm_id) > n:
+            return None
+    by_id = _picker(ids)  # s -> s[ids[.]]
+    for x in range(n):
+        i = ids[x]
+        lhs = _picker(_picker(inverses[i])(ids))(comp[i])
+        column = by_id([c[ids[inv[x]]] for c, inv in zip(comp, inverses)])
+        if lhs != column:
+            return False
+    return True
+
+
 # r12 r23 r12 = r23 r12 r23 on (x, y, z):
 #   (a, b) = r(x, y), (c, d) = r(b, z), (e, f) = r(a, c), lhs = (e, f, d);
 #   (g, h) = r(y, z), (i, j) = r(x, g), (k, l) = r(j, h), rhs = (i, k, l).
 #
-# Each kernel checks a contiguous range of the triple stream and returns
-# (triples checked from the start of the stream, first failing triple or None).
+# Each scan returns (triples checked, first failing triple or None).
 
 Braid = tuple[int, tuple[int, int, int] | None]
 
 
-def _braid_exhaustive(sol: YBESolution, start: int, stop: int) -> Braid:
-    """The triples (x, y, z) with start <= x < stop, in (x, y, z) order, all z
-    of a pair (x, y) at once.
+def _braid_exhaustive(sol: YBESolution) -> Braid:
+    """Every triple (x, y, z) in (x, y, z) order, all z of a pair (x, y) at once.
 
     With rows U_t, V_t of u and v, at each z: e = U_a[U_b[z]], f = V_a[U_b[z]],
     d = V_b[z], i = U_x[U_y[z]], and k, l = u[j n + h], v[j n + h] with
@@ -189,7 +214,7 @@ def _braid_exhaustive(sol: YBESolution, start: int, stop: int) -> Braid:
     z by z, for the first failing z.
     """
     n, u, v = sol.n, sol.u, sol.v
-    for x in range(start, stop):
+    for x in range(n):
         ux, vx = u[x * n : (x + 1) * n], v[x * n : (x + 1) * n]
         for y in range(n):
             a, b = ux[y], vx[y]
@@ -201,22 +226,22 @@ def _braid_exhaustive(sol: YBESolution, start: int, stop: int) -> Braid:
             if lhs != rhs:
                 z = _first_mismatch(lhs, rhs)
                 return (x * n + y) * n + z + 1, (x, y, z)
-    return stop * n * n, None
+    return n**3, None
 
 
-def _braid_sampled(sol: YBESolution, budget: int, seed: int, start: int, stop: int) -> Braid:
-    """Blocks start..stop-1 of the triples of random.Random(seed).randrange(n),
-    three draws each, RANK_BLOCK // 3 triples a block: the blocks before start
-    are drawn and dropped.  The six maps of the relation are gathered from u
-    and v through their pair ranks x * n + y for a whole block at once."""
+def _braid_sampled(sol: YBESolution, budget: int, seed: int) -> Braid:
+    """The first budget triples of random.Random(seed).randrange(n), three
+    draws each, RANK_BLOCK // 3 triples a block.  The six maps of the relation
+    are gathered from u and v through their pair ranks x * n + y for a whole
+    block at once."""
     n, u, v = sol.n, sol.u, sol.v
 
     def at(xs: Sequence[int], ys: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         pick = _picker([x * n + y for x, y in zip(xs, ys)])
         return pick(u), pick(v)
 
-    checked = start * (RANK_BLOCK // 3)
-    for block in islice(_rank_blocks(n, seed, 3 * budget), start, stop):
+    checked = 0
+    for block in _rank_blocks(n, seed, 3 * budget):
         xs, ys, zs = block[0::3], block[1::3], block[2::3]
         a, b = at(xs, ys)
         c, d = at(b, zs)
@@ -232,54 +257,6 @@ def _braid_sampled(sol: YBESolution, budget: int, seed: int, start: int, stop: i
     return checked, None
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_two(kernel: Callable[[int, int], Braid], cut: int, stop: int) -> Braid:
-    """kernel(0, stop), with [0, cut) checked here and [cut, stop) in one
-    forked worker that sends its result back through a pipe.
-
-    The parent's range comes first in the stream, so a witness found here wins
-    and the worker is killed unread; otherwise the result is the worker's.  A
-    worker that dies or sends nothing has its range checked again here.  The
-    worker leaves only through os._exit, so nothing of the caller (finally
-    blocks, buffered output) runs twice, and it is killed and reaped before
-    this returns or raises.  If fork fails, the whole range runs here.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return kernel(0, stop)
-    if pid == 0:
-        code = 1
-        try:
-            checked, witness = kernel(cut, stop)
-            os.write(write_fd, " ".join(map(str, (checked, *(witness or ())))).encode())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            checked, witness = kernel(0, cut)
-            if witness is not None:
-                return checked, witness
-            reply = [int(w) for w in pipe.read().split()]
-        if not reply:  # the worker died before it wrote
-            return kernel(cut, stop)
-        return reply[0], tuple(reply[1:]) or None
-    finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
 def _check_entries(sol: YBESolution) -> None:
     """ValueError naming the first entry of u, then of v, outside 0..n-1."""
     n = sol.n
@@ -291,17 +268,18 @@ def _check_entries(sol: YBESolution) -> None:
 
 def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int = 0) -> SolutionReport:
     """Involutivity, non-degeneracy (always exhaustive), and the braid
-    relation (exhaustive up to EXHAUSTIVE_LIMIT, seeded sampling above).
+    relation on every triple up to EXHAUSTIVE_LIMIT, on seeded sampled
+    triples above it.
 
-    The braid check stops at the first failing triple, which is the witness;
+    On an involutive, non-degenerate map the cycle-set law decides the braid
+    relation on pairs (Rump 2005, see the module docstring).  When it holds,
+    every triple satisfies the relation, so the report is the one a scan
+    would give, without drawing a rank: braid true, no witness, and n^3 or
+    sample_budget triples checked.  Otherwise the triples are scanned in
+    order and the scan stops at the first failing one, which is the witness;
     triples_checked counts the triples up to and including it.  Sampling
     needs sample_budget >= 1; a smaller budget raises ValueError, and so does
     an entry of u or v outside 0..n-1.
-
-    From SPLIT_MIN_TRIPLES triples on, with two usable CPUs, the braid check
-    runs in two processes (_in_two): the parent checks the first range of the
-    triple stream, one forked worker the rest.  The report is the one the
-    in-process check gives.
     """
     n = sol.n
     _check_entries(sol)
@@ -310,19 +288,13 @@ def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int =
         raise ValueError(f"sample_budget must be at least 1 to sample the braid check, got {sample_budget}")
     involutive = _involutive(sol)
     nondeg = _nondegenerate(sol)
-    if exhaustive:
-        # a range of x values; both halves cost the same
-        kernel, triples, used_seed = partial(_braid_exhaustive, sol), n**3, None
-        stop, cut = n, (n + 1) // 2
+    triples, used_seed = (n**3, None) if exhaustive else (sample_budget, seed)
+    if involutive and nondeg and _cycle_set_law(sol):
+        checked, witness = triples, None
+    elif exhaustive:
+        checked, witness = _braid_exhaustive(sol)
     else:
-        # a range of blocks; the worker also draws the parent's blocks, so the parent takes 11/20
-        kernel, triples, used_seed = partial(_braid_sampled, sol, sample_budget, seed), sample_budget, seed
-        stop = -(-3 * sample_budget // RANK_BLOCK)
-        cut = -(-11 * stop // 20)
-    if triples >= SPLIT_MIN_TRIPLES and hasattr(os, "fork") and _usable_cpus() >= 2:
-        checked, witness = _in_two(kernel, cut, stop)
-    else:
-        checked, witness = kernel(0, stop)
+        checked, witness = _braid_sampled(sol, sample_budget, seed)
     return SolutionReport(n, involutive, nondeg, witness is None, checked, exhaustive, used_seed, witness)
 
 

@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-import errno
 import itertools
+import json
 import os
 import random
-import time
+from pathlib import Path
 
 import pytest
 
 from bracelab import ybe
-from bracelab.abelian import RANK_BLOCK, AbelianGroup, _rank_blocks
+from bracelab.abelian import RANK_BLOCK, AbelianGroup, _rank_blocks, perm_inverse
 from bracelab.brace import brace_report, trivial_brace
+from bracelab.cli import main
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.nilpotency import _sample_ranks
 from bracelab.ybe import (
-    SPLIT_MIN_TRIPLES,
     NotWellDefined,
     SolutionReport,
     YBESolution,
@@ -313,200 +313,84 @@ def test_sampled_braid_witnesses_are_pinned(order625_solutions):
     assert (report.witness, report.triples_checked) == ((199, 135, 386), 29582)
 
 
-# -- the braid check split across two processes, against the in-process check --
+# -- the braid relation decided on pairs by the cycle-set law --
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """The pids of the workers forked in this process."""
-    real, pids = os.fork, []
-
-    def counting():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    return pids
+def _cycle_set_map(sigmas: list[tuple[int, ...]]) -> YBESolution:
+    """r(x, y) = (sigma_x(y), sigma_{sigma_x(y)}^-1(x)): involutive and left
+    non-degenerate for any permutations sigma_x."""
+    n = len(sigmas)
+    inverses = [perm_inverse(s) for s in sigmas]
+    u = [s[y] for s in sigmas for y in range(n)]
+    v = [inverses[u[x * n + y]][x] for x in range(n) for y in range(n)]
+    return YBESolution(n, u, v)
 
 
-@pytest.fixture()
-def kernel_ranges(monkeypatch):
-    """The (start, stop) ranges the braid kernels are run on in this process."""
-    me, ranges = os.getpid(), []
+def _random_cycle_set_map(rng: random.Random, n: int, k: int) -> YBESolution:
+    """sigma_x drawn from k seeded permutations of 0..n-1, so at most k distinct rows."""
+    perms = [tuple(rng.sample(range(n), n)) for _ in range(k)]
+    return _cycle_set_map([rng.choice(perms) for _ in range(n)])
+
+
+def _law_breaking_maps() -> list[YBESolution]:
+    """Seeded random maps of order 1..8 that are non-degenerate and fail the braid relation."""
+    rng = random.Random(2005)
+    maps = (_random_cycle_set_map(rng, n, rng.randint(1, n)) for n in (rng.randint(1, 8) for _ in range(500)))
+    return [sol for sol in maps if ybe._nondegenerate(sol) and not ref_braid(sol, 0, 0)[0]][:3]
+
+
+def test_braid_by_the_cycle_set_law_matches_the_triple_loop():
+    rng = random.Random(2005)
+    outcomes, law = set(), []
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        sol = _random_cycle_set_map(rng, n, rng.randint(1, n))
+        report = _assert_braid_matches(sol)
+        outcomes.add(report.braid)
+        if report.nondegenerate:
+            law.append(ybe._cycle_set_law(sol))
+    # the law holds, fails, and is left to the scan (more than n compositions)
+    assert outcomes == {True, False}
+    assert set(law) == {True, False, None}
+
+
+def test_a_law_breaking_map_above_the_limit_is_sampled():
+    # a non-degenerate map of order at most 8 that fails the law, with 90 more
+    # points that every sigma fixes: still involutive and non-degenerate, and
+    # the sampled scan finds a failing triple
+    smalls = _law_breaking_maps()
+    assert len(smalls) == 3
+    for small in smalls:
+        m = small.n
+        sigmas = [small.sigma_row(x) + tuple(range(m, m + 90)) for x in range(m)]
+        sol = _cycle_set_map(sigmas + [tuple(range(m + 90))] * 90)
+        assert ybe._involutive(sol) and ybe._nondegenerate(sol) and ybe._cycle_set_law(sol) is False
+        report = _assert_braid_matches(sol, seed=3)
+        assert not report.exhaustive and not report.braid
+
+
+def test_solutions_that_keep_the_law_are_not_scanned(monkeypatch, capsys, builtin_corpus, order625_solutions):
+    def never(*args):
+        raise AssertionError("scanned triples of a solution that keeps the cycle-set law")
+
     for name in ("_braid_exhaustive", "_braid_sampled"):
-
-        def recording(*args, real=getattr(ybe, name)):
-            if os.getpid() == me:
-                ranges.append(args[-2:])
-            return real(*args)
-
-        monkeypatch.setattr(ybe, name, recording)
-    return ranges
-
-
-def _in_process(monkeypatch, sol: YBESolution, budget: int = 1_000_000, seed: int = 0) -> SolutionReport:
-    with monkeypatch.context() as patch:
-        patch.setattr(ybe, "_usable_cpus", lambda: 1)
-        return check_solution(sol, sample_budget=budget, seed=seed)
-
-
-def _assert_split_matches(monkeypatch, ranges, sol: YBESolution, budget: int = 1_000_000, seed: int = 0) -> str:
-    """The split report equals the in-process one and the triple loop; returns
-    the side ('parent' or 'worker') whose range holds the first failing triple."""
-    split = check_solution(sol, sample_budget=budget, seed=seed)
-    serial = _in_process(monkeypatch, sol, budget, seed)
-    # the parent ran [0, cut) of the split check, the in-process check [0, stop)
-    [(start, cut), (_, stop)] = ranges
-    assert start == 0 < cut < stop, ranges
-    assert split == serial
-    assert (split.braid, split.triples_checked, split.witness) == ref_braid(sol, budget, seed)
-    if split.braid:
-        return "none"
-    if split.exhaustive:
-        return "parent" if split.witness[0] < cut else "worker"
-    return "parent" if split.triples_checked <= cut * (RANK_BLOCK // 3) else "worker"
-
-
-# ([brace,] tamper seed of u, side of the first failing triple), picked by the triple loop's index
-TAMPERED_625 = [
-    ("m1", 0, "parent"), ("m1", 3, "parent"), ("m1", 8, "worker"), ("m1", 25, "worker"), ("m2", 14, "worker")
-]
-TAMPERED_81 = [(2, "parent"), (0, "parent"), (17, "worker"), (6, "worker")]
-
-
-@pytest.mark.parametrize("brace, tamper, side", TAMPERED_625)
-def test_split_sampled_braid_matches_the_serial_check(
-    monkeypatch, kernel_ranges, order625_solutions, brace, tamper, side
-):
-    sol = _swapped(order625_solutions[("m1", "m2").index(brace)], "u", tamper)
-    assert _assert_split_matches(monkeypatch, kernel_ranges, sol, SPLIT_MIN_TRIPLES) == side
-
-
-def test_split_sampled_braid_at_the_default_budget(monkeypatch, kernel_ranges, order625_solutions):
-    sol = _swapped(order625_solutions[0], "u", 1)
-    assert _assert_split_matches(monkeypatch, kernel_ranges, sol) == "parent"
-
-
-@pytest.mark.parametrize("tamper, side", TAMPERED_81)
-def test_split_exhaustive_braid_matches_the_serial_check(monkeypatch, kernel_ranges, tamper, side):
-    # tampered twists fail at x spread over the whole range; 17 fails in the worker's first row
-    sol = _swapped(twist_solution(81), "u", tamper)
-    assert _assert_split_matches(monkeypatch, kernel_ranges, sol) == side
-
-
-@pytest.mark.parametrize("blocks", [-1, 0, 1])
-def test_split_starts_at_the_threshold(monkeypatch, forks, order625_solutions, blocks):
-    budget = SPLIT_MIN_TRIPLES + blocks * (RANK_BLOCK // 3)
-    m1, m2, _ = order625_solutions
-    for sol in (m2, _swapped(m1, "u", 8)):
-        report = check_solution(sol, sample_budget=budget)
-        assert report == _in_process(monkeypatch, sol, budget)
-        assert (report.braid, report.triples_checked, report.witness) == ref_braid(sol, budget, 0)
-    assert len(forks) == (0 if blocks < 0 else 2)
-
-
-def test_split_only_with_two_cpus_and_fork(monkeypatch, forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert ybe._usable_cpus() == 1
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    for count, usable in ((None, 1), (1, 1), (2, 2)):
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert ybe._usable_cpus() == usable
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert check_solution(twist_solution(81)).passed and forks == []
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delattr(os, "fork")
-    assert check_solution(twist_solution(81)).passed
-
-
-def test_no_worker_is_left_after_check_solution(forks, order625_solutions):
-    # a pass, an early failure in the parent's range, and an order-81 pass
-    m1 = order625_solutions[0]
-    for sol, budget in ((m1, SPLIT_MIN_TRIPLES), (_swapped(m1, "u", 0), SPLIT_MIN_TRIPLES), (twist_solution(81), 1)):
-        check_solution(sol, sample_budget=budget)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    assert len(forks) == 3
-
-
-def test_an_exception_in_the_parent_range_kills_the_worker(monkeypatch, forks, order625_solutions):
-    me = os.getpid()
-
-    def kernel(*args):
-        if os.getpid() != me:
-            time.sleep(120)  # outlives the check unless killed
-        raise RuntimeError("parent range")
-
-    monkeypatch.setattr(ybe, "_braid_sampled", kernel)
-    started = time.monotonic()
-    with pytest.raises(RuntimeError, match="parent range"):
-        check_solution(order625_solutions[0])
-    assert time.monotonic() - started < 60 and len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("tamper", [None, 0, 8])
-def test_a_worker_that_dies_is_checked_again_here(monkeypatch, forks, kernel_ranges, order625_solutions, tamper):
-    # a pass, a failure in the parent's range, and one in the worker's range
-    m1, me = order625_solutions[0], os.getpid()
-    sol = m1 if tamper is None else _swapped(m1, "u", tamper)
-    want = _in_process(monkeypatch, sol, SPLIT_MIN_TRIPLES)
-    del kernel_ranges[:]
-    real = ybe._braid_sampled
-
-    def dying(*args):
-        if os.getpid() != me:
-            os._exit(3)
-        return real(*args)
-
-    monkeypatch.setattr(ybe, "_braid_sampled", dying)
-    assert check_solution(sol, sample_budget=SPLIT_MIN_TRIPLES) == want
-    assert len(forks) == 1 and len(kernel_ranges) == (1 if tamper == 0 else 2)
-
-
-def test_an_exception_in_the_worker_range_is_the_serial_one(monkeypatch, forks, order625_solutions):
-    # the kernel raises on the last block, in whichever process checks it
-    real = ybe._braid_sampled
-    last = SPLIT_MIN_TRIPLES // (RANK_BLOCK // 3) - 1
-
-    def failing_late(sol, budget, seed, start, stop):
-        if start <= last < stop:
-            raise RuntimeError(f"block {last}")
-        return real(sol, budget, seed, start, stop)
-
-    monkeypatch.setattr(ybe, "_braid_sampled", failing_late)
-    for check in (_in_process, lambda _, *args: check_solution(args[0], sample_budget=args[1])):
-        with pytest.raises(RuntimeError, match=f"^block {last}$"):
-            check(monkeypatch, order625_solutions[0], SPLIT_MIN_TRIPLES)
-    assert len(forks) == 1
-
-
-def test_a_failed_fork_checks_everything_here(monkeypatch, order625_solutions):
-    sol = _swapped(order625_solutions[0], "u", 8)
-    want = _in_process(monkeypatch, sol, SPLIT_MIN_TRIPLES)
-
-    def no_fork():
-        raise OSError(errno.EAGAIN, "fork refused")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert check_solution(sol, sample_budget=SPLIT_MIN_TRIPLES) == want
-
-
-def test_the_caller_finally_runs_once(tmp_path, forks, order625_solutions):
-    # a worker that returned or raised would run this finally block too
-    log = tmp_path / "finally.log"
-    m1 = order625_solutions[0]
-    for sol in (m1, _swapped(m1, "u", 0), _swapped(m1, "u", 8)):
-        try:
-            check_solution(sol, sample_budget=SPLIT_MIN_TRIPLES)
-        finally:
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 3
-    assert len(forks) == 3
+        monkeypatch.setattr(ybe, name, never)
+    monkeypatch.setattr(os, "fork", never)
+    sols = [solution_from_brace(b) for b in builtin_corpus] + order625_solutions
+    for sol, budget in itertools.product(sols, (1, 1_000_000)):
+        report = check_solution(sol, sample_budget=budget, seed=5)
+        assert report.passed and report.witness is None
+        assert report.triples_checked == (sol.n**3 if report.exhaustive else budget)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "verify" / "exponent-5.json"
+    assert main(["verify", "--input", str(path), "--suite", "ybe"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["ybe"] == {
+        "involutive": True,
+        "nondegenerate": True,
+        "braid": True,
+        "triples_checked": 1_000_000,
+        "exhaustive": False,
+        "multipermutation_level": 2,
+    }
 
 
 def ref_retraction(sol: YBESolution) -> YBESolution:
