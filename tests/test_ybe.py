@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import os
@@ -391,6 +392,46 @@ def test_solutions_that_keep_the_law_are_not_scanned(monkeypatch, capsys, builti
         "exhaustive": False,
         "multipermutation_level": 2,
     }
+
+
+# -- the braid relation is checked in this process --
+
+
+def test_no_worker_is_left_after_check_solution(monkeypatch, order625_solutions):
+    # a pass by the law, a sampled failure, a law-breaking map scanned above the
+    # limit, and an order-81 pass: none starts a child process
+    real, forks = os.fork, []
+
+    def counting():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    m1 = order625_solutions[0]
+    small = _law_breaking_maps()[0]
+    m = small.n
+    law_breaking = _cycle_set_map(
+        [small.sigma_row(x) + tuple(range(m, m + 90)) for x in range(m)] + [tuple(range(m + 90))] * 90
+    )
+    for sol, budget in ((m1, 100_000), (_swapped(m1, "u", 0), 100_000), (law_breaking, 1000), (twist_solution(81), 1)):
+        check_solution(sol, sample_budget=budget)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert forks == []
+
+
+def test_a_failed_fork_checks_everything_here(monkeypatch, order625_solutions):
+    # a tampered order-625 map is sampled here, to its first failing triple,
+    # even where no process can be started
+    def no_fork():
+        raise OSError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    sol = _swapped(order625_solutions[0], "u", 8)
+    report = _assert_braid_matches(sol, 100_000)
+    assert not report.braid and report.triples_checked == 88016
 
 
 def ref_retraction(sol: YBESolution) -> YBESolution:
