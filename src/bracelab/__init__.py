@@ -35,9 +35,7 @@ from .brace import (
     validate_brace,
 )
 from .constructions import (
-    ConstructionSpec,
     RING_PRESETS,
-    build_construction,
     diagonal_brace_m1,
     diagonal_brace_m2,
     ring_brace,
@@ -48,7 +46,6 @@ from .fileformat import BraceFileError, load_brace, save_brace
 from .nilpotency import (
     Certificate,
     ConsistencyFailure,
-    InputShapeMismatch,
     PreconditionMismatch,
     SeriesResult,
     SuiteReport,
@@ -70,6 +67,7 @@ from .pgroups import (
     Classification,
     GroupFingerprint,
     GroupModel,
+    InputShapeMismatch,
     NoMatch,
     NONABELIAN_TAGS,
     RelationFailure,

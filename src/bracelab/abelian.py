@@ -10,51 +10,12 @@ All values are immutable after construction, so concurrent reads are safe.
 from __future__ import annotations
 
 import itertools
-import random
-import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 Element = tuple[int, ...]
-
-# Checks over all triples (or all elements) run exhaustively up to this
-# order and on seeded samples above it.
-EXHAUSTIVE_LIMIT = 81
-
-# Ranks per block of _rank_blocks: a multiple of 3, so sampled triples never
-# straddle two blocks.  Each refill draws this many 32-bit words.
-RANK_BLOCK = 3 * 256
-_WORDS = struct.Struct(f"<{RANK_BLOCK}I")
-
-
-def _rank_blocks(n: int, seed: int, count: int | None = None) -> Iterator[list[int]]:
-    """Seeded ranks in 0..n-1, in blocks of RANK_BLOCK (the last one shorter).
-
-    The blocks concatenate to ``[random.Random(seed).randrange(n) for _ in
-    range(count)]``, or to the unbounded stream when count is None.  For
-    n < 2^32, randrange(n) keeps the top n.bit_length() bits of one 32-bit
-    Mersenne Twister word and draws again while the value is >= n, and
-    getrandbits(32 m) returns the next m such words, little-endian: one call
-    draws a batch of words and the rejection runs over the batch.  Words
-    drawn past the last block are never used.
-    """
-    k = n.bit_length()
-    if not 0 < k <= 32:
-        raise ValueError(f"rank sampling needs 0 < n < 2^32, got {n}")
-    shift, limit = 32 - k, n << (32 - k)
-    getrandbits = random.Random(seed).getrandbits
-    ranks: list[int] = []
-    while count is None or count > 0:
-        want = RANK_BLOCK if count is None else min(RANK_BLOCK, count)
-        while len(ranks) < want:
-            words = _WORDS.unpack(getrandbits(32 * RANK_BLOCK).to_bytes(4 * RANK_BLOCK, "little"))
-            ranks += [w >> shift for w in words if w < limit]
-        yield ranks[:want]
-        del ranks[:want]
-        if count is not None:
-            count -= want
 
 
 class AbelianError(Exception):

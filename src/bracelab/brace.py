@@ -29,7 +29,6 @@ from .abelian import (
     StructuralAnomaly,
     Subgroup,
     TableGroup,
-    _rank_blocks,
     abelian_basis,
     closure_generators,
     normal_form_images,
@@ -319,34 +318,20 @@ def validate_brace(
     return brace
 
 
-def brace_report(
-    group: AbelianGroup,
-    lambda_columns: Sequence[Sequence[Sequence[int]]],
-    spot_triples: int = 200,
-    seed: int = 0,
-) -> BraceReport:
+def brace_report(group: AbelianGroup, lambda_columns: Sequence[Sequence[Sequence[int]]]) -> BraceReport:
     """Collect all axiom violations (with witnesses) instead of raising.
 
-    Also spot-verifies the distributivity law a o (b+c) + a = a o b + a o c on
-    seeded triples as a self-test; it is implied by the lambda representation.
+    checks counts one check per lambda, plus the n^2 cocycle scan when every
+    lambda passed.  Distributivity a o (b+c) + a = a o b + a o c says that
+    each lambda_a is additive, which holds by construction: each lambda is
+    built as the additive extension of its columns.
     """
     n = group.order
     if len(lambda_columns) != n:
         return BraceReport(n, (("TableSize", (len(lambda_columns),)),), 1)
-    brace, found = _table_violations(group, lambda_columns, "")
+    _, found = _table_violations(group, lambda_columns, "")
     violations = [(type(err).__name__, witness) for err, witness in found]
-    # one check per lambda, and the n^2 cocycle scan when every lambda passed
     checks = n + (n * n if all(isinstance(err, CocycleViolation) for err, _ in found) else 0)
-    if not violations:
-        add = group.add_rank
-        ranks = itertools.chain.from_iterable(_rank_blocks(n, seed, 3 * spot_triples))
-        for a, b, c in zip(ranks, ranks, ranks):
-            lhs = add(brace.circ_r(a, add(b, c)), a)
-            rhs = add(brace.circ_r(a, b), brace.circ_r(a, c))
-            checks += 1
-            if lhs != rhs:
-                violations.append(("DistributivityViolation", (a, b, c)))
-                break
     return BraceReport(n, tuple(violations), checks)
 
 

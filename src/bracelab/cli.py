@@ -22,13 +22,12 @@ from pathlib import Path
 from typing import Any
 
 from .brace import Brace, BraceError
-from .constructions import ConstructionSpec, RING_PRESETS, build_construction
+from .constructions import RING_PRESETS, diagonal_brace_m1, diagonal_brace_m2, ring_brace, trivial_brace
 from .enumeration import GuardExceeded, enumerate_braces, holomorph_count_oracle
 from .fileformat import BraceFileError, load_brace, save_brace
 from .nilpotency import (
     InputShapeMismatch,
     PreconditionMismatch,
-    SuiteScope,
     annihilator_certificate,
     certify_right_nilpotent,
     identity_suite,
@@ -175,7 +174,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if "series" in suites:
         results["series"] = {k: _series_entry(brace, k) for k in ("left", "right", "strong")}
     if "identity" in suites:
-        suite = identity_suite(brace, SuiteScope(seed=seed))
+        suite = identity_suite(brace)
         results["identity"] = [_stage_entry(s) for s in suite.stages]
         failed |= not suite.passed
     if "certify" in suites:
@@ -378,23 +377,24 @@ def cmd_build(args: argparse.Namespace) -> int:
         if args.family == "trivial":
             if not args.moduli:
                 raise ValueError("--moduli required for the trivial family")
-            spec = ConstructionSpec("trivial", moduli=tuple(_parse_moduli(args.moduli)))
+            brace = trivial_brace(tuple(_parse_moduli(args.moduli)))
         elif args.family in ("diagonal-m1", "diagonal-m2"):
             if not args.prime:
                 raise ValueError("--prime required for diagonal families")
-            spec = ConstructionSpec(args.family, prime=args.prime)
+            diagonal = diagonal_brace_m1 if args.family == "diagonal-m1" else diagonal_brace_m2
+            brace = diagonal(args.prime)
         elif args.family == "ring":
             if args.preset not in RING_PRESETS:
                 raise ValueError(f"--preset must be one of {sorted(RING_PRESETS)}")
-            spec = ConstructionSpec("ring", ring_preset=args.preset)
+            moduli, products = RING_PRESETS[args.preset]
+            brace = ring_brace(moduli, products, name=f"ring:{args.preset}")
         else:
             raise ValueError(f"unknown family {args.family!r}")
-        brace = build_construction(spec)
     except (ValueError, BraceError) as exc:
         results["error"] = f"{type(exc).__name__}: {exc}"
         return _finish(doc, EXIT_INPUT_ERROR, args.out, started)
     try:
-        save_brace(brace, args.output, construction=spec.name())
+        save_brace(brace, args.output, construction=brace.name)
     except OSError as exc:
         results["error"] = f"{type(exc).__name__}: {exc}"
         return _finish(doc, EXIT_INPUT_ERROR, args.out, started)

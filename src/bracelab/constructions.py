@@ -12,19 +12,16 @@ so a * b = a.b exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .abelian import AbelianGroup, Element, closure_generators, subgroup_closure
 from .brace import Brace, BraceError, trivial_brace, validate_brace
 
 __all__ = [
-    "ConstructionSpec",
     "trivial_brace",
     "diagonal_brace_m1",
     "diagonal_brace_m2",
     "ring_brace",
-    "build_construction",
     "RING_PRESETS",
     "NotAssociative",
     "NotNilpotent",
@@ -131,33 +128,3 @@ RING_PRESETS: dict[str, tuple[tuple[int, ...], dict[tuple[int, int], tuple[int, 
     # e1.e1 = e2 on Z_2 x Z_2: commutative, abelian circle group
     "c2c2-square": ((2, 2), {(0, 0): (0, 1)}),
 }
-
-
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """Declarative recipe for a built-in brace."""
-
-    family: str  # trivial | diagonal-m1 | diagonal-m2 | ring
-    moduli: tuple[int, ...] = ()
-    prime: int = 0
-    ring_preset: str = ""
-
-    def name(self) -> str:
-        if self.family == "trivial":
-            return f"trivial{self.moduli}"
-        if self.family == "ring":
-            return f"ring:{self.ring_preset}"
-        return f"{self.family} p={self.prime}"
-
-
-def build_construction(spec: ConstructionSpec) -> Brace:
-    if spec.family == "trivial":
-        return trivial_brace(spec.moduli)
-    if spec.family == "diagonal-m1":
-        return diagonal_brace_m1(spec.prime)
-    if spec.family == "diagonal-m2":
-        return diagonal_brace_m2(spec.prime)
-    if spec.family == "ring":
-        moduli, products = RING_PRESETS[spec.ring_preset]
-        return ring_brace(moduli, products, name=f"ring:{spec.ring_preset}")
-    raise ValueError(f"unknown family {spec.family!r}")

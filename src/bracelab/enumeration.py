@@ -51,7 +51,7 @@ class GuardExceeded(BraceError):
 
 DEFAULT_MAX_ORDER = 16
 MAX_AUT = 1000
-ORACLE_MAX_AUT = 100_000
+ORACLE_MAX_AUT = 1000
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,9 @@ from math import comb
 from typing import Literal, Sequence
 
 from .abelian import (
-    EXHAUSTIVE_LIMIT,
     Element,
     StructuralAnomaly,
     Subgroup,
-    _rank_blocks,
     group_closure,
     multiples_subgroup,
     normal_form_images,
@@ -36,17 +34,13 @@ from .abelian import (
     subgroup_closure,
 )
 from .brace import Brace, BraceError, quotient_brace
-from .pgroups import _iso_from_model, presented
+from .pgroups import InputShapeMismatch, _iso_from_model, presented
 
 SeriesKind = Literal["left", "right", "strong"]
 
 
 class ConsistencyFailure(BraceError):
     """The certificate recursion and the direct series disagree."""
-
-
-class InputShapeMismatch(BraceError):
-    """Theorem input does not match the required order/additive type."""
 
 
 class PreconditionMismatch(BraceError):
@@ -299,20 +293,22 @@ _PPN_SKIP = "left series does not reach 0 by term 5"
 def _ppn_check(brace: Brace, P: int) -> tuple[int, int | None]:
     """P*P^n = c1(n) P*(P*(P*P)) + c2(n) P*(P*P) + n P*P for n = 0..2|P|.
 
-    Returns the number of checks made and the first failing n, or None.
+    The right side is summed by finite differences: from n to n + 1 it grows
+    by C(n, 2) P*(P*(P*P)) + n P*(P*P) + P*P, and that step grows by
+    n P*(P*(P*P)) + P*(P*P).  Returns the number of checks made and the
+    first failing n, or None.
     """
-    g = brace.group
-    scal = g.scalar_rank
+    add = brace.group.add_rank
     pp = brace.star_r(P, P)
     ppp = brace.star_r(P, pp)
     pppp = brace.star_r(P, ppp)
     last = 2 * brace.circle.element_orders[P]
-    pk = 0  # P^0
+    pk, rhs, step, step2 = 0, 0, pp, ppp  # P^n, the right side at n and its two differences
     for nn in range(last + 1):
-        rhs = g.add_rank(g.add_rank(scal(comb(nn, 3), pppp), scal(comb(nn, 2), ppp)), scal(nn, pp))
         if brace.star_r(P, pk) != rhs:
             return nn + 1, nn
         pk = brace.circ_r(pk, P)
+        rhs, step, step2 = add(rhs, step), add(step, step2), add(step2, pppp)
     return last + 1, None
 
 
@@ -578,7 +574,7 @@ def discover_theorem_context(brace: Brace) -> TheoremContext | None:
 
 @dataclass(frozen=True)
 class SuiteScope:
-    """Stage selection and ranges for the identity suite."""
+    """Stage selection for the identity suite."""
 
     stages: tuple[str, ...] = (
         "ppn",
@@ -586,26 +582,13 @@ class SuiteScope:
         "theorem_stages",
         "rel_suite",
     )
-    sample_budget: int = 20
-    seed: int = 0
 
 
-def _sample_ranks(n: int, budget: int, seed: int) -> list[int]:
-    if n <= EXHAUSTIVE_LIMIT:
-        return list(range(n))
-    picks, want = {0}, min(budget, n)
-    for r in itertools.chain.from_iterable(_rank_blocks(n, seed)):
-        if len(picks) >= want:
-            break
-        picks.add(r)
-    return sorted(picks)
-
-
-def _stage_ppn(brace: Brace, scope: SuiteScope) -> StageResult:
+def _stage_ppn(brace: Brace) -> StageResult:
     if not left_class_at_most(brace, 5):
         return StageResult("ppn", "skipped", reason=_PPN_SKIP)
     checks = 0
-    for P in _sample_ranks(brace.order, scope.sample_budget, scope.seed):
+    for P in range(brace.order):
         n_checks, failing = _ppn_check(brace, P)
         checks += n_checks
         if failing is not None:
@@ -613,7 +596,7 @@ def _stage_ppn(brace: Brace, scope: SuiteScope) -> StageResult:
     return StageResult("ppn", "passed", checks)
 
 
-def _stage_commuting_powers(brace: Brace, scope: SuiteScope) -> StageResult:
+def _stage_commuting_powers(brace: Brace) -> StageResult:
     """c^k * (c^l * a) = c^l * (c^k * a), deduplicated over cyclic circle subgroups.
 
     Both sides are additive in a (x * a = lambda_x(a) - a), so a runs over the
@@ -621,14 +604,13 @@ def _stage_commuting_powers(brace: Brace, scope: SuiteScope) -> StageResult:
     """
     checks = 0
     units = brace.group.unit_ranks
-    seen: set[frozenset[int]] = set()
-    ranks = _sample_ranks(brace.order, scope.sample_budget, scope.seed)
-    for c in ranks:
-        powers = normal_form_images(brace.circ_r, [brace.circle.element_orders[c]], [c])
-        key = frozenset(powers)
-        if key in seen:
+    orders = brace.circle.element_orders
+    done: set[int] = set()  # the generators of the cyclic subgroups already checked
+    for c in range(brace.order):
+        if c in done:
             continue
-        seen.add(key)
+        powers = normal_form_images(brace.circ_r, [orders[c]], [c])
+        done.update(x for x in powers if orders[x] == orders[c])
         for x in powers:
             for y in powers:
                 if x >= y:
@@ -657,7 +639,7 @@ def find_g4_pair(brace: Brace) -> tuple[int, int] | None:
     return None if witness is None else (witness[(1, 0)], witness[(0, 1)])
 
 
-def _stage_rel_suite(brace: Brace, scope: SuiteScope) -> StageResult:
+def _stage_rel_suite(brace: Brace) -> StageResult:
     """Conjugation identities specific to braces whose circle group is the
     order-p^4 group with an element of order p^3."""
     pair = find_g4_pair(brace)
@@ -673,12 +655,9 @@ def _stage_rel_suite(brace: Brace, scope: SuiteScope) -> StageResult:
     checks = 0
 
     spow = brace.circle.pow_r
-    exhaustive = brace.order <= EXHAUSTIVE_LIMIT
-    n_range = range(p3) if exhaustive else range(0, p3, max(1, p3 // scope.sample_budget))
     c_range = range(p)
-    d_range = _sample_ranks(n, scope.sample_budget, scope.seed)
 
-    for nn in n_range:
+    for nn in range(p3):
         pn = spow(P, nn)
         for cc in c_range:
             qc = spow(Q, cc)
@@ -701,7 +680,7 @@ def _stage_rel_suite(brace: Brace, scope: SuiteScope) -> StageResult:
     pp_rank = spow(P, p)
     for cc in c_range:
         qc = spow(Q, cc)
-        for d in d_range:
+        for d in range(n):
             # rel2: P^p * (Q^c * D) = Q^c * (P^p * D)
             checks += 1
             if brace.star_r(pp_rank, brace.star_r(qc, d)) != brace.star_r(qc, brace.star_r(pp_rank, d)):
@@ -710,14 +689,18 @@ def _stage_rel_suite(brace: Brace, scope: SuiteScope) -> StageResult:
 
 
 def identity_suite(brace: Brace, scope: SuiteScope | None = None) -> SuiteReport:
-    """Run the selected identity stages; preconditioned stages skip with reason."""
+    """Run the selected identity stages; preconditioned stages skip with reason.
+
+    Every stage is exact at every order: ppn and commuting_powers run over
+    all ranks, rel_suite over every power P^n (n < p^3) and every D.
+    """
     scope = scope or SuiteScope()
     out: list[StageResult] = []
     for stage in scope.stages:
         if stage == "ppn":
-            out.append(_stage_ppn(brace, scope))
+            out.append(_stage_ppn(brace))
         elif stage == "commuting_powers":
-            out.append(_stage_commuting_powers(brace, scope))
+            out.append(_stage_commuting_powers(brace))
         elif stage == "theorem_stages":
             ctx = discover_theorem_context(brace)
             if ctx is None:
@@ -731,7 +714,7 @@ def identity_suite(brace: Brace, scope: SuiteScope | None = None) -> SuiteReport
             else:
                 out.extend(theorem_stage_results(brace, ctx))
         elif stage == "rel_suite":
-            out.append(_stage_rel_suite(brace, scope))
+            out.append(_stage_rel_suite(brace))
         else:
             raise ValueError(f"unknown stage {stage!r}")
     return SuiteReport(tuple(out))

@@ -13,7 +13,9 @@ x of u is decided on pairs: it holds on every triple exactly when
 sigma_x sigma_{sigma_x^-1(y)} = sigma_y sigma_{sigma_y^-1(x)} for all x, y
 (Rump, Adv. Math. 193 (2005), the cycle-set law).  For a brace both sides
 are lambda_{x+y}.  Other maps, and maps that fail the law, are scanned
-triple by triple for a witness.
+triple by triple for a witness: every triple up to order 81 and seeded
+sampled triples above it.  This scan is the only sampled check in the
+package, so the rank sampler lives here.
 
 ``retraction`` and ``multipermutation_level`` work on any solution table.
 For a brace, Ret(r_A) = r_{A/Soc(A)} with Soc(A) = ker lambda, so
@@ -23,12 +25,49 @@ quotients of the brace, without building the 2 n^2 table entries.
 
 from __future__ import annotations
 
+import random
+import struct
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .abelian import EXHAUSTIVE_LIMIT, _rank_blocks, perm_inverse
+from .abelian import perm_inverse
 from .brace import Brace, BraceError
+
+# The braid relation is scanned on every triple up to this order and on
+# seeded sampled triples above it.
+EXHAUSTIVE_LIMIT = 81
+
+# Ranks per block of _rank_blocks: a multiple of 3, so sampled triples never
+# straddle two blocks.  Each refill draws this many 32-bit words.
+RANK_BLOCK = 3 * 256
+_WORDS = struct.Struct(f"<{RANK_BLOCK}I")
+
+
+def _rank_blocks(n: int, seed: int, count: int) -> Iterator[list[int]]:
+    """Seeded ranks in 0..n-1, in blocks of RANK_BLOCK (the last one shorter).
+
+    The blocks concatenate to ``[random.Random(seed).randrange(n) for _ in
+    range(count)]``.  For n < 2^32, randrange(n) keeps the top
+    n.bit_length() bits of one 32-bit Mersenne Twister word and draws again
+    while the value is >= n, and getrandbits(32 m) returns the next m such
+    words, little-endian: one call draws a batch of words and the rejection
+    runs over the batch.  Words drawn past the last block are never used.
+    """
+    k = n.bit_length()
+    if not 0 < k <= 32:
+        raise ValueError(f"rank sampling needs 0 < n < 2^32, got {n}")
+    shift, limit = 32 - k, n << (32 - k)
+    getrandbits = random.Random(seed).getrandbits
+    ranks: list[int] = []
+    while count > 0:
+        want = min(RANK_BLOCK, count)
+        while len(ranks) < want:
+            words = _WORDS.unpack(getrandbits(32 * RANK_BLOCK).to_bytes(4 * RANK_BLOCK, "little"))
+            ranks += [w >> shift for w in words if w < limit]
+        yield ranks[:want]
+        del ranks[:want]
+        count -= want
 
 
 class PropertyFailure(BraceError):
@@ -164,16 +203,23 @@ def _first_mismatch(lhs: tuple, rhs: tuple) -> int:
     return next(t for t, (l, r) in enumerate(zip(zip(*lhs), zip(*rhs))) if l != r)
 
 
-def _cycle_set_law(sol: YBESolution) -> bool | None:
+def _cycle_set_law(sol: YBESolution) -> bool | tuple[int, int, int] | None:
     """sigma_x sigma_{sigma_x^-1(y)} = sigma_y sigma_{sigma_y^-1(x)} for all x, y,
     on an involutive, left non-degenerate map (sigma_x is row x of u).
 
     The distinct rows and their k^2 compositions are interned to ids, so with
     L(x, y) the id of sigma_x sigma_{sigma_x^-1(y)} the law says that L is
     symmetric; it is checked a row x of L at a time against column x, without
-    building L.  None (undecided, left to the scan) once more than n distinct
-    permutations turn up, so that the interned permutations stay within about
-    the size of u.
+    building L.  True when the law holds; None (undecided, left to the scan)
+    once more than n distinct permutations turn up, so that the interned
+    permutations stay within about the size of u.
+
+    When it fails, the result is a failing triple: for the first pair (x, w)
+    in row order where L(x, w) != L(w, x), and the first z where the two
+    compositions differ, (x, sigma_x^-1(w), z).  On an involutive map
+    v(x, y) = sigma_{sigma_x(y)}^-1(x), so the first component of
+    r12 r23 r12 at (x, y, z) is sigma_w sigma_{sigma_w^-1(x)}(z) with
+    w = sigma_x(y), and that of r23 r12 r23 is sigma_x sigma_y(z).
     """
     n, u = sol.n, sol.u
     perm_id: dict[tuple[int, ...], int] = {}
@@ -192,7 +238,10 @@ def _cycle_set_law(sol: YBESolution) -> bool | None:
         lhs = _picker(_picker(inverses[i])(ids))(comp[i])
         column = by_id([c[ids[inv[x]]] for c, inv in zip(comp, inverses)])
         if lhs != column:
-            return False
+            w = next(w for w in range(n) if lhs[w] != column[w])
+            perms = list(perm_id)
+            left, right = perms[lhs[w]], perms[column[w]]
+            return x, inverses[i][w], next(z for z in range(n) if left[z] != right[z])
     return True
 
 
@@ -277,9 +326,11 @@ def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int =
     would give, without drawing a rank: braid true, no witness, and n^3 or
     sample_budget triples checked.  Otherwise the triples are scanned in
     order and the scan stops at the first failing one, which is the witness;
-    triples_checked counts the triples up to and including it.  Sampling
-    needs sample_budget >= 1; a smaller budget raises ValueError, and so does
-    an entry of u or v outside 0..n-1.
+    triples_checked counts the triples up to and including it.  When the law
+    fails and the sample misses every failing triple, braid is still false,
+    triples_checked is sample_budget and the witness is the law's triple.
+    Sampling needs sample_budget >= 1; a smaller budget raises ValueError,
+    and so does an entry of u or v outside 0..n-1.
     """
     n = sol.n
     _check_entries(sol)
@@ -289,12 +340,15 @@ def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int =
     involutive = _involutive(sol)
     nondeg = _nondegenerate(sol)
     triples, used_seed = (n**3, None) if exhaustive else (sample_budget, seed)
-    if involutive and nondeg and _cycle_set_law(sol):
+    law = _cycle_set_law(sol) if involutive and nondeg else None
+    if law is True:
         checked, witness = triples, None
     elif exhaustive:
         checked, witness = _braid_exhaustive(sol)
     else:
         checked, witness = _braid_sampled(sol, sample_budget, seed)
+        if witness is None and law is not None:
+            witness = law
     return SolutionReport(n, involutive, nondeg, witness is None, checked, exhaustive, used_seed, witness)
 
 

@@ -68,7 +68,7 @@ def test_validate_raises_first_violation_with_cause():
     report = brace_report(g, table)
     assert [kind for kind, _ in report.violations] == ["NotAutomorphism", "BadLambdaZero"]
     assert report.violations[0][1] == (5, str(exc.value.__cause__))
-    assert report.checks == 16  # no cocycle scan, no spot triples
+    assert report.checks == 16  # no cocycle scan
 
 
 def test_brace_report_collects_violations():
@@ -80,7 +80,7 @@ def test_brace_report_collects_violations():
     assert report.checks == 16 + 16 * 16
     good = brace_report(*diag44_columns())
     assert good.passed and not good.violations
-    assert good.checks == 16 + 16 * 16 + 200
+    assert good.checks == 16 + 16 * 16
 
 
 def test_star_circ_examples():

@@ -361,6 +361,23 @@ def test_build_input_errors(tmp_path):
     assert run_cli(["build", "--family", "ring", "--preset", "nope", "--output", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "family, name",
+    [
+        (["--family", "trivial", "--moduli", "2,4"], "trivial(2, 4)"),
+        (["--family", "diagonal-m1", "--prime", "2"], "diagonal-m1 p=2"),
+        (["--family", "diagonal-m2", "--prime", "3"], "diagonal-m2 p=3"),
+        (["--family", "ring", "--preset", "z4-doubling"], "ring:z4-doubling"),
+    ],
+    ids=["trivial", "diagonal-m1", "diagonal-m2", "ring"],
+)
+def test_build_names_the_construction(tmp_path, capsys, family, name):
+    path = tmp_path / "b.json"
+    assert run_cli(["build", *family, "--output", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["name"] == name
+    assert json.loads(path.read_text())["metadata"] == {"name": name, "construction": name}
+
+
 def test_build_into_missing_directory_exit2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.json"
     assert run_cli(["build", "--family", "trivial", "--moduli", "2", "--output", str(target)]) == 2

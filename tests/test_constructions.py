@@ -6,12 +6,10 @@ import pytest
 
 from bracelab.brace import trivial_brace
 from bracelab.constructions import (
-    ConstructionSpec,
     NotAssociative,
     NotDistributive,
     NotNilpotent,
     RING_PRESETS,
-    build_construction,
     diagonal_brace_m1,
     diagonal_brace_m2,
     ring_brace,
@@ -134,14 +132,3 @@ def test_ring_error_messages():
 def test_ring_rejects_ill_defined_constants():
     with pytest.raises(NotDistributive):
         ring_brace([2, 4], {(0, 0): (0, 1)})
-
-
-def test_build_construction_dispatch():
-    spec = ConstructionSpec("diagonal-m2", prime=3)
-    assert build_construction(spec) == diagonal_brace_m2(3)
-    spec2 = ConstructionSpec("trivial", moduli=(2, 8))
-    assert build_construction(spec2).order == 16
-    spec3 = ConstructionSpec("ring", ring_preset="z4-doubling")
-    assert build_construction(spec3).order == 4
-    with pytest.raises(ValueError):
-        build_construction(ConstructionSpec("nope"))

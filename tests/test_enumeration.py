@@ -307,13 +307,21 @@ def test_determinism(enumerations):
     assert res1.total_tables == res2.total_tables
 
 
-def test_guard():
+def test_guard(monkeypatch):
     with pytest.raises(GuardExceeded):
         enumerate_braces((2, 2, 2, 2))
     with pytest.raises(GuardExceeded):
         enumerate_braces((32,))
     with pytest.raises(GuardExceeded):
         holomorph_count_oracle((32,))
+
+    # the oracle's k x k composition table would hold 20160^2 entries for C2^4
+    def unexpected(group):
+        raise AssertionError(f"automorphisms of {group} listed before the oracle guard")
+
+    monkeypatch.setattr(enumeration, "all_automorphisms", unexpected)
+    with pytest.raises(GuardExceeded, match=r"^\|Aut\| = 20160 exceeds oracle guard 1000$"):
+        holomorph_count_oracle((2, 2, 2, 2))
 
 
 def test_aut_guard_refuses_before_listing_automorphisms(monkeypatch):

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
-from bracelab import nilpotency, pgroups
+from bracelab import nilpotency, ybe
 from bracelab.abelian import (
     AbelianGroup,
     NotBijective,
@@ -41,10 +41,11 @@ from bracelab.brace import (
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.nilpotency import (
     Certificate,
-    SuiteScope,
+    _ppn_check,
     _stage_commuting_powers,
     annihilator_certificate,
     center_star,
+    identity_suite,
     right_annihilated,
     series,
 )
@@ -155,6 +156,21 @@ def ref_annihilator_certificate(brace: Brace) -> Certificate | None:
     if not all(brace.star_r(x, a) == 0 and brace.star_r(a, x) == 0 for x in ideal for a in range(n)):
         raise StructuralAnomaly("ideal generated by certificate is not two-sided null")
     return Certificate(brace.element(c), ideal.ranks, n // ideal.order)
+
+
+def ref_ppn_check(brace: Brace, P: int) -> tuple[int, int | None]:
+    """P*P^n against C(n, 3) P*(P*(P*P)) + C(n, 2) P*(P*P) + n P*P, each term a
+    scalar multiple, for n = 0..2|P|: (checks made, first failing n or None)."""
+    g, star = brace.group, brace.star_r
+    pp = star(P, P)
+    ppp = star(P, pp)
+    pppp = star(P, ppp)
+    last = 2 * brace.circle.element_orders[P]
+    for nn in range(last + 1):
+        terms = (g.scalar_rank(comb(nn, 3), pppp), g.scalar_rank(comb(nn, 2), ppp), g.scalar_rank(nn, pp))
+        if star(P, brace.circle.pow_r(P, nn)) != g.add_rank(g.add_rank(terms[0], terms[1]), terms[2]):
+            return nn + 1, nn
+    return last + 1, None
 
 
 def ref_commuting_powers(brace: Brace) -> tuple[bool, int]:
@@ -384,10 +400,16 @@ def test_right_annihilated_and_center_match_full_scan(kernel_braces):
         assert TableGroup(b.order, b.circ_r).center == ref_center_star(b), b.name
 
 
-def test_commuting_powers_checks_the_additive_generators(kernel_braces):
-    for b in kernel_braces:
+def test_ppn_check_matches_the_binomial_sums(kernel_braces, exponent5_brace):
+    for b in [*kernel_braces, exponent5_brace]:
+        assert [_ppn_check(b, P) for P in range(b.order)] == [ref_ppn_check(b, P) for P in range(b.order)], b.name
+
+
+def test_commuting_powers_checks_the_additive_generators(kernel_braces, exponent5_brace):
+    # every rank at every order: 6240 checks on the exponent-5 brace
+    for b in [*kernel_braces, exponent5_brace]:
         ok, pairs = ref_commuting_powers(b)
-        result = _stage_commuting_powers(b, SuiteScope())
+        result = _stage_commuting_powers(b)
         assert (result.status == "passed") == ok, b.name
         assert result.checks == pairs * len(b.moduli), b.name
 
@@ -503,22 +525,12 @@ def test_associativity_count_on_tampered_models():
         assert report.associativity_ok == (want == 81 ** 3), tag
 
 
-def ref_sampled_associativity(model: GroupModel, seed: int = 0, sample: int = 100_000) -> tuple[int, bool]:
-    n, t = model.order, model.table
-    rng = random.Random(seed)
-    for checked in range(1, sample + 1):
-        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        if t[t[a * n + b] * n + c] != t[a * n + t[b * n + c]]:
-            return checked, False
-    return sample, True
-
-
 @pytest.mark.slow
 def test_sampled_associativity_on_tampered_p5_models():
     # a tampered entry (a, b) with a outside <b>: the power walks, and with them
-    # the element orders that the relation checks read, stay those of the model
+    # the element orders that the relation checks read, stay those of the model;
+    # above order 81 the count is still exact, up to the first failing triple
     rng = random.Random(625)
-    outcomes = set()
     for tag in NONABELIAN_TAGS:
         group = build_model(tag, 5)
         a, b = rng.randrange(625), rng.randrange(625)
@@ -526,13 +538,10 @@ def test_sampled_associativity_on_tampered_p5_models():
             a, b = rng.randrange(625), rng.randrange(625)
         model = _tampered_model(tag, (a, b), rng.randrange(625), p=5)
         report = verify_presentation_relations(model)
-        want = ref_sampled_associativity(model)
-        assert (report.associativity_checked, report.associativity_ok) == want, tag
-        outcomes.add(want[1])
-    for seed, sample in ((7, 1), (7, 1100), (3, 5000)):
-        report = verify_presentation_relations(build_model("XI", 5), seed=seed, sample=sample)
-        assert (report.associativity_checked, report.associativity_ok) == (sample, True)
-    assert outcomes == {True, False}
+        want = ref_associativity_checked(model)
+        assert (report.associativity_checked, report.associativity_ok) == (want, False), tag
+    report = verify_presentation_relations(build_model("XI", 5))
+    assert (report.associativity_checked, report.associativity_ok) == (625**3, True)
 
 
 def _gate_rejects(model: GroupModel) -> bool:
@@ -560,7 +569,8 @@ def test_group_gate_on_tampered_models():
 def test_group_gate_catches_what_the_associativity_sample_misses():
     model = _tampered_model("VII", (418, 260), 612, p=5)
     report = verify_presentation_relations(model)
-    assert report.associativity_ok and report.passed
+    assert not report.associativity_ok and not report.passed
+    assert report.associativity_checked == 651_511
     with pytest.raises(RelationFailure, match="VII at p=5: failed associativity"):
         _check_group(model)
 
@@ -584,15 +594,19 @@ def test_group_gate_rejects_a_bad_identity_and_a_short_closure():
         _check_group(stuck)
 
 
-def test_build_path_draws_no_samples(monkeypatch):
+def test_build_path_draws_no_samples(monkeypatch, exponent5_brace):
+    # only the braid scan samples; every other check is exact at order 625
     def no_samples(*args, **kwargs):
-        raise AssertionError("build_model drew sampled ranks")
+        raise AssertionError("drew sampled ranks")
 
-    monkeypatch.setattr(pgroups, "_rank_blocks", no_samples)
+    monkeypatch.setattr(ybe, "_rank_blocks", no_samples)
     for tag in NONABELIAN_TAGS:
-        assert build_model(tag, 5).order == 625
-    with pytest.raises(AssertionError, match="sampled ranks"):
-        verify_presentation_relations(build_model("X", 5))
+        model = build_model(tag, 5)
+        assert model.order == 625
+        assert verify_presentation_relations(model).associativity_checked == 625**3
+    for brace in (exponent5_brace, diagonal_brace_m2(5)):
+        assert brace_report(brace.group, brace.lambda_columns()).checks == 625 + 625**2
+        assert identity_suite(brace).passed
 
 
 def test_element_orders_stop_on_a_table_that_is_not_a_group():

@@ -9,7 +9,8 @@ import weakref
 
 import pytest
 
-from bracelab import pgroups
+import bracelab
+from bracelab import nilpotency, pgroups
 from bracelab.abelian import normal_form_images
 from bracelab.brace import trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2, ring_brace
@@ -275,12 +276,12 @@ def test_roundtrip_classification_p5():
 
 
 @pytest.mark.slow
-def test_viii_builds_at_p7_with_sampled_associativity():
+def test_viii_builds_at_p7_with_exact_associativity():
     model = build_model("VIII", 7)
     assert model.order == 7 ** 4
-    rep = verify_presentation_relations(model, sample=20_000)
+    rep = verify_presentation_relations(model)
     assert rep.passed
-    assert rep.associativity_checked == 20_000  # sampled, not exhaustive, above order 81
+    assert rep.associativity_checked == 7 ** 12  # every triple, by the group proof
 
 
 def test_classify_braces():
@@ -288,6 +289,12 @@ def test_classify_braces():
     assert classify_multiplicative_group(diagonal_brace_m1(3)).tag == "VIII"
     cls = classify_multiplicative_group(trivial_brace([3, 27]))
     assert cls.kind == "abelian" and cls.abelian_type == (3, 27)
+
+
+def test_classification_raises_the_theorems_shape_error():
+    assert pgroups.InputShapeMismatch is nilpotency.InputShapeMismatch is bracelab.InputShapeMismatch
+    with pytest.raises(bracelab.InputShapeMismatch, match=r"^classification expects order p\^4, got 8$"):
+        classify_multiplicative_group(trivial_brace([2, 4]))
 
 
 def test_classify_at_p2_reports_unmatched_without_raising():

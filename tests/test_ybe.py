@@ -12,15 +12,16 @@ from pathlib import Path
 import pytest
 
 from bracelab import ybe
-from bracelab.abelian import RANK_BLOCK, AbelianGroup, _rank_blocks, perm_inverse
-from bracelab.brace import brace_report, trivial_brace
+from bracelab.abelian import perm_inverse
+from bracelab.brace import trivial_brace
 from bracelab.cli import main
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
-from bracelab.nilpotency import _sample_ranks
 from bracelab.ybe import (
+    RANK_BLOCK,
     NotWellDefined,
     SolutionReport,
     YBESolution,
+    _rank_blocks,
     check_solution,
     identity_pair_map,
     multipermutation_level,
@@ -172,58 +173,12 @@ def test_rank_blocks_draw_the_randrange_sequence(n):
         blocks = list(_rank_blocks(n, seed, count))
         assert [r for block in blocks for r in block] == _randrange_ranks(n, seed, count), (seed, count)
         assert all(len(block) == RANK_BLOCK for block in blocks[:-1])
-    # unbounded: the same stream, block after block
-    stream = itertools.chain.from_iterable(_rank_blocks(n, 3))
-    assert list(itertools.islice(stream, 2 * RANK_BLOCK + 7)) == _randrange_ranks(n, 3, 2 * RANK_BLOCK + 7)
 
 
 def test_rank_blocks_refuse_an_empty_or_too_large_range():
     for n in (0, 2**32, 2**40):
         with pytest.raises(ValueError):
             next(_rank_blocks(n, 0, 1))
-
-
-def ref_sample_ranks(n: int, budget: int, seed: int) -> list[int]:
-    if n <= 81:
-        return list(range(n))
-    rng = random.Random(seed)
-    picks = {0}
-    while len(picks) < min(budget, n):
-        picks.add(rng.randrange(n))
-    return sorted(picks)
-
-
-def test_sample_ranks_match_the_randrange_draws():
-    for n, budget, seed in itertools.product((64, 82, 125, 625, 5000), (0, 1, 20, 700), (0, 7)):
-        assert _sample_ranks(n, budget, seed) == ref_sample_ranks(n, budget, seed)
-
-
-class _RecordingGroup(AbelianGroup):
-    """An abelian group that records its add_rank calls."""
-
-    __slots__ = ("calls",)
-
-    def __init__(self, moduli):
-        super().__init__(moduli)
-        self.calls: list[tuple[int, int]] = []
-
-    def add_rank(self, i: int, j: int) -> int:
-        self.calls.append((i, j))
-        return super().add_rank(i, j)
-
-
-def test_brace_report_spot_triples_are_the_seeded_sample():
-    # each spot triple (a, b, c) adds b + c, then a + lambda_a(b + c), then four more
-    brace = diagonal_brace_m2(2)
-    columns = brace.lambda_columns()
-    for spots in (0, 1, 200, RANK_BLOCK // 3 + 2):
-        group = _RecordingGroup(brace.moduli)
-        report = brace_report(group, columns, spot_triples=spots, seed=3)
-        assert report.violations == () and report.checks == 16 + 16**2 + spots
-        calls = group.calls[len(group.calls) - 6 * spots :]
-        triples = [(calls[t + 1][0], *calls[t]) for t in range(0, 6 * spots, 6)]
-        ranks = _randrange_ranks(16, 3, 3 * spots)
-        assert triples == list(zip(ranks[0::3], ranks[1::3], ranks[2::3]))
 
 
 def _braid_at(sol: YBESolution, x: int, y: int, z: int) -> bool:
@@ -333,6 +288,22 @@ def _random_cycle_set_map(rng: random.Random, n: int, k: int) -> YBESolution:
     return _cycle_set_map([rng.choice(perms) for _ in range(n)])
 
 
+def ref_law_witness(sol: YBESolution) -> tuple[int, int, int] | None:
+    """The first pair (x, w) in row order with sigma_x sigma_{sigma_x^-1(w)} !=
+    sigma_w sigma_{sigma_w^-1(x)}, as (x, sigma_x^-1(w), z) with z the first
+    point where the two compositions differ; None when the law holds."""
+    n = sol.n
+    sigma = [sol.sigma_row(x) for x in range(n)]
+    inverse = [perm_inverse(s) for s in sigma]
+    for x, w in itertools.product(range(n), repeat=2):
+        y, t = inverse[x][w], inverse[w][x]
+        lhs = [sigma[x][sigma[y][z]] for z in range(n)]
+        rhs = [sigma[w][sigma[t][z]] for z in range(n)]
+        if lhs != rhs:
+            return x, y, next(z for z in range(n) if lhs[z] != rhs[z])
+    return None
+
+
 def _law_breaking_maps() -> list[YBESolution]:
     """Seeded random maps of order 1..8 that are non-degenerate and fail the braid relation."""
     rng = random.Random(2005)
@@ -349,7 +320,11 @@ def test_braid_by_the_cycle_set_law_matches_the_triple_loop():
         report = _assert_braid_matches(sol)
         outcomes.add(report.braid)
         if report.nondegenerate:
-            law.append(ybe._cycle_set_law(sol))
+            verdict = ybe._cycle_set_law(sol)
+            if isinstance(verdict, tuple):
+                assert verdict == ref_law_witness(sol) and not _braid_at(sol, *verdict)
+                verdict = False
+            law.append(verdict)
     # the law holds, fails, and is left to the scan (more than n compositions)
     assert outcomes == {True, False}
     assert set(law) == {True, False, None}
@@ -365,9 +340,17 @@ def test_a_law_breaking_map_above_the_limit_is_sampled():
         m = small.n
         sigmas = [small.sigma_row(x) + tuple(range(m, m + 90)) for x in range(m)]
         sol = _cycle_set_map(sigmas + [tuple(range(m + 90))] * 90)
-        assert ybe._involutive(sol) and ybe._nondegenerate(sol) and ybe._cycle_set_law(sol) is False
+        law = ybe._cycle_set_law(sol)
+        assert ybe._involutive(sol) and ybe._nondegenerate(sol) and law == ref_law_witness(sol)
         report = _assert_braid_matches(sol, seed=3)
         assert not report.exhaustive and not report.braid
+        # budgets whose sample misses every failing triple: the law's verdict
+        # stands, with its triple as the witness and the sample as the count
+        for budget in (1, 100, 300, 1000):
+            assert ref_braid(sol, budget, 0) == (True, budget, None)
+            report = check_solution(sol, sample_budget=budget, seed=0)
+            assert (report.braid, report.triples_checked, report.witness) == (False, budget, law)
+            assert not report.passed and not _braid_at(sol, *law)
 
 
 def test_solutions_that_keep_the_law_are_not_scanned(monkeypatch, capsys, builtin_corpus, order625_solutions):
