@@ -79,7 +79,6 @@ from .pgroups import (
 )
 from .ybe import (
     NotWellDefined,
-    PropertyFailure,
     YBESolution,
     check_solution,
     multipermutation_level,

@@ -5,18 +5,21 @@ The relations of each tag are written once, as words in ``presentation``,
 and ``presented`` parses them: power relations give the generator names and
 bounds, conjugation and commuting relations the actions.  Every other fact
 about a tag is read from that parse.  ``_collect`` builds each model from it
-as iterated split extensions on ranks, and classification screens a tag by
-its largest bound and checks candidate generator images against its
-relations.  Every built model is then proved a group from its generators
-(identity, generator rows that permute the ranks, generation, and Light's
-associativity test on the generators, exhaustive at every order) and checked
-against its defining relations; the tests also compare each table with a
-hand-written collection formula, rank for rank.
+as iterated split extensions on ranks, proving each one at the automorphism
+level (the action is a bijective automorphism of N whose order divides the
+bound), and the model multiplies by its last extension without an n^2
+table.  Classification screens a tag by its largest bound and checks
+candidate generator images against its relations.
 
-``build_model`` builds and proves a model on every call and caches nothing.
-Classification reads ``model_fingerprint``, cached per (tag, p) and computed
-from one build, so each model is built at most once per process and its n^2
-table is garbage as soon as its fingerprint exists.
+``build_model`` builds a model on every call and caches nothing; it also
+tabulates the model, proves the table a group from its generators (identity,
+generator rows that permute the ranks, generation, and Light's associativity
+test on the generators, exhaustive at every order) and checks the defining
+relations.  The tests compare that table with the product ``_collect``
+gives and with a hand-written collection formula, rank for rank.
+Classification reads ``model_fingerprint``, cached per (tag, p), which
+collects each model at most once per process, checks its defining relations
+and fingerprints its product; no table is built.
 
 Tag summary (odd p unless noted):
 
@@ -85,14 +88,27 @@ def _normal_forms(bounds: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 class GroupModel(TableGroup):
-    """A tagged group on exponent tuples, with its product as a flat n*n table.
+    """A tagged group on exponent tuples.
 
     The generators are the unit exponent tuples, named and ordered as in the
-    tag's ``presented`` parse.  Ranks follow ``_normal_forms`` of the bounds;
-    ``table[i * n + j]`` is the rank of the product of ranks i and j.
+    tag's ``presented`` parse.  Ranks follow ``_normal_forms`` of the bounds.
+    Given a flat n*n table, the model multiplies by it: ``table[i * n + j]``
+    is the rank of the product of ranks i and j.  ``_collect`` gives instead
+    its last split extension N x| C_e as ``extension``: N's table and the e
+    powers of psi, and the model multiplies (r1, c1)(r2, c2) =
+    (r1 psi^c1(r2), c1 + c2 mod e) at rank r + |N| c.  Then ``table`` is
+    tabulated from that product on first read, and until then the model
+    holds no n^2 object.
     """
 
-    def __init__(self, tag: str, p: int, bounds: tuple[int, ...], table: list[int]):
+    def __init__(
+        self,
+        tag: str,
+        p: int,
+        bounds: tuple[int, ...],
+        table: list[int] | None = None,
+        extension: tuple[list[int], list[list[int]]] | None = None,
+    ):
         self.tag = tag
         self.p = p
         self.presented = presented(tag, p)
@@ -101,9 +117,34 @@ class GroupModel(TableGroup):
         self.gens = {g: tuple(int(i == j) for i in range(k)) for j, g in enumerate(self.presented.gen_names)}
         self.elements = _normal_forms(bounds)
         self._weights = [prod(bounds[:j]) for j in range(k)]
-        self.table = table
+        self._table = table
+        self._extension = extension
         n = len(self.elements)
-        super().__init__(n, lambda i, j: table[i * n + j])
+        if table is not None:
+            super().__init__(n, lambda i, j: table[i * n + j])
+            return
+        # with m = |N| and rank i = r + m c: hi[i] = c, row[i] = m r (where r's
+        # row of N starts in base), moved[c'][i] = psi^c'(r), and
+        # shift[c1 + c2] = m (c1 + c2 mod e); no list here has n^2 entries
+        base, psi_pows = extension
+        m, e = len(psi_pows[0]), len(psi_pows)
+        hi = [i // m for i in range(n)]
+        row = [(i % m) * m for i in range(n)]
+        moved = [[psi[i % m] for i in range(n)] for psi in psi_pows]
+        shift = [m * (c % e) for c in range(2 * e)]
+
+        def mul(i: int, j: int) -> int:
+            c1 = hi[i]
+            return base[row[i] + moved[c1][j]] + shift[c1 + hi[j]]
+
+        super().__init__(n, mul)
+
+    @property
+    def table(self) -> list[int]:
+        """The flat n*n table; a collected model tabulates it on first read."""
+        if self._table is None:
+            self._table = _extension_table(*self._extension)
+        return self._table
 
     def rank(self, e: tuple) -> int:
         r = sum(c * w for c, w in zip(e, self._weights))
@@ -275,8 +316,28 @@ def presented(tag: str, p: int) -> Presented:
     return Presented(relations, gen_names, tuple(bounds[g] for g in gen_names), action)
 
 
+def _extension_table(base: list[int], psi_pows: list[list[int]]) -> list[int]:
+    """The flat table of N x| C_e from N's table and the e powers of psi, at
+    rank r + |N| c: row (r1, c1) is row r1 of N read along psi^c1, shifted by
+    |N| (c1 + c2 mod e) for each c2."""
+    n, e = len(psi_pows[0]), len(psi_pows)
+    rows = [base[a * n : (a + 1) * n] for a in range(n)]
+    # entries are the shared ints of one range, as in AbelianGroup.add_flat:
+    # a fresh int per entry above 256 would cost memory on every model
+    m = n * e
+    ranks = list(range(m))
+    table = [0] * (m * m)
+    for c1, moved in enumerate(psi_pows):
+        offsets = [n * ((c1 + c2) % e) for c2 in range(e)]
+        for r1, row in enumerate(rows):
+            base = [row[s] for s in moved]
+            a = r1 + n * c1
+            table[a * m : (a + 1) * m] = [ranks[t + o] for o in offsets for t in base]
+    return table
+
+
 def _collect(tag: str, p: int) -> GroupModel:
-    """Tabulate the tag's group from its ``presented`` parse as iterated split extensions.
+    """Build the tag's group from its ``presented`` parse as iterated split extensions.
 
     Every generator x has a power relation x^e = 1, which gives its bound e,
     and acts on the group N of the earlier generators by phi(y) = x^-1 y x,
@@ -286,6 +347,11 @@ def _collect(tag: str, p: int) -> GroupModel:
     (r1, c1)(r2, c2) = (r1 psi^c1(r2), c1 + c2 mod e) with psi = phi^-1, at
     rank r + |N| c: collection from a polycyclic presentation (Holt, Eick
     and O'Brien, Handbook of Computational Group Theory, 2005, ch. 8).
+
+    Each N but the last is tabulated; the model multiplies by its last
+    extension, from N's table and the powers of psi.  By induction it is a
+    group: N x| C_e is one whenever psi is an automorphism of the group N
+    whose order divides e.
     """
     spec = presented(tag, p)
     table, n, weights = [0], 1, []  # the trivial group; weights[j] = rank of gen_names[j]
@@ -316,20 +382,12 @@ def _collect(tag: str, p: int) -> GroupModel:
         psi_pows = [identity]
         for _ in range(e - 1):
             psi_pows.append([psi[r] for r in psi_pows[-1]])
-        # entries are the shared ints of one range, as in AbelianGroup.add_flat:
-        # a fresh int per entry above 256 would cost memory on every model
-        m = n * e
-        ranks = list(range(m))
-        table = [0] * (m * m)
-        for c1, moved in enumerate(psi_pows):
-            offsets = [n * ((c1 + c2) % e) for c2 in range(e)]
-            for r1, row in enumerate(rows):
-                base = [row[s] for s in moved]
-                a = r1 + n * c1
-                table[a * m : (a + 1) * m] = [ranks[t + o] for o in offsets for t in base]
         weights.append(n)
-        n = m
-    return GroupModel(tag, p, spec.bounds, table)
+        if len(weights) == len(spec.bounds):
+            return GroupModel(tag, p, spec.bounds, extension=(table, psi_pows))
+        table = _extension_table(table, psi_pows)
+        n *= e
+    return GroupModel(tag, p, spec.bounds, table)  # no generator: the trivial group
 
 
 def _holds(check: Callable[[], bool]) -> bool:
@@ -469,23 +527,35 @@ def _check_group(model: GroupModel) -> None:
                 raise RelationFailure(f"{where}: failed associativity")
 
 
-def build_model(tag: str, p: int) -> GroupModel:
-    """Build a model, prove it a group from its generators and check its
-    defining relations; raises on an unsupported prime or any failed check."""
-    model = _collect(tag, p)
-    _check_group(model)
+def _check_defining_relations(model: GroupModel) -> None:
     bad = [name for name, ok in defining_relations(model) if not ok]
     if bad:
-        raise RelationFailure(f"{tag} at p={p}: failed {bad}")
+        raise RelationFailure(f"{model.tag} at p={model.p}: failed {bad}")
+
+
+def build_model(tag: str, p: int) -> GroupModel:
+    """Build a model, tabulate it, prove the table a group from its
+    generators (``_check_group``, Light's test) and check its defining
+    relations; raises on an unsupported prime or any failed check.  The
+    tests use it to check the product ``_collect`` gives against its table."""
+    model = _collect(tag, p)
+    _check_group(model)
+    _check_defining_relations(model)
     return model
 
 
 @lru_cache(maxsize=None)
 def model_fingerprint(tag: str, p: int) -> GroupFingerprint:
-    """The fingerprint of ``build_model(tag, p)``, built once per process; the
-    model and its table are garbage when this returns.  Classification screens
-    a tag by its largest bound, so that bound must be the model's exponent."""
-    model = build_model(tag, p)
+    """The fingerprint of the tag's model, collected once per process and
+    garbage when this returns; no n^2 table is built.
+
+    The model is a group because ``_collect`` proved each split extension at
+    the automorphism level, and no table exists that could disagree with
+    its product, so Light's test is left to ``build_model``.  The defining
+    relations are checked here.  Classification screens a tag by its largest
+    bound, so that bound must be the model's exponent."""
+    model = _collect(tag, p)
+    _check_defining_relations(model)
     fp = fingerprint(model)
     if fp.exponent != max(model.bounds):
         raise StructuralAnomaly(f"{tag} at p={p}: exponent {fp.exponent} is not the largest bound {model.bounds}")

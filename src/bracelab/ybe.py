@@ -70,10 +70,6 @@ def _rank_blocks(n: int, seed: int, count: int) -> Iterator[list[int]]:
         count -= want
 
 
-class PropertyFailure(BraceError):
-    """A brace-derived table failed involutivity or non-degeneracy."""
-
-
 class NotWellDefined(BraceError):
     """The retraction quotient is inconsistent on equivalence classes."""
 
@@ -143,8 +139,11 @@ def identity_pair_map(n: int) -> YBESolution:
 
 
 def solution_from_brace(brace: Brace) -> YBESolution:
-    """u = lambda_x(y), v = u' o x o y; involutivity and non-degeneracy are
-    asserted at build time (a failure would mean a brace-validation bug).
+    """u = lambda_x(y), v = u' o x o y.
+
+    The solution of a brace is involutive and non-degenerate (Rump, J.
+    Algebra 307, 2007), so nothing is checked here; ``check_solution``
+    checks and reports both.
 
     Row x of u is lambda_x.  u o v = x o y = x + u and u o v = u + lambda_u(v),
     so v = lambda_u^-1(x).
@@ -160,12 +159,7 @@ def solution_from_brace(brace: Brace) -> YBESolution:
         at_x = [q[x] for q in inv_of]  # lambda_u^-1(x) by rank u
         u[x * n : (x + 1) * n] = row
         v[x * n : (x + 1) * n] = [at_x[uu] for uu in row]
-    sol = YBESolution(n, u, v)
-    if not _involutive(sol):
-        raise PropertyFailure("brace-derived table is not involutive")
-    if not _nondegenerate(sol):
-        raise PropertyFailure("brace-derived table is degenerate")
-    return sol
+    return YBESolution(n, u, v)
 
 
 def _involutive(sol: YBESolution) -> bool:

@@ -56,6 +56,7 @@ from bracelab.pgroups import (
     _check_group,
     build_model,
     fingerprint,
+    model_fingerprint,
     verify_presentation_relations,
 )
 from bracelab.ybe import solution_from_brace
@@ -374,6 +375,10 @@ def test_model_fingerprint_matches_full_scan(tag):
     fp = fingerprint(TableGroup(model.order, model.mul_r))
     got = (fp.order, fp.abelian, fp.exponent, fp.order_histogram, fp.center_order, fp.derived_order)
     assert got == ref_fingerprint(model)
+    # the table-free fingerprint that classification reads is the proved table's
+    for p in (3, 5):
+        n, table = p**4, build_model(tag, p).table
+        assert model_fingerprint(tag, p) == fingerprint(TableGroup(n, lambda i, j: table[i * n + j]))
 
 
 def test_subset_star_matches_full_scan(kernel_braces):

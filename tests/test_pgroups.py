@@ -104,6 +104,24 @@ def test_collected_tables_match_the_reference_formulas(tag, p):
     assert model.table == reference_table(tag, p)
 
 
+@pytest.mark.parametrize(
+    "tag, p",
+    [(tag, 3) for tag in NONABELIAN_TAGS]
+    + [("G4", 2)]
+    + [pytest.param(tag, 5, marks=pytest.mark.slow) for tag in NONABELIAN_TAGS],
+)
+def test_the_split_extension_product_is_the_proved_table(tag, p):
+    # classification multiplies by the last split extension and builds no
+    # table; Light's test vouches for that product through the table here
+    model = pgroups._collect(tag, p)
+    n = model.order
+    product = [model.mul_r(a, b) for a in range(n) for b in range(n)]
+    assert model._table is None
+    proved = build_model(tag, p)
+    pgroups._check_group(proved)
+    assert product == proved.table == model.table
+
+
 @pytest.mark.parametrize("tag", NONABELIAN_TAGS)
 def test_model_ranks_are_the_normal_forms_of_the_generators(tag):
     # rank r + |N| c is (r, c) = r . x^c, so extending the generators over the
@@ -405,7 +423,12 @@ def test_classification_keeps_no_model_alive(monkeypatch):
         built.append(weakref.ref(model))
         return model
 
+    def no_table(*args):
+        raise AssertionError("classification built an n^2 model table")
+
     monkeypatch.setattr(pgroups, "_collect", tracked)
+    monkeypatch.setattr(pgroups, "_check_group", no_table)
+    monkeypatch.setattr(GroupModel, "table", property(no_table))
     model_fingerprint.cache_clear()
     before = {id(o) for o in gc.get_objects() if isinstance(o, GroupModel)}
     assert classify_multiplicative_group(diagonal_brace_m1(5)).tag == "VIII"

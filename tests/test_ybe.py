@@ -377,6 +377,25 @@ def test_solutions_that_keep_the_law_are_not_scanned(monkeypatch, capsys, builti
     }
 
 
+def test_verify_checks_the_brace_solution_once(monkeypatch, capsys):
+    # involutivity and non-degeneracy are theorems for a brace's solution;
+    # check_solution is the one place that checks and reports them
+    calls = []
+    for name in ("_involutive", "_nondegenerate"):
+        check = getattr(ybe, name)
+        monkeypatch.setattr(ybe, name, lambda sol, name=name, check=check: calls.append(name) or check(sol))
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "verify" / "exponent-5.json"
+    assert main(["verify", "--input", str(path), "--suite", "ybe", "--sample-budget", "10"]) == 0
+    ybe_block = json.loads(capsys.readouterr().out)["results"]["ybe"]
+    assert ybe_block["involutive"] and ybe_block["nondegenerate"] and ybe_block["braid"]
+    assert calls == ["_involutive", "_nondegenerate"]
+    sol = solution_from_brace(diagonal_brace_m2(3))
+    assert calls == ["_involutive", "_nondegenerate"]
+    sol.u[sol.n + 1] = sol.u[sol.n + 2]  # row 1 of u is no longer a permutation
+    report = check_solution(sol)
+    assert not report.involutive and not report.nondegenerate and not report.passed
+
+
 # -- the braid relation is checked in this process --
 
 
