@@ -12,10 +12,11 @@ The braid relation of an involutive, non-degenerate map with sigma_x the row
 x of u is decided on pairs: it holds on every triple exactly when
 sigma_x sigma_{sigma_x^-1(y)} = sigma_y sigma_{sigma_y^-1(x)} for all x, y
 (Rump, Adv. Math. 193 (2005), the cycle-set law).  For a brace both sides
-are lambda_{x+y}.  Other maps, and maps that fail the law, are scanned
-triple by triple for a witness: every triple up to order 81 and seeded
-sampled triples above it.  This scan is the only sampled check in the
-package, so the rank sampler lives here.
+are lambda_{x+y}.  Other maps, and maps that fail the law, go through one
+block scan over one stream of triples, which stops at the first failing
+triple: every triple in (x, y, z) order up to order 81, and above it
+triples of three random.Random(seed).randrange(n) draws each.  This scan is
+the only sampled check in the package, so the sampling lives here.
 
 ``retraction`` and ``multipermutation_level`` work on any solution table.
 For a brace, Ret(r_A) = r_{A/Soc(A)} with Soc(A) = ker lambda, so
@@ -25,11 +26,11 @@ quotients of the brace, without building the 2 n^2 table entries.
 
 from __future__ import annotations
 
+import itertools
 import random
-import struct
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .abelian import perm_inverse
 from .brace import Brace, BraceError
@@ -38,36 +39,8 @@ from .brace import Brace, BraceError
 # seeded sampled triples above it.
 EXHAUSTIVE_LIMIT = 81
 
-# Ranks per block of _rank_blocks: a multiple of 3, so sampled triples never
-# straddle two blocks.  Each refill draws this many 32-bit words.
-RANK_BLOCK = 3 * 256
-_WORDS = struct.Struct(f"<{RANK_BLOCK}I")
-
-
-def _rank_blocks(n: int, seed: int, count: int) -> Iterator[list[int]]:
-    """Seeded ranks in 0..n-1, in blocks of RANK_BLOCK (the last one shorter).
-
-    The blocks concatenate to ``[random.Random(seed).randrange(n) for _ in
-    range(count)]``.  For n < 2^32, randrange(n) keeps the top
-    n.bit_length() bits of one 32-bit Mersenne Twister word and draws again
-    while the value is >= n, and getrandbits(32 m) returns the next m such
-    words, little-endian: one call draws a batch of words and the rejection
-    runs over the batch.  Words drawn past the last block are never used.
-    """
-    k = n.bit_length()
-    if not 0 < k <= 32:
-        raise ValueError(f"rank sampling needs 0 < n < 2^32, got {n}")
-    shift, limit = 32 - k, n << (32 - k)
-    getrandbits = random.Random(seed).getrandbits
-    ranks: list[int] = []
-    while count > 0:
-        want = min(RANK_BLOCK, count)
-        while len(ranks) < want:
-            words = _WORDS.unpack(getrandbits(32 * RANK_BLOCK).to_bytes(4 * RANK_BLOCK, "little"))
-            ranks += [w >> shift for w in words if w < limit]
-        yield ranks[:want]
-        del ranks[:want]
-        count -= want
+# Triples per block of the braid scan.
+SCAN_BLOCK = 256
 
 
 class NotWellDefined(BraceError):
@@ -243,40 +216,15 @@ def _cycle_set_law(sol: YBESolution) -> bool | tuple[int, int, int] | None:
 #   (a, b) = r(x, y), (c, d) = r(b, z), (e, f) = r(a, c), lhs = (e, f, d);
 #   (g, h) = r(y, z), (i, j) = r(x, g), (k, l) = r(j, h), rhs = (i, k, l).
 #
-# Each scan returns (triples checked, first failing triple or None).
+# The scan returns (triples checked, first failing triple or None).
 
 Braid = tuple[int, tuple[int, int, int] | None]
 
 
-def _braid_exhaustive(sol: YBESolution) -> Braid:
-    """Every triple (x, y, z) in (x, y, z) order, all z of a pair (x, y) at once.
-
-    With rows U_t, V_t of u and v, at each z: e = U_a[U_b[z]], f = V_a[U_b[z]],
-    d = V_b[z], i = U_x[U_y[z]], and k, l = u[j n + h], v[j n + h] with
-    j = V_x[U_y[z]] and h = V_y[z].  Only a pair whose rows differ is scanned
-    z by z, for the first failing z.
-    """
-    n, u, v = sol.n, sol.u, sol.v
-    for x in range(n):
-        ux, vx = u[x * n : (x + 1) * n], v[x * n : (x + 1) * n]
-        for y in range(n):
-            a, b = ux[y], vx[y]
-            along_b = _picker(u[b * n : (b + 1) * n])  # s -> s[U_b[.]]
-            along_y = _picker(u[y * n : (y + 1) * n])  # s -> s[U_y[.]]
-            lhs = (along_b(u[a * n : (a + 1) * n]), along_b(v[a * n : (a + 1) * n]), tuple(v[b * n : (b + 1) * n]))
-            at_jh = _picker([j * n + h for j, h in zip(along_y(vx), v[y * n : (y + 1) * n])])
-            rhs = (along_y(ux), at_jh(u), at_jh(v))
-            if lhs != rhs:
-                z = _first_mismatch(lhs, rhs)
-                return (x * n + y) * n + z + 1, (x, y, z)
-    return n**3, None
-
-
-def _braid_sampled(sol: YBESolution, budget: int, seed: int) -> Braid:
-    """The first budget triples of random.Random(seed).randrange(n), three
-    draws each, RANK_BLOCK // 3 triples a block.  The six maps of the relation
-    are gathered from u and v through their pair ranks x * n + y for a whole
-    block at once."""
+def _braid_scan(sol: YBESolution, triples: Iterable[tuple[int, int, int]]) -> Braid:
+    """The triples in the order given, SCAN_BLOCK at a time.  The six maps of
+    the relation are gathered from u and v through their pair ranks x * n + y
+    for a whole block at once."""
     n, u, v = sol.n, sol.u, sol.v
 
     def at(xs: Sequence[int], ys: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -284,8 +232,9 @@ def _braid_sampled(sol: YBESolution, budget: int, seed: int) -> Braid:
         return pick(u), pick(v)
 
     checked = 0
-    for block in _rank_blocks(n, seed, 3 * budget):
-        xs, ys, zs = block[0::3], block[1::3], block[2::3]
+    it = iter(triples)
+    while block := list(itertools.islice(it, SCAN_BLOCK)):
+        xs, ys, zs = zip(*block)
         a, b = at(xs, ys)
         c, d = at(b, zs)
         e, f = at(a, c)
@@ -295,8 +244,8 @@ def _braid_sampled(sol: YBESolution, budget: int, seed: int) -> Braid:
         lhs, rhs = (e, f, d), (i, k, l)
         if lhs != rhs:
             t = _first_mismatch(lhs, rhs)
-            return checked + t + 1, (xs[t], ys[t], zs[t])
-        checked += len(xs)
+            return checked + t + 1, block[t]
+        checked += len(block)
     return checked, None
 
 
@@ -311,20 +260,22 @@ def _check_entries(sol: YBESolution) -> None:
 
 def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int = 0) -> SolutionReport:
     """Involutivity, non-degeneracy (always exhaustive), and the braid
-    relation on every triple up to EXHAUSTIVE_LIMIT, on seeded sampled
-    triples above it.
+    relation on one stream of triples: every triple in (x, y, z) order up
+    to EXHAUSTIVE_LIMIT, and above it sample_budget triples of three
+    random.Random(seed).randrange(n) draws each.
 
     On an involutive, non-degenerate map the cycle-set law decides the braid
     relation on pairs (Rump 2005, see the module docstring).  When it holds,
-    every triple satisfies the relation, so the report is the one a scan
+    every triple satisfies the relation, so the report is the one the scan
     would give, without drawing a rank: braid true, no witness, and n^3 or
-    sample_budget triples checked.  Otherwise the triples are scanned in
-    order and the scan stops at the first failing one, which is the witness;
+    sample_budget triples checked.  Otherwise the stream is scanned and the
+    scan stops at the first failing triple, which is the witness;
     triples_checked counts the triples up to and including it.  When the law
-    fails and the sample misses every failing triple, braid is still false,
-    triples_checked is sample_budget and the witness is the law's triple.
-    Sampling needs sample_budget >= 1; a smaller budget raises ValueError,
-    and so does an entry of u or v outside 0..n-1.
+    fails and the scan finds no failing triple (only a sample can miss one),
+    braid is still false, triples_checked is the length of the stream and
+    the witness is the law's triple.  Sampling needs sample_budget >= 1; a
+    smaller budget raises ValueError, and so does an entry of u or v outside
+    0..n-1.
     """
     n = sol.n
     _check_entries(sol)
@@ -337,10 +288,13 @@ def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int =
     law = _cycle_set_law(sol) if involutive and nondeg else None
     if law is True:
         checked, witness = triples, None
-    elif exhaustive:
-        checked, witness = _braid_exhaustive(sol)
     else:
-        checked, witness = _braid_sampled(sol, sample_budget, seed)
+        if exhaustive:
+            stream = itertools.product(range(n), repeat=3)
+        else:
+            draw = random.Random(seed).randrange
+            stream = ((draw(n), draw(n), draw(n)) for _ in range(sample_budget))
+        checked, witness = _braid_scan(sol, stream)
         if witness is None and law is not None:
             witness = law
     return SolutionReport(n, involutive, nondeg, witness is None, checked, exhaustive, used_seed, witness)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from math import comb, gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -604,7 +605,7 @@ def test_build_path_draws_no_samples(monkeypatch, exponent5_brace):
     def no_samples(*args, **kwargs):
         raise AssertionError("drew sampled ranks")
 
-    monkeypatch.setattr(ybe, "_rank_blocks", no_samples)
+    monkeypatch.setattr(ybe, "random", SimpleNamespace(Random=no_samples))
     for tag in NONABELIAN_TAGS:
         model = build_model(tag, 5)
         assert model.order == 625

@@ -1,6 +1,6 @@
 """Only ybe.py samples: the braid scan is the one check drawn from a seeded
-sample, so no other bracelab module imports random or struct or names the
-rank sampler and its limits."""
+sample, so no other bracelab module imports random or names the scan's
+limits."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bracelab"
-SAMPLER_MODULES = {"random", "struct"}
-SAMPLER_NAMES = {"_rank_blocks", "RANK_BLOCK", "EXHAUSTIVE_LIMIT"}
+SAMPLER_MODULES = {"random"}
+SAMPLER_NAMES = {"EXHAUSTIVE_LIMIT", "SCAN_BLOCK"}
 
 
 def _sampling_uses(path: Path) -> set[str]:
@@ -31,4 +31,4 @@ def _sampling_uses(path: Path) -> set[str]:
 
 def test_only_ybe_samples():
     found = {path.name: sorted(uses) for path in sorted(SRC.glob("*.py")) if (uses := _sampling_uses(path))}
-    assert found == {"ybe.py": sorted({"import random", "import struct", *SAMPLER_NAMES})}
+    assert found == {"ybe.py": sorted({"import random", *SAMPLER_NAMES})}

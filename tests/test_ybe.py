@@ -17,11 +17,10 @@ from bracelab.brace import trivial_brace
 from bracelab.cli import main
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.ybe import (
-    RANK_BLOCK,
+    SCAN_BLOCK,
     NotWellDefined,
     SolutionReport,
     YBESolution,
-    _rank_blocks,
     check_solution,
     identity_pair_map,
     multipermutation_level,
@@ -97,7 +96,7 @@ def test_out_of_range_entries_are_refused_before_any_check(monkeypatch):
     def never(*args):
         raise AssertionError("ran before the entries were checked")
 
-    for name in ("_involutive", "_nondegenerate", "_braid_exhaustive", "_braid_sampled"):
+    for name in ("_involutive", "_nondegenerate", "_braid_scan"):
         monkeypatch.setattr(ybe, name, never)
     monkeypatch.setattr(os, "fork", never)
     for n in (81, 625):
@@ -159,26 +158,7 @@ def test_retraction_shrinks_or_flags_within_size_steps():
         assert level is not None and level <= sol.n
 
 
-# -- the seeded rank sampler and the braid and retraction kernels, against references --
-
-
-def _randrange_ranks(n: int, seed: int, count: int) -> list[int]:
-    rng = random.Random(seed)
-    return [rng.randrange(n) for _ in range(count)]
-
-
-@pytest.mark.parametrize("n", [*range(1, 301), 625, 1000, 1024, 4096, 5000])
-def test_rank_blocks_draw_the_randrange_sequence(n):
-    for seed, count in itertools.product((0, 7, 2021), (0, 1, 2, RANK_BLOCK - 1, RANK_BLOCK + 5)):
-        blocks = list(_rank_blocks(n, seed, count))
-        assert [r for block in blocks for r in block] == _randrange_ranks(n, seed, count), (seed, count)
-        assert all(len(block) == RANK_BLOCK for block in blocks[:-1])
-
-
-def test_rank_blocks_refuse_an_empty_or_too_large_range():
-    for n in (0, 2**32, 2**40):
-        with pytest.raises(ValueError):
-            next(_rank_blocks(n, 0, 1))
+# -- the braid scan and the retraction kernel, against references --
 
 
 def _braid_at(sol: YBESolution, x: int, y: int, z: int) -> bool:
@@ -249,7 +229,7 @@ def test_sampled_braid_matches_the_triple_loop(order625_solutions):
     for sol in sols:
         with pytest.raises(ValueError, match="sample_budget must be at least 1"):
             check_solution(sol, sample_budget=0)
-    for sol, budget, seed in itertools.product(sols, (1, RANK_BLOCK // 3 + 1, 2500), (0, 7)):
+    for sol, budget, seed in itertools.product(sols, (1, SCAN_BLOCK + 1, 2500), (0, 7)):
         report = _assert_braid_matches(sol, budget, seed)
         assert not report.exhaustive and report.seed == seed and report.passed
     failed = 0
@@ -267,6 +247,29 @@ def test_sampled_braid_witnesses_are_pinned(order625_solutions):
     assert (report.witness, report.triples_checked) == ((122, 445, 420), 198776)
     report = check_solution(_swapped(exponent5, "v", 3), seed=7)
     assert (report.witness, report.triples_checked) == ((199, 135, 386), 29582)
+
+
+def _swap_pair_map(n: int, f: tuple[int, ...], g: tuple[int, ...]) -> YBESolution:
+    """r(x, y) = (f(y), g(x)): non-degenerate, and braided exactly when f g = g f."""
+    return YBESolution(n, [f[y] for x in range(n) for y in range(n)], [g[x] for x in range(n) for y in range(n)])
+
+
+def test_the_scan_at_the_exhaustive_limit():
+    # maps the law does not decide (degenerate, or not involutive) on both
+    # sides of the switch.  81^3 = 2076 * SCAN_BLOCK + 65, so the product
+    # stream ends in a partial block; at 82 a budget of SCAN_BLOCK + 1 does
+    report = check_solution(identity_pair_map(81))
+    assert report.exhaustive and (report.braid, report.triples_checked, report.witness) == (True, 81**3, None)
+    ident = tuple(range(82))
+    f, g = (1, 0, *ident[2:]), (0, 2, 1, *ident[3:])  # f g and g f differ at 0, 1 and 2
+    crossed = _swap_pair_map(82, f, g)
+    assert not ybe._involutive(crossed) and ybe._nondegenerate(crossed)
+    failed = 0
+    for sol, seed in itertools.product((identity_pair_map(82), crossed), (0, 7)):
+        report = _assert_braid_matches(sol, SCAN_BLOCK + 1, seed)
+        assert not report.exhaustive and report.seed == seed
+        failed += not report.braid
+    assert failed == 2
 
 
 # -- the braid relation decided on pairs by the cycle-set law --
@@ -357,8 +360,7 @@ def test_solutions_that_keep_the_law_are_not_scanned(monkeypatch, capsys, builti
     def never(*args):
         raise AssertionError("scanned triples of a solution that keeps the cycle-set law")
 
-    for name in ("_braid_exhaustive", "_braid_sampled"):
-        monkeypatch.setattr(ybe, name, never)
+    monkeypatch.setattr(ybe, "_braid_scan", never)
     monkeypatch.setattr(os, "fork", never)
     sols = [solution_from_brace(b) for b in builtin_corpus] + order625_solutions
     for sol, budget in itertools.product(sols, (1, 1_000_000)):
