@@ -249,6 +249,13 @@ def _braid_scan(sol: YBESolution, triples: Iterable[tuple[int, int, int]]) -> Br
     return checked, None
 
 
+def _sampled_triples(n: int, seed: int, count: int) -> Iterable[tuple[int, int, int]]:
+    """The sampled stream: count triples of three random.Random(seed).randrange(n)
+    draws each, drawn as the scan reads them."""
+    draw = random.Random(seed).randrange
+    return ((draw(n), draw(n), draw(n)) for _ in range(count))
+
+
 def _check_entries(sol: YBESolution) -> None:
     """ValueError naming the first entry of u, then of v, outside 0..n-1."""
     n = sol.n
@@ -292,8 +299,7 @@ def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int =
         if exhaustive:
             stream = itertools.product(range(n), repeat=3)
         else:
-            draw = random.Random(seed).randrange
-            stream = ((draw(n), draw(n), draw(n)) for _ in range(sample_budget))
+            stream = _sampled_triples(n, seed, sample_budget)
         checked, witness = _braid_scan(sol, stream)
         if witness is None and law is not None:
             witness = law

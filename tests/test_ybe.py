@@ -158,7 +158,22 @@ def test_retraction_shrinks_or_flags_within_size_steps():
         assert level is not None and level <= sol.n
 
 
-# -- the braid scan and the retraction kernel, against references --
+# -- the sampled triple stream, the braid scan and the retraction kernel, against references --
+
+
+def _randrange_ranks(n: int, seed: int, count: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.randrange(n) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 301), 625, 1000, 1024, 4096, 5000])
+def test_rank_blocks_draw_the_randrange_sequence(n):
+    # the scan reads the sampled stream in blocks of SCAN_BLOCK triples
+    # (3 * SCAN_BLOCK ranks); the counts straddle one block boundary
+    for seed, count in itertools.product((0, 7, 2021), (0, 1, 2, SCAN_BLOCK - 1, SCAN_BLOCK + 5)):
+        triples = list(ybe._sampled_triples(n, seed, count))
+        assert len(triples) == count and all(len(t) == 3 for t in triples)
+        assert [r for t in triples for r in t] == _randrange_ranks(n, seed, 3 * count), (seed, count)
 
 
 def _braid_at(sol: YBESolution, x: int, y: int, z: int) -> bool:
@@ -257,7 +272,8 @@ def _swap_pair_map(n: int, f: tuple[int, ...], g: tuple[int, ...]) -> YBESolutio
 def test_the_scan_at_the_exhaustive_limit():
     # maps the law does not decide (degenerate, or not involutive) on both
     # sides of the switch.  81^3 = 2076 * SCAN_BLOCK + 65, so the product
-    # stream ends in a partial block; at 82 a budget of SCAN_BLOCK + 1 does
+    # stream ends in a partial block; at 82 a budget of SCAN_BLOCK + 1 ends
+    # in a block of one triple
     report = check_solution(identity_pair_map(81))
     assert report.exhaustive and (report.braid, report.triples_checked, report.witness) == (True, 81**3, None)
     ident = tuple(range(82))
