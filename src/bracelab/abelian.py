@@ -154,7 +154,7 @@ class AbelianGroup:
         return self._add_flat
 
     def add_rank(self, i: int, j: int) -> int:
-        return self.add_flat[i * self.order + j]
+        return (self._add_flat or self.add_flat)[i * self.order + j]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AbelianGroup) and self.moduli == other.moduli

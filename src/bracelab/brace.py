@@ -88,23 +88,33 @@ class Brace:
     analyses (series, A * A, ...).
     """
 
-    __slots__ = ("group", "lambda_ids", "perms", "circ_r", "circle", "cache", "name")
+    __slots__ = ("group", "lambda_ids", "perms", "cache", "name", "circ_r", "circle", "_add", "_neg", "_n")
 
     def __init__(self, group: AbelianGroup, lambda_ids: list[int], perms: list[tuple[int, ...]], name: str = ""):
         self.group = group
         self.lambda_ids = lambda_ids
         self.perms = perms
-        add = group.add_rank
+        self.cache: dict = {}
+        self.name = name
+
+    def __getattr__(self, attr: str):
+        """Bind ``circ_r``, ``circle`` and the tables the two products index
+        on first use: the addition table has n^2 entries, and a brace that is
+        only saved never needs it."""
+        if attr not in ("circ_r", "circle", "_add", "_neg", "_n"):
+            raise AttributeError(attr)
+        group, perms, lambda_ids = self.group, self.perms, self.lambda_ids
+        add, n = group.add_flat, group.order
 
         # a closure over the tables, not a bound method: the brace, its
         # circle group and its tables then form no reference cycle
         def circ_r(a: int, b: int) -> int:
-            return add(a, perms[lambda_ids[a]][b])
+            return add[a * n + perms[lambda_ids[a]][b]]
 
+        self._add, self._neg, self._n = add, group.neg_rank, n
         self.circ_r = circ_r
-        self.circle = TableGroup(group.order, circ_r)
-        self.cache: dict = {}
-        self.name = name
+        self.circle = TableGroup(n, circ_r)
+        return getattr(self, attr)
 
     # -- basics ---------------------------------------------------------------
 
@@ -148,8 +158,7 @@ class Brace:
         return self.perms[self.lambda_ids[a]][b]
 
     def star_r(self, a: int, b: int) -> int:
-        g = self.group
-        return g.add_rank(self.perms[self.lambda_ids[a]][b], g.neg_rank[b])
+        return self._add[self.perms[self.lambda_ids[a]][b] * self._n + self._neg[b]]
 
     # -- element-level operations ----------------------------------------------
 

@@ -14,6 +14,10 @@ with the binomial coefficients C1(n) = C(n, 3) and C2(n) = C(n, 2) as exact
 integers (so no modular inverses are ever needed and the checks run at p = 2
 and 3).  Stages with preconditions are skipped with an explicit reason when
 those preconditions fail.
+
+Every stage, and the theorem1 conclusion, is a stream of checks read by one
+scan (``_scan``): ``checks`` counts the checks made, up to and including the
+first failing one, and every failed stage carries that check's witness.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .abelian import (
     Element,
@@ -287,29 +291,38 @@ class SuiteReport:
         raise KeyError(name)
 
 
+def _scan(name: str, failures: Iterable[tuple | None]) -> StageResult:
+    """The stage over a stream of checks: one entry per check, in order, None
+    when it holds and its witness when it fails.  The scan stops at the first
+    failure, and ``checks`` counts it."""
+    checks = 0
+    for witness in failures:
+        checks += 1
+        if witness is not None:
+            return StageResult(name, "failed", checks, witness=witness)
+    return StageResult(name, "passed", checks)
+
+
 _PPN_SKIP = "left series does not reach 0 by term 5"
 
 
-def _ppn_check(brace: Brace, P: int) -> tuple[int, int | None]:
-    """P*P^n = c1(n) P*(P*(P*P)) + c2(n) P*(P*P) + n P*P for n = 0..2|P|.
+def _ppn_failures(brace: Brace, P: int) -> Iterator[tuple | None]:
+    """P*P^n = c1(n) P*(P*(P*P)) + c2(n) P*(P*P) + n P*P for n = 0..2|P|,
+    one check per n with witness (n,).
 
     The right side is summed by finite differences: from n to n + 1 it grows
     by C(n, 2) P*(P*(P*P)) + n P*(P*P) + P*P, and that step grows by
-    n P*(P*(P*P)) + P*(P*P).  Returns the number of checks made and the
-    first failing n, or None.
+    n P*(P*(P*P)) + P*(P*P).
     """
     add = brace.group.add_rank
     pp = brace.star_r(P, P)
     ppp = brace.star_r(P, pp)
     pppp = brace.star_r(P, ppp)
-    last = 2 * brace.circle.element_orders[P]
     pk, rhs, step, step2 = 0, 0, pp, ppp  # P^n, the right side at n and its two differences
-    for nn in range(last + 1):
-        if brace.star_r(P, pk) != rhs:
-            return nn + 1, nn
+    for nn in range(2 * brace.circle.element_orders[P] + 1):
+        yield None if brace.star_r(P, pk) == rhs else (nn,)
         pk = brace.circ_r(pk, P)
         rhs, step, step2 = add(rhs, step), add(step, step2), add(step2, pppp)
-    return last + 1, None
 
 
 def p4_shape(brace: Brace) -> tuple[int, int] | None:
@@ -366,81 +379,55 @@ def theorem_stage_results(brace: Brace, ctx: TheoremContext) -> list[StageResult
     P = brace.rank(ctx.P)
     pm = ctx.p ** ctx.m
     ordP = circle.element_orders[P]
-    lo, hi = -ordP, ordP
-    results: list[StageResult] = []
+    window = range(-ordP, ordP + 1)
     srank = brace.star_r
     scal = g.scalar_rank
+    unrank = g.unrank
+
+    def sides(lhs: int, rhs: int) -> tuple | None:
+        return None if lhs == rhs else (unrank(lhs), unrank(rhs))
 
     pp = srank(P, P)  # P*P
     ppp = srank(P, pp)  # P*(P*P)
+    p_pm = circle.pow_r(P, pm)
 
     # ppn: P*P^n as the exact integer-coefficient combination
-    if not left_class_at_most(brace, 5):
-        results.append(StageResult("ppn", "skipped", reason=_PPN_SKIP))
+    if left_class_at_most(brace, 5):
+        ppn = _scan("ppn", _ppn_failures(brace, P))
     else:
-        checks, failing = _ppn_check(brace, P)
-        witness = None if failing is None else (failing,)
-        results.append(StageResult("ppn", "failed" if witness else "passed", checks, witness=witness))
+        ppn = StageResult("ppn", "skipped", reason=_PPN_SKIP)
 
     # prop1: p^m (P*P) in A^3 and the reduced expansion of P*P^{p^m}
-    a3 = series(brace, "left").term(3)  # A*(A*A)
-    p_pm = circle.pow_r(P, pm)
-    lhs1 = scal(pm, pp) in a3
-    lhs2 = srank(P, p_pm) == g.add_rank(scal(comb(pm, 2), ppp), scal(pm, pp))
-    results.append(
-        StageResult(
-            "prop1",
-            "passed" if (lhs1 and lhs2) else "failed",
-            2,
-            witness=None if (lhs1 and lhs2) else ("p^m(P*P) in A^3", lhs1, lhs2),
-        )
-    )
+    in_a3 = scal(pm, pp) in series(brace, "left").term(3)  # A*(A*A)
+    reduced = srank(P, p_pm) == g.add_rank(scal(comb(pm, 2), ppp), scal(pm, pp))
+    prop1_witness = ("p^m(P*P) in A^3", in_a3, reduced)
 
-    # cor1: p^m P*(P*P) = P*(P*P^{p^m})
-    ok = scal(pm, ppp) == srank(P, srank(P, p_pm))
-    results.append(StageResult("cor1", "passed" if ok else "failed", 1))
-
-    # prop2: P^{p^m} = p^m P, and p^m P*(P*P^n) = n p^m P*(P*P) = 0 on the window
-    checks = 0
-    witness = None
-    if p_pm != scal(pm, P):
-        witness = ("P^{p^m} != p^m P",)
-    else:
-        for nn in range(lo, hi + 1):
-            pk = circle.pow_r(P, nn)
-            t1 = scal(pm, srank(P, srank(P, pk)))
+    def prop2() -> Iterator[tuple | None]:
+        # P^{p^m} = p^m P, and p^m P*(P*P^n) = n p^m P*(P*P) = 0 on the window;
+        # the window is scanned only when P^{p^m} = p^m P, else that is the one check
+        if p_pm != scal(pm, P):
+            yield ("P^{p^m} != p^m P",)
+            return
+        for nn in window:
+            t1 = scal(pm, srank(P, srank(P, circle.pow_r(P, nn))))
             t2 = scal(nn * pm, ppp)
-            checks += 1
-            if t1 != t2 or t1 != 0:
-                witness = (nn, g.unrank(t1), g.unrank(t2))
-                break
-    results.append(StageResult("prop2", "failed" if witness else "passed", checks, witness=witness))
+            yield None if t1 == t2 == 0 else (nn, unrank(t1), unrank(t2))
 
     # np2pp: p^m (P*P^n) = n p^m (P*P)
-    checks = 0
-    witness = None
-    for nn in range(lo, hi + 1):
-        pk = circle.pow_r(P, nn)
-        if scal(pm, srank(P, pk)) != scal(nn * pm, pp):
-            witness = (nn,)
-            break
-        checks += 1
-    results.append(StageResult("np2pp", "failed" if witness else "passed", checks, witness=witness))
-
-    # negpow: p^m P^{-1} = -(p^m P)
-    ok = scal(pm, circle.inv[P]) == g.neg_rank[scal(pm, P)]
-    results.append(StageResult("negpow", "passed" if ok else "failed", 1))
-
+    np2pp = (None if scal(pm, srank(P, circle.pow_r(P, nn))) == scal(nn * pm, pp) else (nn,) for nn in window)
     # final_lemma: P * (p^m a) = 0 for every a
-    checks = 0
-    witness = None
-    for a in range(brace.order):
-        if srank(P, scal(pm, a)) != 0:
-            witness = (g.unrank(a),)
-            break
-        checks += 1
-    results.append(StageResult("final_lemma", "failed" if witness else "passed", checks, witness=witness))
-    return results
+    final_lemma = (None if srank(P, scal(pm, a)) == 0 else (unrank(a),) for a in range(brace.order))
+    return [
+        ppn,
+        _scan("prop1", [None if in_a3 else prop1_witness, None if reduced else prop1_witness]),
+        # cor1: p^m P*(P*P) = P*(P*P^{p^m})
+        _scan("cor1", [sides(scal(pm, ppp), srank(P, srank(P, p_pm)))]),
+        _scan("prop2", prop2()),
+        _scan("np2pp", np2pp),
+        # negpow: p^m P^{-1} = -(p^m P)
+        _scan("negpow", [sides(scal(pm, circle.inv[P]), g.neg_rank[scal(pm, P)])]),
+        _scan("final_lemma", final_lemma),
+    ]
 
 
 # -- theorem pipeline ------------------------------------------------------------------
@@ -504,11 +491,9 @@ def theorem1_check(brace: Brace, P: Element, Qs: Sequence[Element], m: int) -> T
     hyps.append(HypothesisResult(4, "every element factors as P^k o (Q-word)", covered))
 
     ordP = circle.element_orders[pr]
-    witness = None
-    for k in range(-ordP, ordP + 1):
-        if brace.star_r(pr, g.scalar_rank(pm, circle.pow_r(pr, k))) != 0:
-            witness = (k,)
-            break
+    window = range(-ordP, ordP + 1)
+    held = (brace.star_r(pr, g.scalar_rank(pm, circle.pow_r(pr, k))) == 0 for k in window)
+    conclusion = _scan("conclusion", (None if ok else (k,) for k, ok in zip(window, held)))
     stages: tuple[StageResult, ...] = ()
     if all(h.passed for h in hyps):
         ctx = TheoremContext(p, m, P, tuple(Qs))
@@ -519,9 +504,9 @@ def theorem1_check(brace: Brace, P: Element, Qs: Sequence[Element], m: int) -> T
         P=P,
         Qs=tuple(Qs),
         hypotheses=tuple(hyps),
-        conclusion_passed=witness is None,
+        conclusion_passed=conclusion.witness is None,
         conclusion_window=(-ordP, ordP),
-        conclusion_witness=witness,
+        conclusion_witness=conclusion.witness,
         stages=stages,
         coverage_by_ordering=tuple(sorted(per_ordering.items())),
     )
@@ -587,13 +572,8 @@ class SuiteScope:
 def _stage_ppn(brace: Brace) -> StageResult:
     if not left_class_at_most(brace, 5):
         return StageResult("ppn", "skipped", reason=_PPN_SKIP)
-    checks = 0
-    for P in range(brace.order):
-        n_checks, failing = _ppn_check(brace, P)
-        checks += n_checks
-        if failing is not None:
-            return StageResult("ppn", "failed", checks, witness=(brace.element(P), failing))
-    return StageResult("ppn", "passed", checks)
+    stream = ((P, w) for P in range(brace.order) for w in _ppn_failures(brace, P))
+    return _scan("ppn", (None if w is None else (brace.element(P), *w) for P, w in stream))
 
 
 def _stage_commuting_powers(brace: Brace) -> StageResult:
@@ -602,29 +582,25 @@ def _stage_commuting_powers(brace: Brace) -> StageResult:
     Both sides are additive in a (x * a = lambda_x(a) - a), so a runs over the
     additive generators e_j only.
     """
-    checks = 0
+    star, element = brace.star_r, brace.element
     units = brace.group.unit_ranks
     orders = brace.circle.element_orders
-    done: set[int] = set()  # the generators of the cyclic subgroups already checked
-    for c in range(brace.order):
-        if c in done:
-            continue
-        powers = normal_form_images(brace.circ_r, [orders[c]], [c])
-        done.update(x for x in powers if orders[x] == orders[c])
-        for x in powers:
-            for y in powers:
-                if x >= y:
-                    continue
-                for a in units:
-                    checks += 1
-                    if brace.star_r(x, brace.star_r(y, a)) != brace.star_r(y, brace.star_r(x, a)):
-                        return StageResult(
-                            "commuting_powers",
-                            "failed",
-                            checks,
-                            witness=(brace.element(c), brace.element(x), brace.element(y), brace.element(a)),
-                        )
-    return StageResult("commuting_powers", "passed", checks)
+
+    def failures() -> Iterator[tuple | None]:
+        done: set[int] = set()  # the generators of the cyclic subgroups already checked
+        for c in range(brace.order):
+            if c in done:
+                continue
+            powers = normal_form_images(brace.circ_r, [orders[c]], [c])
+            done.update(x for x in powers if orders[x] == orders[c])
+            for x in powers:
+                for y in powers:
+                    if x < y:
+                        for a in units:
+                            ok = star(x, star(y, a)) == star(y, star(x, a))
+                            yield None if ok else (element(c), element(x), element(y), element(a))
+
+    return _scan("commuting_powers", failures())
 
 
 def find_g4_pair(brace: Brace) -> tuple[int, int] | None:
@@ -649,75 +625,59 @@ def _stage_rel_suite(brace: Brace) -> StageResult:
         )
     p = p4_shape(brace)[0]
     P, Q = pair
-    g = brace.group
-    n = brace.order
-    p3 = p ** 3
-    checks = 0
+    add, neg = brace.group.add_rank, brace.group.neg_rank
+    star, spow = brace.star_r, brace.circle.pow_r
 
-    spow = brace.circle.pow_r
-    c_range = range(p)
-
-    for nn in range(p3):
-        pn = spow(P, nn)
-        for cc in c_range:
+    def failures() -> Iterator[tuple | None]:
+        for nn in range(p ** 3):
+            pn = spow(P, nn)
+            for cc in range(p):
+                qc = spow(Q, cc)
+                # rel1: P^n * Q^c = Q^c * P^{(1+c p^2) n} + P^{(1+c p^2) n} - P^n
+                pk = spow(P, (1 + cc * p * p) * nn)
+                rhs = add(add(star(qc, pk), pk), neg[pn])
+                yield None if star(pn, qc) == rhs else ("rel1", nn, cc)
+                # qp: Q^c * P^k = P^{k(1-c p^2)} * Q^c - P^k + P^{k(1-c p^2)}
+                pk = spow(P, nn * (1 - cc * p * p))
+                rhs = add(add(star(pk, qc), neg[pn]), pk)
+                yield None if star(qc, pn) == rhs else ("qp", nn, cc)
+        pp = spow(P, p)
+        for cc in range(p):
             qc = spow(Q, cc)
-            kk = (1 + cc * p * p) * nn
-            pkk = spow(P, kk)
-            # rel1: P^n * Q^c = Q^c * P^{(1+c p^2) n} + P^{(1+c p^2) n} - P^n
-            lhs = brace.star_r(pn, qc)
-            rhs = g.add_rank(g.add_rank(brace.star_r(qc, pkk), pkk), g.neg_rank[pn])
-            checks += 1
-            if lhs != rhs:
-                return StageResult("rel_suite", "failed", checks, witness=("rel1", nn, cc))
-            # qp: Q^c * P^k = P^{k(1-c p^2)} * Q^c - P^k + P^{k(1-c p^2)}
-            kk2 = nn * (1 - cc * p * p)
-            pk2 = spow(P, kk2)
-            lhs = brace.star_r(qc, pn)
-            rhs = g.add_rank(g.add_rank(brace.star_r(pk2, qc), g.neg_rank[pn]), pk2)
-            checks += 1
-            if lhs != rhs:
-                return StageResult("rel_suite", "failed", checks, witness=("qp", nn, cc))
-    pp_rank = spow(P, p)
-    for cc in c_range:
-        qc = spow(Q, cc)
-        for d in range(n):
-            # rel2: P^p * (Q^c * D) = Q^c * (P^p * D)
-            checks += 1
-            if brace.star_r(pp_rank, brace.star_r(qc, d)) != brace.star_r(qc, brace.star_r(pp_rank, d)):
-                return StageResult("rel_suite", "failed", checks, witness=("rel2", cc, brace.element(d)))
-    return StageResult("rel_suite", "passed", checks)
+            for d in range(brace.order):
+                # rel2: P^p * (Q^c * D) = Q^c * (P^p * D)
+                ok = star(pp, star(qc, d)) == star(qc, star(pp, d))
+                yield None if ok else ("rel2", cc, brace.element(d))
+
+    return _scan("rel_suite", failures())
+
+
+def _theorem_stages(brace: Brace) -> list[StageResult]:
+    ctx = discover_theorem_context(brace)
+    if ctx is None:
+        return [StageResult("theorem_stages", "skipped", reason="no generator family satisfies all four hypotheses")]
+    return theorem_stage_results(brace, ctx)
 
 
 def identity_suite(brace: Brace, scope: SuiteScope | None = None) -> SuiteReport:
     """Run the selected identity stages; preconditioned stages skip with reason.
 
     Every stage is exact at every order: ppn and commuting_powers run over
-    all ranks, rel_suite over every power P^n (n < p^3) and every D.
+    all ranks, rel_suite over every power P^n (n < p^3) and every D.  Every
+    stage name is checked before any stage runs.
     """
     scope = scope or SuiteScope()
-    out: list[StageResult] = []
-    for stage in scope.stages:
-        if stage == "ppn":
-            out.append(_stage_ppn(brace))
-        elif stage == "commuting_powers":
-            out.append(_stage_commuting_powers(brace))
-        elif stage == "theorem_stages":
-            ctx = discover_theorem_context(brace)
-            if ctx is None:
-                out.append(
-                    StageResult(
-                        "theorem_stages",
-                        "skipped",
-                        reason="no generator family satisfies all four hypotheses",
-                    )
-                )
-            else:
-                out.extend(theorem_stage_results(brace, ctx))
-        elif stage == "rel_suite":
-            out.append(_stage_rel_suite(brace))
-        else:
-            raise ValueError(f"unknown stage {stage!r}")
-    return SuiteReport(tuple(out))
+    # built per call, so each name resolves to the module's current function
+    runs = {
+        "ppn": lambda: [_stage_ppn(brace)],
+        "commuting_powers": lambda: [_stage_commuting_powers(brace)],
+        "theorem_stages": lambda: _theorem_stages(brace),
+        "rel_suite": lambda: [_stage_rel_suite(brace)],
+    }
+    unknown = [stage for stage in scope.stages if stage not in runs]
+    if unknown:
+        raise ValueError(f"unknown stage {unknown[0]!r}")
+    return SuiteReport(tuple(result for stage in scope.stages for result in runs[stage]()))
 
 
 # -- the pA bound -------------------------------------------------------------------

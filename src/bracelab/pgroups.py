@@ -49,6 +49,7 @@ from .abelian import (
     closure_generators,
     group_closure,
     normal_form_images,
+    perm_inverse,
     prime_power,
 )
 from .brace import Brace, BraceError
@@ -376,9 +377,7 @@ def _collect(tag: str, p: int) -> GroupModel:
             power = [phi[r] for r in power]
         if power != identity:
             raise RelationFailure(f"{tag}: {x}-action does not have order dividing {'p' if e == p else e}")
-        psi = [0] * n
-        for r, s in enumerate(phi):
-            psi[s] = r
+        psi = perm_inverse(phi)
         psi_pows = [identity]
         for _ in range(e - 1):
             psi_pows.append([psi[r] for r in psi_pows[-1]])

@@ -19,6 +19,7 @@ from bracelab.brace import (
     validate_brace,
 )
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
+from bracelab.fileformat import save_brace
 
 
 def diag44_columns():
@@ -108,6 +109,15 @@ def test_circle_product_is_not_bound_to_the_brace():
     B = diagonal_brace_m1(3)
     assert not hasattr(B.circle.mul_r, "__self__")
     assert B.circ_r is B.circle.mul_r
+
+
+def test_a_saved_brace_builds_no_addition_table(tmp_path):
+    # the n^2 addition table is bound on the first product, not on construction
+    B = trivial_brace([25, 25])
+    save_brace(B, tmp_path / "trivial.json")
+    assert B.group._add_flat is None
+    assert B.star_r(7, 9) == 0 and B.circ_r(7, 9) == B.group.add_rank(7, 9)
+    assert B.group._add_flat is not None
 
 
 def test_circ_inverse_and_powers():

@@ -42,7 +42,8 @@ from bracelab.brace import (
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.nilpotency import (
     Certificate,
-    _ppn_check,
+    _ppn_failures,
+    _scan,
     _stage_commuting_powers,
     annihilator_certificate,
     center_star,
@@ -407,8 +408,11 @@ def test_right_annihilated_and_center_match_full_scan(kernel_braces):
 
 
 def test_ppn_check_matches_the_binomial_sums(kernel_braces, exponent5_brace):
+    # the ppn stream of each P, scanned: (checks made, first failing n or None)
     for b in [*kernel_braces, exponent5_brace]:
-        assert [_ppn_check(b, P) for P in range(b.order)] == [ref_ppn_check(b, P) for P in range(b.order)], b.name
+        scans = [_scan("ppn", _ppn_failures(b, P)) for P in range(b.order)]
+        got = [(s.checks, None if s.witness is None else s.witness[0]) for s in scans]
+        assert got == [ref_ppn_check(b, P) for P in range(b.order)], b.name
 
 
 def test_commuting_powers_checks_the_additive_generators(kernel_braces, exponent5_brace):

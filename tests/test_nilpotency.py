@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import prod
+from math import comb, prod
 
 import pytest
 
 from bracelab.abelian import abelian_basis
-from bracelab.brace import trivial_brace
+from bracelab import nilpotency
+from bracelab.brace import Brace, trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.enumeration import enumerate_braces
 from bracelab.nilpotency import (
     InputShapeMismatch,
     PreconditionMismatch,
+    SuiteScope,
     _coverage,
     annihilator_certificate,
     center_star,
@@ -381,3 +383,184 @@ def test_strong_finite_iff_left_and_right_finite(enumerated_braces):
         if not strong:
             negatives += 1
     assert negatives >= 6  # the corpus genuinely exercises the negative side
+
+
+# -- failure paths -------------------------------------------------------------------
+
+
+def _theorem_setup(b):
+    """(P, p^m, P^{p^m}, P*P, P*(P*P)) of the discovered context, as ranks."""
+    ctx = discover_theorem_context(b)
+    P, pm = b.rank(ctx.P), ctx.p ** ctx.m
+    pp = b.star_r(P, P)
+    return P, pm, b.circle.pow_r(P, pm), pp, b.star_r(P, pp)
+
+
+def _window(b, P):
+    order = b.circle.element_orders[P]
+    return range(-order, order + 1)
+
+
+def _ppn_holds(b):
+    g, star, circle = b.group, b.star_r, b.circle
+    for P in range(b.order):
+        pp = star(P, P)
+        ppp = star(P, pp)
+        pppp = star(P, ppp)
+        for nn in range(2 * circle.element_orders[P] + 1):
+            terms = (g.scalar_rank(comb(nn, 3), pppp), g.scalar_rank(comb(nn, 2), ppp), g.scalar_rank(nn, pp))
+            yield star(P, circle.pow_r(P, nn)) == g.add_rank(g.add_rank(terms[0], terms[1]), terms[2])
+
+
+def _prop1_holds(b):
+    g, star = b.group, b.star_r
+    P, pm, p_pm, pp, ppp = _theorem_setup(b)
+    yield g.scalar_rank(pm, pp) in series(b, "left").term(3)
+    yield star(P, p_pm) == g.add_rank(g.scalar_rank(comb(pm, 2), ppp), g.scalar_rank(pm, pp))
+
+
+def _cor1_holds(b):
+    P, pm, p_pm, _, ppp = _theorem_setup(b)
+    yield b.group.scalar_rank(pm, ppp) == b.star_r(P, b.star_r(P, p_pm))
+
+
+def _prop2_holds(b):
+    g, star = b.group, b.star_r
+    P, pm, p_pm, _, ppp = _theorem_setup(b)
+    assert p_pm == g.scalar_rank(pm, P)  # the window is scanned
+    for nn in _window(b, P):
+        t1 = g.scalar_rank(pm, star(P, star(P, b.circle.pow_r(P, nn))))
+        yield t1 == g.scalar_rank(nn * pm, ppp) and t1 == 0
+
+
+def _np2pp_holds(b):
+    g = b.group
+    P, pm, _, pp, _ = _theorem_setup(b)
+    for nn in _window(b, P):
+        yield g.scalar_rank(pm, b.star_r(P, b.circle.pow_r(P, nn))) == g.scalar_rank(nn * pm, pp)
+
+
+def _negpow_holds(b):
+    g = b.group
+    P, pm, _, _, _ = _theorem_setup(b)
+    yield g.scalar_rank(pm, b.circle.inv[P]) == g.neg_rank[g.scalar_rank(pm, P)]
+
+
+def _final_lemma_holds(b):
+    P, pm, _, _, _ = _theorem_setup(b)
+    for a in range(b.order):
+        yield b.star_r(P, b.group.scalar_rank(pm, a)) == 0
+
+
+def _commuting_powers_holds(b):
+    star, orders = b.star_r, b.circle.element_orders
+    done = set()
+    for c in range(b.order):
+        if c in done:
+            continue
+        powers = [b.circle.pow_r(c, k) for k in range(orders[c])]
+        done.update(x for x in powers if orders[x] == orders[c])
+        for x in powers:
+            for y in powers:
+                if x < y:
+                    for a in b.group.unit_ranks:
+                        yield star(x, star(y, a)) == star(y, star(x, a))
+
+
+def _rel_suite_holds(b):
+    g, star, pw = b.group, b.star_r, b.circle.pow_r
+    (P, Q), p, n = find_g4_pair(b), p4_shape(b)[0], b.order
+    for nn in range(p**3):
+        pn = pw(P, nn)
+        for cc in range(p):
+            qc = pw(Q, cc)
+            pk = pw(P, (1 + cc * p * p) * nn)
+            yield star(pn, qc) == g.add_rank(g.add_rank(star(qc, pk), pk), g.neg_rank[pn])
+            pk = pw(P, nn * (1 - cc * p * p))
+            yield star(qc, pn) == g.add_rank(g.add_rank(star(pk, qc), g.neg_rank[pn]), pk)
+    for cc in range(p):
+        qc = pw(Q, cc)
+        for d in range(n):
+            yield star(pw(P, p), star(qc, d)) == star(qc, star(pw(P, p), d))
+
+
+def _wrong_pair(b, stage):
+    """The pair at which star_r is made wrong to fail the stage."""
+    P, pm, p_pm, _, _ = _theorem_setup(b)
+    if stage == "ppn":
+        return P, b.circle.pow_r(P, 3)
+    if stage in ("prop1", "cor1"):
+        return P, p_pm if stage == "prop1" else b.star_r(P, p_pm)
+    if stage == "prop2":
+        return P, b.star_r(P, b.circle.pow_r(P, 5))
+    if stage == "np2pp":
+        return P, b.circle.pow_r(P, -4)
+    if stage == "final_lemma":
+        return P, b.group.scalar_rank(pm, b.group.unit_ranks[-1])
+    if stage == "commuting_powers":
+        x, y = sorted(b.circle.pow_r(P, k) for k in (1, 2))
+        return x, b.star_r(y, b.group.unit_ranks[-1])
+    assert stage == "rel_suite"
+    P4, Q4 = find_g4_pair(b)
+    return b.circle.pow_r(P4, 2), Q4
+
+
+FAILURE_STAGES = {
+    "ppn": _ppn_holds,
+    "prop1": _prop1_holds,
+    "cor1": _cor1_holds,
+    "prop2": _prop2_holds,
+    "np2pp": _np2pp_holds,
+    "negpow": _negpow_holds,
+    "final_lemma": _final_lemma_holds,
+    "commuting_powers": _commuting_powers_holds,
+    "rel_suite": _rel_suite_holds,
+}
+
+
+@pytest.mark.parametrize("stage", list(FAILURE_STAGES))
+def test_a_failed_stage_counts_its_failing_check_and_has_a_witness(stage, monkeypatch):
+    """star_r is made wrong at one pair (negpow: the circle inverse at P), and
+    each stage fails at the first check a plain loop finds false: ``checks``
+    is that check's 1-based position, and the stage carries a witness."""
+    b = diagonal_brace_m2(3)
+    series(b, "left"), discover_theorem_context(b)  # cached before star_r goes wrong
+    g = b.group
+    e = g.unit_ranks[-1]  # of order p^3, so p^m e != 0
+    if stage == "negpow":
+        P = b.rank(discover_theorem_context(b).P)
+        inv = list(b.circle.inv)
+        inv[P] = g.add_rank(inv[P], e)
+        monkeypatch.setattr(b.circle, "_inv", inv)
+    else:
+        pair = _wrong_pair(b, stage)
+        right = Brace.star_r
+
+        def star_r(self, x, y):
+            out = right(self, x, y)
+            return g.add_rank(out, e) if (x, y) == pair else out
+
+        monkeypatch.setattr(Brace, "star_r", star_r)
+
+    position = 0
+    for holds in FAILURE_STAGES[stage](b):
+        position += 1
+        if not holds:
+            break
+    else:
+        pytest.fail(f"no check of {stage} fails")
+    result = identity_suite(b).stage(stage)
+    assert (result.status, result.checks) == ("failed", position)
+    assert result.witness is not None
+    if stage in ("cor1", "negpow"):  # the two sides, as elements
+        lhs, rhs = result.witness
+        assert lhs in g.elements and rhs in g.elements and lhs != rhs
+
+
+def test_an_unknown_stage_is_refused_before_any_stage_runs(monkeypatch):
+    def ran(brace):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(nilpotency, "_stage_ppn", ran)
+    with pytest.raises(ValueError, match="unknown stage 'bogus'"):
+        identity_suite(diagonal_brace_m2(3), SuiteScope(stages=("ppn", "bogus")))
