@@ -23,7 +23,7 @@ from typing import Any
 
 from .brace import Brace, BraceError
 from .constructions import RING_PRESETS, diagonal_brace_m1, diagonal_brace_m2, ring_brace, trivial_brace
-from .enumeration import GuardExceeded, enumerate_braces, holomorph_count_oracle
+from .enumeration import DEFAULT_MAX_ORDER, GuardExceeded, enumerate_braces, holomorph_count_oracle
 from .fileformat import BraceFileError, load_brace, save_brace
 from .nilpotency import (
     InputShapeMismatch,
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--out-dir", default=None, help="write canonical representatives here")
     p_enum.add_argument("--oracle", action="store_true", help="cross-check counts in the holomorph")
     p_enum.add_argument("--force", action="store_true", help="override the order/|Aut| guard")
-    p_enum.add_argument("--max-order", type=int, default=16)
+    p_enum.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p_enum.add_argument("--seed", type=int, default=0)
     p_enum.add_argument("--out", default=None)
     p_enum.set_defaults(func=cmd_enumerate)

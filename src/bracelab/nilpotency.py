@@ -370,7 +370,10 @@ def _coverage(brace: Brace, P: int, q_ranks: Sequence[int]) -> tuple[bool, dict[
 
 
 def theorem_stage_results(brace: Brace, ctx: TheoremContext) -> list[StageResult]:
-    """The staged propositions for a generator context (run when hypotheses hold).
+    """The staged propositions prop1 to final_lemma for a generator context
+    (run when hypotheses hold).  ``theorem1_check`` puts the ppn stage for
+    the context's P before them; the identity suite's ppn stage covers
+    every P.
 
     The signed stages run over n in [-ord(P), ord(P)].
     """
@@ -391,16 +394,11 @@ def theorem_stage_results(brace: Brace, ctx: TheoremContext) -> list[StageResult
     ppp = srank(P, pp)  # P*(P*P)
     p_pm = circle.pow_r(P, pm)
 
-    # ppn: P*P^n as the exact integer-coefficient combination
-    if left_class_at_most(brace, 5):
-        ppn = _scan("ppn", _ppn_failures(brace, P))
-    else:
-        ppn = StageResult("ppn", "skipped", reason=_PPN_SKIP)
-
-    # prop1: p^m (P*P) in A^3 and the reduced expansion of P*P^{p^m}
-    in_a3 = scal(pm, pp) in series(brace, "left").term(3)  # A*(A*A)
-    reduced = srank(P, p_pm) == g.add_rank(scal(comb(pm, 2), ppp), scal(pm, pp))
-    prop1_witness = ("p^m(P*P) in A^3", in_a3, reduced)
+    # prop1: p^m (P*P) in A^3 = A*(A*A), and the reduced expansion
+    # P*P^{p^m} = C(p^m, 2) P*(P*P) + p^m P*P
+    pm_pp = scal(pm, pp)
+    in_a3 = pm_pp in series(brace, "left").term(3)
+    reduced = sides(srank(P, p_pm), g.add_rank(scal(comb(pm, 2), ppp), pm_pp))
 
     def prop2() -> Iterator[tuple | None]:
         # P^{p^m} = p^m P, and p^m P*(P*P^n) = n p^m P*(P*P) = 0 on the window;
@@ -418,8 +416,7 @@ def theorem_stage_results(brace: Brace, ctx: TheoremContext) -> list[StageResult
     # final_lemma: P * (p^m a) = 0 for every a
     final_lemma = (None if srank(P, scal(pm, a)) == 0 else (unrank(a),) for a in range(brace.order))
     return [
-        ppn,
-        _scan("prop1", [None if in_a3 else prop1_witness, None if reduced else prop1_witness]),
+        _scan("prop1", [None if in_a3 else ("p^m(P*P) in A^3", unrank(pm_pp)), reduced]),
         # cor1: p^m P*(P*P) = P*(P*P^{p^m})
         _scan("cor1", [sides(scal(pm, ppp), srank(P, srank(P, p_pm)))]),
         _scan("prop2", prop2()),
@@ -496,8 +493,12 @@ def theorem1_check(brace: Brace, P: Element, Qs: Sequence[Element], m: int) -> T
     conclusion = _scan("conclusion", (None if ok else (k,) for k, ok in zip(window, held)))
     stages: tuple[StageResult, ...] = ()
     if all(h.passed for h in hyps):
-        ctx = TheoremContext(p, m, P, tuple(Qs))
-        stages = tuple(theorem_stage_results(brace, ctx))
+        # ppn: P*P^n as the exact integer-coefficient combination
+        if left_class_at_most(brace, 5):
+            ppn = _scan("ppn", _ppn_failures(brace, pr))
+        else:
+            ppn = StageResult("ppn", "skipped", reason=_PPN_SKIP)
+        stages = (ppn, *theorem_stage_results(brace, TheoremContext(p, m, P, tuple(Qs))))
     return Theorem1Report(
         p=p,
         m=m,

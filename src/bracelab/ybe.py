@@ -13,10 +13,11 @@ x of u is decided on pairs: it holds on every triple exactly when
 sigma_x sigma_{sigma_x^-1(y)} = sigma_y sigma_{sigma_y^-1(x)} for all x, y
 (Rump, Adv. Math. 193 (2005), the cycle-set law).  For a brace both sides
 are lambda_{x+y}.  Other maps, and maps that fail the law, go through one
-block scan over one stream of triples, which stops at the first failing
-triple: every triple in (x, y, z) order up to order 81, and above it
-triples of three random.Random(seed).randrange(n) draws each.  This scan is
-the only sampled check in the package, so the sampling lives here.
+scan over one stream of triples, a triple at a time, which stops at the
+first failing triple: every triple in (x, y, z) order up to order 81, and
+above it triples of three random.Random(seed).randrange(n) draws each.
+This scan is the only sampled check in the package, so the sampling lives
+here.
 
 ``retraction`` and ``multipermutation_level`` work on any solution table.
 For a brace, Ret(r_A) = r_{A/Soc(A)} with Soc(A) = ker lambda, so
@@ -38,9 +39,6 @@ from .brace import Brace, BraceError
 # The braid relation is scanned on every triple up to this order and on
 # seeded sampled triples above it.
 EXHAUSTIVE_LIMIT = 81
-
-# Triples per block of the braid scan.
-SCAN_BLOCK = 256
 
 
 class NotWellDefined(BraceError):
@@ -136,14 +134,15 @@ def solution_from_brace(brace: Brace) -> YBESolution:
 
 
 def _involutive(sol: YBESolution) -> bool:
-    """r(r(x, y)) = (x, y) for every pair, a row x at a time: u and v gathered
-    at the pair ranks r(x, y) of row x are x and y for every y."""
+    """r(r(x, y)) = (x, y) for every pair, with (a, b) = r(x, y) read from
+    row x of u and v."""
     n, u, v = sol.n, sol.u, sol.v
-    ys = tuple(range(n))
     for x in range(n):
-        at = _picker([uu * n + vv for uu, vv in zip(u[x * n : (x + 1) * n], v[x * n : (x + 1) * n])])
-        if at(u) != (x,) * n or at(v) != ys:
-            return False
+        row = slice(x * n, (x + 1) * n)
+        for y, a, b in zip(range(n), u[row], v[row]):
+            ab = a * n + b
+            if u[ab] != x or v[ab] != y:
+                return False
     return True
 
 
@@ -159,15 +158,13 @@ def _nondegenerate(sol: YBESolution) -> bool:
 
 
 def _picker(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """seq -> tuple(seq[i] for i in idx); itemgetter gives a bare item for one index."""
+    """seq -> tuple(seq[i] for i in idx); itemgetter gives a bare item for one index.
+
+    Only the cycle-set law gathers: it composes whole permutations, where one
+    itemgetter call is about twice as fast as a loop over the n entries."""
     if len(idx) > 1:
         return itemgetter(*idx)
     return lambda seq: tuple(seq[i] for i in idx)
-
-
-def _first_mismatch(lhs: tuple, rhs: tuple) -> int:
-    """First position t at which the component sequences of lhs and rhs differ."""
-    return next(t for t, (l, r) in enumerate(zip(zip(*lhs), zip(*rhs))) if l != r)
 
 
 def _cycle_set_law(sol: YBESolution) -> bool | tuple[int, int, int] | None:
@@ -212,40 +209,26 @@ def _cycle_set_law(sol: YBESolution) -> bool | tuple[int, int, int] | None:
     return True
 
 
-# r12 r23 r12 = r23 r12 r23 on (x, y, z):
-#   (a, b) = r(x, y), (c, d) = r(b, z), (e, f) = r(a, c), lhs = (e, f, d);
-#   (g, h) = r(y, z), (i, j) = r(x, g), (k, l) = r(j, h), rhs = (i, k, l).
-#
-# The scan returns (triples checked, first failing triple or None).
+def _braid_scan(sol: YBESolution, triples: Iterable[tuple[int, int, int]]) -> tuple[int, tuple[int, int, int] | None]:
+    """r12 r23 r12 = r23 r12 r23 on each triple (x, y, z), in the order given:
+      (a, b) = r(x, y), (c, d) = r(b, z), (e, f) = r(a, c), lhs = (e, f, d);
+      (g, h) = r(y, z), (i, j) = r(x, g), (k, l) = r(j, h), rhs = (i, k, l).
 
-Braid = tuple[int, tuple[int, int, int] | None]
-
-
-def _braid_scan(sol: YBESolution, triples: Iterable[tuple[int, int, int]]) -> Braid:
-    """The triples in the order given, SCAN_BLOCK at a time.  The six maps of
-    the relation are gathered from u and v through their pair ranks x * n + y
-    for a whole block at once."""
+    Returns the number of triples checked, up to and including the first
+    failing one, and that triple, or None when every triple passes.  No
+    triple past the failing one is read."""
     n, u, v = sol.n, sol.u, sol.v
-
-    def at(xs: Sequence[int], ys: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        pick = _picker([x * n + y for x, y in zip(xs, ys)])
-        return pick(u), pick(v)
-
     checked = 0
-    it = iter(triples)
-    while block := list(itertools.islice(it, SCAN_BLOCK)):
-        xs, ys, zs = zip(*block)
-        a, b = at(xs, ys)
-        c, d = at(b, zs)
-        e, f = at(a, c)
-        g, h = at(ys, zs)
-        i, j = at(xs, g)
-        k, l = at(j, h)
-        lhs, rhs = (e, f, d), (i, k, l)
-        if lhs != rhs:
-            t = _first_mismatch(lhs, rhs)
-            return checked + t + 1, block[t]
-        checked += len(block)
+    for x, y, z in triples:
+        checked += 1
+        xy = x * n + y
+        bz = v[xy] * n + z
+        ac = u[xy] * n + u[bz]
+        yz = y * n + z
+        xg = x * n + u[yz]
+        jh = v[xg] * n + v[yz]
+        if u[ac] != u[xg] or v[ac] != u[jh] or v[bz] != v[jh]:
+            return checked, (x, y, z)
     return checked, None
 
 
@@ -323,31 +306,22 @@ def _retract(sol: YBESolution) -> YBESolution:
     """``retraction`` of a solution whose entries are in range."""
     n = sol.n
     class_of: dict[tuple[int, ...], int] = {}
-    cls = [0] * n
-    for x in range(n):
-        row = sol.sigma_row(x)
-        if row not in class_of:
-            class_of[row] = len(class_of)
-        cls[x] = class_of[row]
+    cls = [class_of.setdefault(sol.sigma_row(x), len(class_of)) for x in range(n)]
     m = len(class_of)
     rep = [0] * m
     for x in reversed(range(n)):
         rep[cls[x]] = x
 
-    by_rep, by_class = _picker(rep), _picker(cls)  # s -> s[rep[.]], s -> s[cls[.]]
-    to_class = cls.__getitem__
-    u = [0] * (m * m)
-    v = [0] * (m * m)
-    for c, r in enumerate(rep):
-        u[c * m : (c + 1) * m] = map(to_class, by_rep(sol.u[r * n : (r + 1) * n]))
-        v[c * m : (c + 1) * m] = map(to_class, by_rep(sol.v[r * n : (r + 1) * n]))
+    su, sv = sol.u, sol.v
+    u = [cls[su[r * n + s]] for r in rep for s in rep]
+    v = [cls[sv[r * n + s]] for r in rep for s in rep]
     for x in range(n):
-        row, c = slice(x * n, (x + 1) * n), cls[x]
-        got = (tuple(map(to_class, sol.u[row])), tuple(map(to_class, sol.v[row])))
-        # row c of the quotient read along cls: the classes of u and v at (x, y) for every y
-        want = (by_class(u[c * m : (c + 1) * m]), by_class(v[c * m : (c + 1) * m]))
-        if got != want:
-            raise NotWellDefined(f"retraction inconsistent at ({x}, {_first_mismatch(got, want)})")
+        # the classes of u and v at (x, y) against row cls[x] of the quotient at cls[y]
+        row, c = slice(x * n, (x + 1) * n), cls[x] * m
+        qu, qv = u[c : c + m], v[c : c + m]
+        for y, cy, a, b in zip(range(n), cls, su[row], sv[row]):
+            if cls[a] != qu[cy] or cls[b] != qv[cy]:
+                raise NotWellDefined(f"retraction inconsistent at ({x}, {y})")
     return YBESolution(m, u, v)
 
 

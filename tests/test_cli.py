@@ -14,6 +14,7 @@ import pytest
 from bracelab import cli
 from bracelab.cli import main
 from bracelab.brace import trivial_brace
+from bracelab.enumeration import DEFAULT_MAX_ORDER
 from bracelab.fileformat import load_brace, save_brace
 
 
@@ -172,6 +173,10 @@ def test_enumerate_with_oracle_and_files(tmp_path, capsys):
     assert len(res["files"]) == 2
     for name in res["files"]:
         assert load_brace(out_dir / name).order == 4
+
+
+def test_enumerate_max_order_defaults_to_the_library_guard():
+    assert cli.build_parser().parse_args(["enumerate", "2,2"]).max_order == DEFAULT_MAX_ORDER
 
 
 def test_enumerate_guard_exit2(capsys):

@@ -212,6 +212,16 @@ def test_identity_suite_trivial_and_diagonal():
     assert repb.stage("ppn").status == "passed"
 
 
+def test_each_identity_stage_is_named_once():
+    # the all-P ppn stage covers the context's P, whose ppn is a theorem1 stage only
+    B = diagonal_brace_m2(3)
+    names = [s.name for s in identity_suite(B).stages]
+    assert len(names) == len(set(names)) and "ppn" in names
+    ctx = discover_theorem_context(B)
+    stages = theorem1_check(B, ctx.P, list(ctx.Qs), ctx.m).stages
+    assert [s.name for s in stages] == ["ppn", "prop1", "cor1", "prop2", "np2pp", "negpow", "final_lemma"]
+
+
 def test_discover_theorem_context():
     B = diagonal_brace_m2(3)
     ctx = discover_theorem_context(B)
@@ -552,7 +562,7 @@ def test_a_failed_stage_counts_its_failing_check_and_has_a_witness(stage, monkey
     result = identity_suite(b).stage(stage)
     assert (result.status, result.checks) == ("failed", position)
     assert result.witness is not None
-    if stage in ("cor1", "negpow"):  # the two sides, as elements
+    if stage in ("cor1", "negpow", "prop1"):  # the two sides, as elements (prop1: of its check 2)
         lhs, rhs = result.witness
         assert lhs in g.elements and rhs in g.elements and lhs != rhs
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bracelab"
 SAMPLER_MODULES = {"random"}
-SAMPLER_NAMES = {"EXHAUSTIVE_LIMIT", "SCAN_BLOCK"}
+SAMPLER_NAMES = {"EXHAUSTIVE_LIMIT"}
 
 
 def _sampling_uses(path: Path) -> set[str]:

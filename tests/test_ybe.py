@@ -17,7 +17,6 @@ from bracelab.brace import trivial_brace
 from bracelab.cli import main
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.ybe import (
-    SCAN_BLOCK,
     NotWellDefined,
     SolutionReport,
     YBESolution,
@@ -160,6 +159,8 @@ def test_retraction_shrinks_or_flags_within_size_steps():
 
 # -- the sampled triple stream, the braid scan and the retraction kernel, against references --
 
+# 256 triples: the counts and budgets below fall on both sides of it.
+BLOCK = 256
 
 def _randrange_ranks(n: int, seed: int, count: int) -> list[int]:
     rng = random.Random(seed)
@@ -168,9 +169,8 @@ def _randrange_ranks(n: int, seed: int, count: int) -> list[int]:
 
 @pytest.mark.parametrize("n", [*range(1, 301), 625, 1000, 1024, 4096, 5000])
 def test_rank_blocks_draw_the_randrange_sequence(n):
-    # the scan reads the sampled stream in blocks of SCAN_BLOCK triples
-    # (3 * SCAN_BLOCK ranks); the counts straddle one block boundary
-    for seed, count in itertools.product((0, 7, 2021), (0, 1, 2, SCAN_BLOCK - 1, SCAN_BLOCK + 5)):
+    # the stream is drawn as the scan reads it, three ranks per triple
+    for seed, count in itertools.product((0, 7, 2021), (0, 1, 2, BLOCK - 1, BLOCK + 5)):
         triples = list(ybe._sampled_triples(n, seed, count))
         assert len(triples) == count and all(len(t) == 3 for t in triples)
         assert [r for t in triples for r in t] == _randrange_ranks(n, seed, 3 * count), (seed, count)
@@ -238,13 +238,13 @@ def test_exhaustive_braid_matches_the_triple_loop(enumerated_braces):
 
 
 def test_sampled_braid_matches_the_triple_loop(order625_solutions):
-    # budgets of one triple, of a block and a bit, and not a multiple of the block;
+    # budgets of one triple, of BLOCK and a bit, and not a multiple of BLOCK;
     # a budget below one would check nothing and is refused
     sols = [solution_from_brace(trivial_brace([5, 25])), twist_solution(100), *order625_solutions]
     for sol in sols:
         with pytest.raises(ValueError, match="sample_budget must be at least 1"):
             check_solution(sol, sample_budget=0)
-    for sol, budget, seed in itertools.product(sols, (1, SCAN_BLOCK + 1, 2500), (0, 7)):
+    for sol, budget, seed in itertools.product(sols, (1, BLOCK + 1, 2500), (0, 7)):
         report = _assert_braid_matches(sol, budget, seed)
         assert not report.exhaustive and report.seed == seed and report.passed
     failed = 0
@@ -256,7 +256,7 @@ def test_sampled_braid_matches_the_triple_loop(order625_solutions):
 def test_sampled_braid_witnesses_are_pinned(order625_solutions):
     # (witness, triples_checked) of two tampered order-625 solutions, recorded
     # once from the one-triple-at-a-time randrange loop: a change in the sampled
-    # sequence or in the block boundaries moves them
+    # sequence or in the order the scan reads it moves them
     m1, _, exponent5 = order625_solutions
     report = check_solution(_swapped(m1, "u", 1), seed=0)
     assert (report.witness, report.triples_checked) == ((122, 445, 420), 198776)
@@ -271,9 +271,8 @@ def _swap_pair_map(n: int, f: tuple[int, ...], g: tuple[int, ...]) -> YBESolutio
 
 def test_the_scan_at_the_exhaustive_limit():
     # maps the law does not decide (degenerate, or not involutive) on both
-    # sides of the switch.  81^3 = 2076 * SCAN_BLOCK + 65, so the product
-    # stream ends in a partial block; at 82 a budget of SCAN_BLOCK + 1 ends
-    # in a block of one triple
+    # sides of the switch: every 81^3 triple at 81, and at 82 a sampled
+    # budget of BLOCK + 1
     report = check_solution(identity_pair_map(81))
     assert report.exhaustive and (report.braid, report.triples_checked, report.witness) == (True, 81**3, None)
     ident = tuple(range(82))
@@ -282,10 +281,22 @@ def test_the_scan_at_the_exhaustive_limit():
     assert not ybe._involutive(crossed) and ybe._nondegenerate(crossed)
     failed = 0
     for sol, seed in itertools.product((identity_pair_map(82), crossed), (0, 7)):
-        report = _assert_braid_matches(sol, SCAN_BLOCK + 1, seed)
+        report = _assert_braid_matches(sol, BLOCK + 1, seed)
         assert not report.exhaustive and report.seed == seed
         failed += not report.braid
     assert failed == 2
+
+
+def test_the_scan_reads_no_triple_past_its_witness():
+    # a map that fails early in a stream of 20^3 triples
+    ident = tuple(range(20))
+    sol = _swap_pair_map(20, (1, 0, *ident[2:]), (0, 2, 1, *ident[3:]))
+    total = 20**3
+    stream = iter(list(itertools.product(range(20), repeat=3)))
+    checked, witness = ybe._braid_scan(sol, stream)
+    assert witness is not None and checked < BLOCK
+    assert (checked, witness) == ref_braid(sol, total, 0)[1:]
+    assert sum(1 for _ in stream) == total - checked
 
 
 # -- the braid relation decided on pairs by the cycle-set law --
