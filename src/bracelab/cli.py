@@ -37,7 +37,7 @@ from .nilpotency import (
     theorem1_check,
 )
 from .pgroups import NoMatch, classify_multiplicative_group
-from .ybe import check_solution, solution_from_brace
+from .ybe import check_solution
 
 REPORT_FORMAT = "bracelab/run-report"
 REPORT_VERSION = 1
@@ -206,8 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except PreconditionMismatch as exc:
             results["pa_bound"] = {"skipped": str(exc)}
     if "ybe" in suites:
-        sol = solution_from_brace(brace)
-        rep = check_solution(sol, sample_budget=args.sample_budget, seed=seed)
+        rep = check_solution(brace, sample_budget=args.sample_budget, seed=seed)
         results["ybe"] = {
             "involutive": rep.involutive,
             "nondegenerate": rep.nondegenerate,

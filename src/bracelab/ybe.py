@@ -19,6 +19,12 @@ above it triples of three random.Random(seed).randrange(n) draws each.
 This scan is the only sampled check in the package, so the sampling lives
 here.
 
+``check_solution`` also takes a ``Brace``, whose solution it checks from the
+k distinct lambda permutations without building the 2 n^2 table entries:
+the rows are the lambdas, so every check but right non-degeneracy is k n
+work (see ``_brace_report``).  A brace that fails any of these checks, which
+a validated one never does, is checked on its table.
+
 ``retraction`` and ``multipermutation_level`` work on any solution table.
 For a brace, Ret(r_A) = r_{A/Soc(A)} with Soc(A) = ker lambda, so
 ``nilpotency.socle_series_length`` gives the same level from the socle
@@ -114,7 +120,9 @@ def solution_from_brace(brace: Brace) -> YBESolution:
 
     The solution of a brace is involutive and non-degenerate (Rump, J.
     Algebra 307, 2007), so nothing is checked here; ``check_solution``
-    checks and reports both.
+    checks and reports both.  ``check_solution`` of the brace itself reads
+    its lambdas and builds no table, so ``bracelab verify`` does not call
+    this.
 
     Row x of u is lambda_x.  u o v = x o y = x + u and u o v = u + lambda_u(v),
     so v = lambda_u^-1(x).
@@ -160,16 +168,26 @@ def _nondegenerate(sol: YBESolution) -> bool:
 def _picker(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """seq -> tuple(seq[i] for i in idx); itemgetter gives a bare item for one index.
 
-    Only the cycle-set law gathers: it composes whole permutations, where one
-    itemgetter call is about twice as fast as a loop over the n entries."""
+    Only the cycle-set law and the right non-degeneracy check of a brace
+    gather: they compose whole permutations and read whole columns, where
+    one itemgetter call is about twice as fast as a loop over the entries."""
     if len(idx) > 1:
         return itemgetter(*idx)
     return lambda seq: tuple(seq[i] for i in idx)
 
 
-def _cycle_set_law(sol: YBESolution) -> bool | tuple[int, int, int] | None:
+def _interned(rows: Iterable[tuple[int, ...]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The id of each row, numbered in order of first appearance, and the
+    distinct rows in that order."""
+    row_id: dict[tuple[int, ...], int] = {}
+    ids = [row_id.setdefault(row, len(row_id)) for row in rows]
+    return ids, list(row_id)
+
+
+def _cycle_set_law(n: int, ids: Sequence[int], rows: Sequence[tuple[int, ...]]) -> bool | tuple[int, int, int] | None:
     """sigma_x sigma_{sigma_x^-1(y)} = sigma_y sigma_{sigma_y^-1(x)} for all x, y,
-    on an involutive, left non-degenerate map (sigma_x is row x of u).
+    on an involutive, left non-degenerate map, with sigma_x = rows[ids[x]]
+    and ``rows`` distinct (the rows of u, or a brace's lambdas, ``_interned``).
 
     The distinct rows and their k^2 compositions are interned to ids, so with
     L(x, y) the id of sigma_x sigma_{sigma_x^-1(y)} the law says that L is
@@ -185,10 +203,7 @@ def _cycle_set_law(sol: YBESolution) -> bool | tuple[int, int, int] | None:
     r12 r23 r12 at (x, y, z) is sigma_w sigma_{sigma_w^-1(x)}(z) with
     w = sigma_x(y), and that of r23 r12 r23 is sigma_x sigma_y(z).
     """
-    n, u = sol.n, sol.u
-    perm_id: dict[tuple[int, ...], int] = {}
-    ids = [perm_id.setdefault(tuple(u[x * n : (x + 1) * n]), len(perm_id)) for x in range(n)]
-    rows = list(perm_id)
+    perm_id = {row: i for i, row in enumerate(rows)}
     inverses = [perm_inverse(row) for row in rows]
     after = [_picker(row) for row in rows]  # after[j](s) = s o rows[j]
     comp = []  # comp[i][j]: the id of rows[i] o rows[j]
@@ -248,7 +263,64 @@ def _check_entries(sol: YBESolution) -> None:
             raise ValueError(f"{name}({i // n}, {i % n}) = {table[i]} is outside 0..{n - 1}")
 
 
-def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int = 0) -> SolutionReport:
+def _stream_length(n: int, sample_budget: int, seed: int) -> tuple[bool, int, int | None]:
+    """(exhaustive, the number of triples in the stream, the seed of its
+    sample or None); ValueError when a sample is needed and sample_budget < 1."""
+    if n <= EXHAUSTIVE_LIMIT:
+        return True, n**3, None
+    if sample_budget < 1:
+        raise ValueError(f"sample_budget must be at least 1 to sample the braid check, got {sample_budget}")
+    return False, sample_budget, seed
+
+
+def _permutation_rows(n: int, rows: Iterable[Sequence[int]]) -> bool:
+    """Every row is a permutation of 0..n-1."""
+    points = set(range(n))
+    return all(len(row) == n and set(row) == points for row in rows)
+
+
+def _right_nondegenerate(n: int, ids: Sequence[int], rows: Sequence[tuple[int, ...]]) -> bool:
+    """For each y, x -> sigma_{sigma_x(y)}^-1(x) is a bijection, with
+    sigma_x = rows[ids[x]] a permutation: a column of v at a time, gathered
+    from the points x that share a row, a row at a time."""
+    inverses = [perm_inverse(row) for row in rows]
+    sharing: list[list[int]] = [[] for _ in rows]  # the points x of each row
+    for x, i in enumerate(ids):
+        sharing[i].append(x)
+    at_points = [_picker(points) for points in sharing]
+    for y in range(n):
+        column: set[int] = set()
+        for row, at in zip(rows, at_points):
+            column.update(at(inverses[ids[row[y]]]))
+        if len(column) != n:
+            return False
+    return True
+
+
+def _brace_report(brace: Brace, sample_budget: int, seed: int) -> SolutionReport | None:
+    """The report of r(x, y) = (lambda_x(y), lambda_u^-1(x)), u = lambda_x(y),
+    read from the k distinct lambdas; None when a check fails.
+
+    When every lambda_x is a permutation of 0..n-1, the entries of u and v
+    are in range, row x of u is lambda_x, so r is left non-degenerate, and r
+    is involutive: r(u, v) = (lambda_u(lambda_u^-1(x)), lambda_x^-1(u)) =
+    (x, lambda_x^-1(lambda_x(y))) = (x, y).  So those three are k n work,
+    right non-degeneracy is checked a column of v at a time (n^2 lookups),
+    and the cycle-set law runs on the lambdas as the rows of u.  None (the
+    caller checks the table) when a lambda is not a permutation, r is right
+    degenerate, or the law is not True; a validated brace passes every one.
+    """
+    n, perms, lambda_ids = brace.order, brace.perms, brace.lambda_ids
+    ids, rows = _interned(tuple(perms[lambda_ids[x]]) for x in range(n))
+    if not _permutation_rows(n, rows):
+        return None
+    exhaustive, triples, used_seed = _stream_length(n, sample_budget, seed)
+    if _right_nondegenerate(n, ids, rows) and _cycle_set_law(n, ids, rows) is True:
+        return SolutionReport(n, True, True, True, triples, exhaustive, used_seed, None)
+    return None
+
+
+def check_solution(sol: YBESolution | Brace, sample_budget: int = 1_000_000, seed: int = 0) -> SolutionReport:
     """Involutivity, non-degeneracy (always exhaustive), and the braid
     relation on one stream of triples: every triple in (x, y, z) order up
     to EXHAUSTIVE_LIMIT, and above it sample_budget triples of three
@@ -266,16 +338,24 @@ def check_solution(sol: YBESolution, sample_budget: int = 1_000_000, seed: int =
     the witness is the law's triple.  Sampling needs sample_budget >= 1; a
     smaller budget raises ValueError, and so does an entry of u or v outside
     0..n-1.
+
+    A ``Brace`` is checked from its lambdas, with no table (``_brace_report``
+    gives the proof that this suffices).  If any of those checks fails, its solution
+    table is built by ``solution_from_brace`` and checked as above, so the
+    report is always the one ``check_solution(solution_from_brace(brace))``
+    gives.
     """
+    if isinstance(sol, Brace):
+        report = _brace_report(sol, sample_budget, seed)
+        if report is not None:
+            return report
+        sol = solution_from_brace(sol)
     n = sol.n
     _check_entries(sol)
-    exhaustive = n <= EXHAUSTIVE_LIMIT
-    if not exhaustive and sample_budget < 1:
-        raise ValueError(f"sample_budget must be at least 1 to sample the braid check, got {sample_budget}")
+    exhaustive, triples, used_seed = _stream_length(n, sample_budget, seed)
     involutive = _involutive(sol)
     nondeg = _nondegenerate(sol)
-    triples, used_seed = (n**3, None) if exhaustive else (sample_budget, seed)
-    law = _cycle_set_law(sol) if involutive and nondeg else None
+    law = _cycle_set_law(n, *_interned(sol.sigma_row(x) for x in range(n))) if involutive and nondeg else None
     if law is True:
         checked, witness = triples, None
     else:

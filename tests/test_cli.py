@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bracelab import cli
+from bracelab import cli, ybe
 from bracelab.cli import main
 from bracelab.brace import trivial_brace
 from bracelab.enumeration import DEFAULT_MAX_ORDER
@@ -231,10 +231,10 @@ def test_report_builds_no_ybe_solution(builtin_corpus, monkeypatch, tmp_path):
     for i, brace in enumerate(builtin_corpus):
         save_brace(brace, corpus / f"{i:02d}.json")
 
-    def refuse(brace):
+    def refuse(*args):
         raise AssertionError("report built a YBE solution")
 
-    monkeypatch.setattr(cli, "solution_from_brace", refuse)
+    monkeypatch.setattr(ybe, "YBESolution", refuse)
     out = tmp_path / "report.json"
     assert run_cli(["report", "--corpus", str(corpus), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -255,12 +255,12 @@ def test_report_no_match_row_fails_with_report(exponent5_brace, tmp_path):
 
 
 # Linux keeps the high-water RSS of the memory a process replaces at exec, and
-# a vfork child replaces its parent's, so a report started from this test
+# a vfork child replaces its parent's, so a command started from this test
 # process would inherit the test process's peak.  A small interpreter starts
 # it instead and reports the child's ru_maxrss (kB on Linux) from os.wait4.
 _PEAK_RSS_DRIVER = """
 import os, subprocess, sys
-cmd = [sys.executable, "-c", "from bracelab.cli import entry; entry()", "report", "--corpus", sys.argv[1]]
+cmd = [sys.executable, "-c", "from bracelab.cli import entry; entry()", *sys.argv[1:]]
 proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
 proc.returncode = os.waitstatus_to_exitcode(status)
@@ -268,12 +268,13 @@ print(proc.returncode, usage.ru_maxrss)
 """
 
 
-def _report_peak_rss_kb(corpus: Path) -> int:
-    """Peak RSS in kB of one `bracelab report` run in a fresh interpreter."""
+def _peak_rss_kb(*argv: str) -> int:
+    """Peak RSS in kB of one `bracelab` command, with these arguments, in a
+    fresh interpreter; the command must exit 0."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_DRIVER, str(corpus)],
+        [sys.executable, "-c", _PEAK_RSS_DRIVER, *argv],
         env=env, capture_output=True, text=True, timeout=300,
     )
     code, peak_kb = map(int, proc.stdout.split())
@@ -290,8 +291,22 @@ def test_report_memory_does_not_grow_with_classification(tmp_path):
     big.mkdir()
     for name in ("04-trivial_25__25_.json", "07-diagonal-m1_p=5.json", "10-diagonal-m2_p=5.json"):
         (big / name).write_bytes((inputs / "builtin" / name).read_bytes())
-    grown_mb = (_report_peak_rss_kb(big) - _report_peak_rss_kb(inputs / "order8")) / 1024
+    grown_kb = _peak_rss_kb("report", "--corpus", str(big)) - _peak_rss_kb("report", "--corpus", str(inputs / "order8"))
+    grown_mb = grown_kb / 1024
     assert grown_mb < 20, f"report on three order-625 braces peaks {grown_mb:.1f} MB above order 8"
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and hasattr(os, "wait4")), reason="needs Linux os.wait4")
+def test_verify_ybe_memory_does_not_grow_with_a_solution_table():
+    # the check of an order-625 brace's solution against an order-81 one: a
+    # solution table would add two lists of 625^2 entries, about 6 MB
+    inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "verify"
+
+    def peak_kb(name: str) -> int:
+        return _peak_rss_kb("verify", "--input", str(inputs / name), "--suite", "ybe")
+
+    grown_mb = (peak_kb("exponent-5.json") - peak_kb("diagonal-m1-p3.json")) / 1024
+    assert grown_mb < 6, f"verify --suite ybe on exponent-5 peaks {grown_mb:.1f} MB above diagonal-m1 p=3"
 
 
 def test_report_empty_corpus(tmp_path, capsys):

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from bracelab import ybe
-from bracelab.abelian import perm_inverse
-from bracelab.brace import trivial_brace
+from bracelab.abelian import AbelianGroup, all_automorphisms, perm_inverse
+from bracelab.brace import Brace, trivial_brace
 from bracelab.cli import main
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.ybe import (
@@ -334,6 +334,11 @@ def ref_law_witness(sol: YBESolution) -> tuple[int, int, int] | None:
     return None
 
 
+def _law(sol: YBESolution) -> bool | tuple[int, int, int] | None:
+    """The cycle-set law on the rows of u, as check_solution reads a table."""
+    return ybe._cycle_set_law(sol.n, *ybe._interned(sol.sigma_row(x) for x in range(sol.n)))
+
+
 def _law_breaking_maps() -> list[YBESolution]:
     """Seeded random maps of order 1..8 that are non-degenerate and fail the braid relation."""
     rng = random.Random(2005)
@@ -350,7 +355,7 @@ def test_braid_by_the_cycle_set_law_matches_the_triple_loop():
         report = _assert_braid_matches(sol)
         outcomes.add(report.braid)
         if report.nondegenerate:
-            verdict = ybe._cycle_set_law(sol)
+            verdict = _law(sol)
             if isinstance(verdict, tuple):
                 assert verdict == ref_law_witness(sol) and not _braid_at(sol, *verdict)
                 verdict = False
@@ -370,7 +375,7 @@ def test_a_law_breaking_map_above_the_limit_is_sampled():
         m = small.n
         sigmas = [small.sigma_row(x) + tuple(range(m, m + 90)) for x in range(m)]
         sol = _cycle_set_map(sigmas + [tuple(range(m + 90))] * 90)
-        law = ybe._cycle_set_law(sol)
+        law = _law(sol)
         assert ybe._involutive(sol) and ybe._nondegenerate(sol) and law == ref_law_witness(sol)
         report = _assert_braid_matches(sol, seed=3)
         assert not report.exhaustive and not report.braid
@@ -407,22 +412,70 @@ def test_solutions_that_keep_the_law_are_not_scanned(monkeypatch, capsys, builti
 
 
 def test_verify_checks_the_brace_solution_once(monkeypatch, capsys):
-    # involutivity and non-degeneracy are theorems for a brace's solution;
-    # check_solution is the one place that checks and reports them
+    # verify checks a brace's solution once, from its lambdas, and builds no
+    # table; check_solution of a table checks and reports both properties
     calls = []
-    for name in ("_involutive", "_nondegenerate"):
-        check = getattr(ybe, name)
-        monkeypatch.setattr(ybe, name, lambda sol, name=name, check=check: calls.append(name) or check(sol))
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "verify" / "exponent-5.json"
-    assert main(["verify", "--input", str(path), "--suite", "ybe", "--sample-budget", "10"]) == 0
+    permutation_rows = ybe._permutation_rows
+
+    def refuse(*args):
+        raise AssertionError("verify built a YBE solution table")
+
+    with monkeypatch.context() as m:
+        m.setattr(ybe, "_permutation_rows", lambda n, rows: calls.append(n) or permutation_rows(n, rows))
+        m.setattr(ybe, "YBESolution", refuse)
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "verify" / "exponent-5.json"
+        assert main(["verify", "--input", str(path), "--suite", "ybe", "--sample-budget", "10"]) == 0
     ybe_block = json.loads(capsys.readouterr().out)["results"]["ybe"]
     assert ybe_block["involutive"] and ybe_block["nondegenerate"] and ybe_block["braid"]
-    assert calls == ["_involutive", "_nondegenerate"]
+    assert calls == [625]
     sol = solution_from_brace(diagonal_brace_m2(3))
-    assert calls == ["_involutive", "_nondegenerate"]
+    assert calls == [625]
     sol.u[sol.n + 1] = sol.u[sol.n + 2]  # row 1 of u is no longer a permutation
     report = check_solution(sol)
     assert not report.involutive and not report.nondegenerate and not report.passed
+
+
+def _unvalidated_braces() -> list[Brace]:
+    """Lambda assignments that are no brace: random automorphisms of C3 x C3
+    (with lambda_0 the identity in half of them), a lambda that is not a
+    permutation, and at order 169 the swap of ranks 1 and 2, a permutation
+    that is not additive, as lambda_1 alone and as every lambda_x.  The last
+    is still a solution, r(x, y) = (s(y), s^-1(x)); the others fail a check
+    of the lambdas and are checked on their table."""
+    rng = random.Random(29)
+    group = AbelianGroup((3, 3))
+    auts = all_automorphisms(group)
+    out = []
+    for i in range(40):
+        ids = [rng.randrange(len(auts)) for _ in range(9)]
+        if i % 2:
+            ids[0] = auts.index(tuple(range(9)))
+        out.append(Brace(group, ids, auts))
+    out.append(Brace(group, [0, 1] + [0] * 7, [tuple(range(9)), (0, 1, 1, 3, 4, 5, 6, 7, 8)]))
+    big = AbelianGroup((13, 13))
+    swap = (0, 2, 1, *range(3, 169))
+    out.append(Brace(big, [0, 1] + [0] * 167, [tuple(range(169)), swap]))
+    out.append(Brace(big, [1] * 169, [tuple(range(169)), swap]))
+    return out
+
+
+def test_a_brace_is_checked_as_its_solution_table(builtin_corpus, enumerated_braces, exponent5_brace):
+    # the report from the lambdas is the report of the table, field for field
+    braces = [*builtin_corpus, *enumerated_braces, exponent5_brace, diagonal_brace_m1(5), diagonal_brace_m2(5)]
+    unvalidated = _unvalidated_braces()
+    for brace, seed in itertools.product(braces + unvalidated, (0, 7)):
+        assert check_solution(brace, seed=seed) == check_solution(solution_from_brace(brace), seed=seed)
+    on_table = [ybe._brace_report(b, 1_000_000, 0) is None for b in unvalidated]
+    assert on_table == [True] * (len(unvalidated) - 1) + [False]
+    assert [check_solution(b).passed for b in unvalidated] == [not t for t in on_table]
+    # a budget below one is refused above order 81 on both paths, and only there
+    for brace in (exponent5_brace, unvalidated[-2], unvalidated[-1]):
+        for sol in (brace, solution_from_brace(brace)):
+            with pytest.raises(ValueError, match="sample_budget must be at least 1 .*got 0"):
+                check_solution(sol, sample_budget=0)
+    for brace in (diagonal_brace_m1(3), unvalidated[0]):
+        for sol in (brace, solution_from_brace(brace)):
+            assert check_solution(sol, sample_budget=0).exhaustive
 
 
 # -- the braid relation is checked in this process --
