@@ -4,7 +4,8 @@ Elements are coordinate tuples, reduced componentwise; ranks follow a
 little-endian mixed-radix rule (rank(a) = sum a_i * prod_{j<i} d_j), and every
 table or file in the package indexes elements by that rank.  An additive
 automorphism is its rank permutation: the tuple of the images of all ranks.
-All values are immutable after construction, so concurrent reads are safe.
+All values are immutable after construction, so concurrent reads are safe;
+derived views (tables, inverses, center, ...) are cached properties.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -61,8 +63,6 @@ class AbelianGroup:
     every listed modulus must be at least 2.
     """
 
-    __slots__ = ("moduli", "order", "elements", "_neg", "_add_flat", "_index")
-
     def __init__(self, moduli: Sequence[int]):
         moduli = checked_moduli(moduli)
         self.moduli: tuple[int, ...] = moduli
@@ -71,8 +71,6 @@ class AbelianGroup:
             tuple(reversed(e)) for e in itertools.product(*[range(d) for d in reversed(moduli)])
         ]
         self._index: dict[Element, int] = {e: i for i, e in enumerate(self.elements)}
-        self._neg: list[int] | None = None
-        self._add_flat: list[int] | None = None
 
     # -- rank / unrank -------------------------------------------------------
 
@@ -122,39 +120,42 @@ class AbelianGroup:
         """Ranks of the standard generators e_0..e_{k-1}: e_j has rank prod(moduli[:j])."""
         return [prod(self.moduli[:j]) for j in range(len(self.moduli))]
 
-    @property
+    @cached_property
     def neg_rank(self) -> list[int]:
-        if self._neg is None:
-            self._neg = [self.rank(self.neg(e)) for e in self.elements]
-        return self._neg
+        return [self.rank(self.neg(e)) for e in self.elements]
 
-    @property
+    @cached_property
     def add_flat(self) -> list[int]:
         """Flat n*n addition table over ranks; built on first use.
 
         Row a lists rank(a + b) over b in rank order, built digit by digit in
         the mixed radix; entries are the shared ints of ``range(n)``.
         """
-        if self._add_flat is None:
-            n = self.order
-            ranks = list(range(n))
-            weights = [prod(self.moduli[:t]) for t in range(len(self.moduli))]
-            # shifted[t][s]: the weighted digit t of b, after adding s to it
-            shifted = [
-                [[(s + x) % d * w for x in range(d)] for s in range(d)]
-                for d, w in zip(self.moduli, weights)
-            ]
-            flat = [0] * (n * n)
-            for i, a in enumerate(self.elements):
-                row = [0]
-                for t, s in enumerate(a):
-                    row = [x + r for x in shifted[t][s] for r in row]
-                flat[i * n : (i + 1) * n] = [ranks[r] for r in row]
-            self._add_flat = flat
-        return self._add_flat
+        n = self.order
+        ranks = list(range(n))
+        weights = [prod(self.moduli[:t]) for t in range(len(self.moduli))]
+        # shifted[t][s]: the weighted digit t of b, after adding s to it
+        shifted = [
+            [[(s + x) % d * w for x in range(d)] for s in range(d)]
+            for d, w in zip(self.moduli, weights)
+        ]
+        flat = [0] * (n * n)
+        for i, a in enumerate(self.elements):
+            row = [0]
+            for t, s in enumerate(a):
+                row = [x + r for x in shifted[t][s] for r in row]
+            flat[i * n : (i + 1) * n] = [ranks[r] for r in row]
+        return flat
 
-    def add_rank(self, i: int, j: int) -> int:
-        return (self._add_flat or self.add_flat)[i * self.order + j]
+    @cached_property
+    def add_rank(self) -> Callable[[int, int], int]:
+        """(i, j) -> rank(i + j): a closure over ``add_flat``, built on first read."""
+        flat, n = self.add_flat, self.order
+
+        def add_rank(i: int, j: int) -> int:
+            return flat[i * n + j]
+
+        return add_rank
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, AbelianGroup) and self.moduli == other.moduli
@@ -235,26 +236,19 @@ def all_automorphisms(group: AbelianGroup) -> list[tuple[int, ...]]:
 class TableGroup:
     """Group on ranks 0..n-1 given by a product function; identity must be 0.
 
-    Inverses, powers, element orders, generators and the center are derived
-    from ``mul_r`` alone and cached; ``pgroups.fingerprint`` caches its
-    invariants here too.
+    Powers, inverses, element orders, generators, the center and the derived
+    subgroup are derived from ``mul_r`` alone; all but powers are cached on
+    first read.
     """
 
     def __init__(self, n: int, mul_r: Callable[[int, int], int]):
         self.order = n
         self.mul_r = mul_r
-        self._inv: list[int] | None = None
-        self._orders: list[int] | None = None
-        self._gens: list[int] | None = None
-        self._center: frozenset[int] | None = None
-        self._fingerprint = None
 
-    @property
+    @cached_property
     def inv(self) -> list[int]:
         """x^-1 = x^(ord(x) - 1)."""
-        if self._inv is None:
-            self._inv = [self.pow_r(i, o - 1) for i, o in enumerate(self.element_orders)]
-        return self._inv
+        return [self.pow_r(i, o - 1) for i, o in enumerate(self.element_orders)]
 
     def inv_r(self, i: int) -> int:
         return self.inv[i]
@@ -271,44 +265,49 @@ class TableGroup:
                 base = self.mul_r(base, base)
         return 0 if acc is None else acc
 
-    @property
+    @cached_property
     def element_orders(self) -> list[int]:
         """The least t >= 1 with x^t = 0; a power walk that has not met 0 after
         n products (x^n = 1 in a group of order n) raises StructuralAnomaly."""
-        if self._orders is None:
-            mul, n = self.mul_r, self.order
-            out = [0] * n
-            for i in range(n):
-                y = i
-                for t in range(1, n + 1):
-                    if y == 0:
-                        break
-                    y = mul(y, i)
-                else:
-                    raise StructuralAnomaly(f"rank {i} has no power equal to the identity within {n} products")
-                out[i] = t
-            self._orders = out
-        return self._orders
+        mul, n = self.mul_r, self.order
+        out = [0] * n
+        for i in range(n):
+            y = i
+            for t in range(1, n + 1):
+                if y == 0:
+                    break
+                y = mul(y, i)
+            else:
+                raise StructuralAnomaly(f"rank {i} has no power equal to the identity within {n} products")
+            out[i] = t
+        return out
 
-    @property
+    @cached_property
     def generators(self) -> list[int]:
         """Greedy generators: the ranks that ``closure_generators`` keeps from 0..n-1.
 
         Every element is a word in them, built from 0 by right multiplication.
         """
-        if self._gens is None:
-            self._gens = closure_generators(self.mul_r, range(self.order))[1]
-        return self._gens
+        return closure_generators(self.mul_r, range(self.order))[1]
 
-    @property
+    @cached_property
     def center(self) -> frozenset[int]:
         """The elements that commute with every generator."""
-        if self._center is None:
-            mul, gens = self.mul_r, self.generators
-            self._center = frozenset(
-                c for c in range(self.order) if all(mul(c, g) == mul(g, c) for g in gens)
-            )
-        return self._center
+        mul, gens = self.mul_r, self.generators
+        return frozenset(c for c in range(self.order) if all(mul(c, g) == mul(g, c) for g in gens))
+
+    @cached_property
+    def derived(self) -> frozenset[int]:
+        """The derived subgroup G': the normal closure of the generators'
+        commutators, closed under conjugation by the generators."""
+        mul, inv, gens = self.mul_r, self.inv, self.generators
+        seeds = {mul(mul(inv[a], inv[b]), mul(a, b)) for a in gens for b in gens}
+        while True:
+            derived, dgens = closure_generators(mul, seeds)
+            conjugates = {mul(mul(inv[g], h), g) for h in dgens for g in gens}
+            if conjugates <= derived:
+                return frozenset(derived)
+            seeds = set(dgens) | conjugates
 
 
 def closure_generators(mul: Callable[[int, int], int], seeds: Iterable[int]) -> tuple[set[int], list[int]]:

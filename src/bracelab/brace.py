@@ -13,13 +13,19 @@ and the cocycle law lambda_{a + lambda_a(b)} = lambda_a . lambda_b for all
 pairs.  The law is checked at (a, g) for every a and each generator g of
 (A, o) only: the b at which it holds for every a are closed under o, so that
 is enough.  Braces are immutable once validated; all queries are safe to share.
+
+Three memo rules: a view an object computes about itself is a
+``functools.cached_property`` of it; an analysis ``nilpotency`` computes
+about a brace goes in ``brace.cache``; ``pgroups.model_fingerprint`` is an
+``lru_cache``, process-wide per (tag, p).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 from .abelian import (
     AbelianGroup,
@@ -84,11 +90,11 @@ class Brace:
 
     lambda_a is the rank permutation ``perms[lambda_ids[a]]``; ``perms`` may
     list automorphisms that no rank uses.  ``circle`` is the circle group
-    (A, o) on ranks; ``circ_r`` is its product.  ``cache`` memoises derived
-    analyses (series, A * A, ...).
+    (A, o) on ranks; ``circ_r`` and ``star_r`` are the two products, which
+    read the n^2 addition table, so a brace that is only saved builds none.
+    ``cache`` holds ``("series", kind)``, ``"right_annihilated"`` and
+    ``"theorem_context"`` (see ``nilpotency``).
     """
-
-    __slots__ = ("group", "lambda_ids", "perms", "cache", "name", "circ_r", "circle", "_add", "_neg", "_n")
 
     def __init__(self, group: AbelianGroup, lambda_ids: list[int], perms: list[tuple[int, ...]], name: str = ""):
         self.group = group
@@ -96,25 +102,6 @@ class Brace:
         self.perms = perms
         self.cache: dict = {}
         self.name = name
-
-    def __getattr__(self, attr: str):
-        """Bind ``circ_r``, ``circle`` and the tables the two products index
-        on first use: the addition table has n^2 entries, and a brace that is
-        only saved never needs it."""
-        if attr not in ("circ_r", "circle", "_add", "_neg", "_n"):
-            raise AttributeError(attr)
-        group, perms, lambda_ids = self.group, self.perms, self.lambda_ids
-        add, n = group.add_flat, group.order
-
-        # a closure over the tables, not a bound method: the brace, its
-        # circle group and its tables then form no reference cycle
-        def circ_r(a: int, b: int) -> int:
-            return add[a * n + perms[lambda_ids[a]][b]]
-
-        self._add, self._neg, self._n = add, group.neg_rank, n
-        self.circ_r = circ_r
-        self.circle = TableGroup(n, circ_r)
-        return getattr(self, attr)
 
     # -- basics ---------------------------------------------------------------
 
@@ -157,8 +144,31 @@ class Brace:
     def lam_r(self, a: int, b: int) -> int:
         return self.perms[self.lambda_ids[a]][b]
 
-    def star_r(self, a: int, b: int) -> int:
-        return self._add[self.perms[self.lambda_ids[a]][b] * self._n + self._neg[b]]
+    @cached_property
+    def circ_r(self) -> Callable[[int, int], int]:
+        """a o b = a + lambda_a(b) on ranks: a closure over the tables, not a
+        bound method, so the brace and its circle group form no cycle."""
+        add, n, perms, lambda_ids = self.group.add_flat, self.group.order, self.perms, self.lambda_ids
+
+        def circ_r(a: int, b: int) -> int:
+            return add[a * n + perms[lambda_ids[a]][b]]
+
+        return circ_r
+
+    @cached_property
+    def star_r(self) -> Callable[[int, int], int]:
+        """a * b = lambda_a(b) - b on ranks, a closure like ``circ_r``."""
+        group, perms, lambda_ids = self.group, self.perms, self.lambda_ids
+        add, neg, n = group.add_flat, group.neg_rank, group.order
+
+        def star_r(a: int, b: int) -> int:
+            return add[perms[lambda_ids[a]][b] * n + neg[b]]
+
+        return star_r
+
+    @cached_property
+    def circle(self) -> TableGroup:
+        return TableGroup(self.group.order, self.circ_r)
 
     # -- element-level operations ----------------------------------------------
 
@@ -200,12 +210,10 @@ class Brace:
         return subgroup_closure(self.group, seeds)
 
     def star_span(self) -> Subgroup:
-        """A * A, cached (the additive span of all pairwise stars)."""
-        span = self.cache.get("star_span")
-        if span is None:
-            n = range(self.order)
-            span = self.cache["star_span"] = self.subset_star(n, n)
-        return span
+        """A * A, the additive span of all pairwise stars; ``series(brace,
+        "left").term(2)`` is the same subgroup, cached."""
+        n = range(self.order)
+        return self.subset_star(n, n)
 
     def _ideal_closure(self, seeds: Iterable[int]) -> Subgroup:
         """The smallest ideal holding the seed ranks.
@@ -353,12 +361,12 @@ def brace_from_circ_table(group: AbelianGroup, circ: Sequence[Sequence[int]], na
     n = group.order
     if len(circ) != n or any(len(row) != n for row in circ):
         raise BraceError("multiplication table must be n x n")
-    gen_ranks = group.unit_ranks
+    gen_ranks, add, neg = group.unit_ranks, group.add_rank, group.neg_rank
     columns = []
     raw_rows = []
     for a in range(n):
         row = circ[a]
-        raw = [group.add_rank(row[b], group.neg_rank[a]) for b in range(n)]
+        raw = [add(row[b], neg[a]) for b in range(n)]
         raw_rows.append(raw)
         columns.append([group.unrank(raw[g]) for g in gen_ranks])
     brace = validate_brace(group, columns, name=name)

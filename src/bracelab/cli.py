@@ -350,8 +350,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         if (row["multipermutation_level"] is not None) != row["right_nilpotent"]:
             violation("mpl_iff_right_nilpotent", f"{fname}: finite mpl != right nilpotent")
         # only this direction holds at prime-power order: a one-step
-        # certificate can exist without the right series reaching zero
-        if row["right_nilpotent"] and row["certificate"] is None:
+        # certificate can exist without the right series reaching zero; a
+        # certificate is a nonzero element, so the order-1 brace has none
+        if row["right_nilpotent"] and row["certificate"] is None and row["moduli"]:
             violation("right_nilpotent_implies_certificate", f"{fname}: right nilpotent without a certificate")
         strong_finite = row["strong_class"] is not None
         both = row["right_nilpotent"] and row["left_class"] is not None

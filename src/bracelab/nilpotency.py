@@ -478,7 +478,7 @@ def theorem1_check(brace: Brace, P: Element, Qs: Sequence[Element], m: int) -> T
 
     hyps: list[HypothesisResult] = []
     hyps.append(HypothesisResult(1, "P^{p^m} is central", c in center_star(brace)))
-    a2 = brace.star_span()
+    a2 = series(brace, "left").term(2)
     hyps.append(HypothesisResult(2, "P^{p^m} in A*A", c in a2, (g.unrank(c),)))
     orders = tuple(circle.element_orders[q] for q in q_ranks)
     hyps.append(
@@ -529,7 +529,7 @@ def discover_theorem_context(brace: Brace) -> TheoremContext | None:
         p, m = shape
         pm = p ** m
         n = brace.order
-        a2 = brace.star_span()
+        a2 = series(brace, "left").term(2)
         center = center_star(brace)
         circle = brace.circle
         small = [q for q in range(1, n) if circle.element_orders[q] <= pm]

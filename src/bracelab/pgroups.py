@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -46,7 +46,6 @@ from .abelian import (
     StructuralAnomaly,
     TableGroup,
     abelian_basis,
-    closure_generators,
     group_closure,
     normal_form_images,
     perm_inverse,
@@ -97,9 +96,9 @@ class GroupModel(TableGroup):
     is the rank of the product of ranks i and j.  ``_collect`` gives instead
     its last split extension N x| C_e as ``extension``: N's table and the e
     powers of psi, and the model multiplies (r1, c1)(r2, c2) =
-    (r1 psi^c1(r2), c1 + c2 mod e) at rank r + |N| c.  Then ``table`` is
-    tabulated from that product on first read, and until then the model
-    holds no n^2 object.
+    (r1 psi^c1(r2), c1 + c2 mod e) at rank r + |N| c.  Then ``table``, a
+    cached view, is tabulated from that product on first read, and until
+    then the model holds no n^2 object.
     """
 
     def __init__(
@@ -118,10 +117,10 @@ class GroupModel(TableGroup):
         self.gens = {g: tuple(int(i == j) for i in range(k)) for j, g in enumerate(self.presented.gen_names)}
         self.elements = _normal_forms(bounds)
         self._weights = [prod(bounds[:j]) for j in range(k)]
-        self._table = table
         self._extension = extension
         n = len(self.elements)
         if table is not None:
+            self.table = table
             super().__init__(n, lambda i, j: table[i * n + j])
             return
         # with m = |N| and rank i = r + m c: hi[i] = c, row[i] = m r (where r's
@@ -140,12 +139,10 @@ class GroupModel(TableGroup):
 
         super().__init__(n, mul)
 
-    @property
+    @cached_property
     def table(self) -> list[int]:
         """The flat n*n table; a collected model tabulates it on first read."""
-        if self._table is None:
-            self._table = _extension_table(*self._extension)
-        return self._table
+        return _extension_table(*self._extension)
 
     def rank(self, e: tuple) -> int:
         r = sum(c * w for c, w in zip(e, self._weights))
@@ -174,34 +171,17 @@ class GroupFingerprint:
 
 
 def fingerprint(group: TableGroup) -> GroupFingerprint:
-    """Exact invariants from the element orders and the generators, cached on the group.
-
-    The center is what commutes with the generators, the group is abelian iff
-    that is everything, and the derived subgroup is the normal closure of the
-    generators' commutators: closed under conjugation by the generators.
-    """
-    if group._fingerprint is not None:
-        return group._fingerprint
+    """Exact invariants read from the group's cached element orders, center
+    and derived subgroup; the group is abelian iff its center is everything.
+    Only the O(n) histogram is computed here, so nothing is cached."""
     n = group.order
-    mul, inv = group.mul_r, group.inv
     hist: dict[int, int] = {}
     exponent = 1
     for o in group.element_orders:
         hist[o] = hist.get(o, 0) + 1
         exponent = exponent * o // gcd(exponent, o)
     center = len(group.center)
-    gens = group.generators
-    seeds = {mul(mul(inv[a], inv[b]), mul(a, b)) for a in gens for b in gens}
-    while True:
-        derived, dgens = closure_generators(mul, seeds)
-        conjugates = {mul(mul(inv[g], h), g) for h in dgens for g in gens}
-        if conjugates <= derived:
-            break
-        seeds = set(dgens) | conjugates
-    group._fingerprint = GroupFingerprint(
-        n, center == n, exponent, tuple(sorted(hist.items())), center, len(derived)
-    )
-    return group._fingerprint
+    return GroupFingerprint(n, center == n, exponent, tuple(sorted(hist.items())), center, len(group.derived))
 
 
 # -- presentations and collection ------------------------------------------------

@@ -21,9 +21,10 @@ here.
 
 ``check_solution`` also takes a ``Brace``, whose solution it checks from the
 k distinct lambda permutations without building the 2 n^2 table entries:
-the rows are the lambdas, so every check but right non-degeneracy is k n
-work (see ``_brace_report``).  A brace that fails any of these checks, which
-a validated one never does, is checked on its table.
+the rows are the lambdas, and every finite cycle set is non-degenerate
+(Rump 2005, Theorem 2), so no column is read (see ``_brace_report``).  A
+brace that fails any of these checks, which a validated one never does, is
+checked on its table.
 
 ``retraction`` and ``multipermutation_level`` work on any solution table.
 For a brace, Ret(r_A) = r_{A/Soc(A)} with Soc(A) = ker lambda, so
@@ -168,9 +169,9 @@ def _nondegenerate(sol: YBESolution) -> bool:
 def _picker(idx: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """seq -> tuple(seq[i] for i in idx); itemgetter gives a bare item for one index.
 
-    Only the cycle-set law and the right non-degeneracy check of a brace
-    gather: they compose whole permutations and read whole columns, where
-    one itemgetter call is about twice as fast as a loop over the entries."""
+    Only the cycle-set law gathers: it composes whole permutations and reads
+    whole columns, where one itemgetter call is about twice as fast as a
+    loop over the entries."""
     if len(idx) > 1:
         return itemgetter(*idx)
     return lambda seq: tuple(seq[i] for i in idx)
@@ -279,24 +280,6 @@ def _permutation_rows(n: int, rows: Iterable[Sequence[int]]) -> bool:
     return all(len(row) == n and set(row) == points for row in rows)
 
 
-def _right_nondegenerate(n: int, ids: Sequence[int], rows: Sequence[tuple[int, ...]]) -> bool:
-    """For each y, x -> sigma_{sigma_x(y)}^-1(x) is a bijection, with
-    sigma_x = rows[ids[x]] a permutation: a column of v at a time, gathered
-    from the points x that share a row, a row at a time."""
-    inverses = [perm_inverse(row) for row in rows]
-    sharing: list[list[int]] = [[] for _ in rows]  # the points x of each row
-    for x, i in enumerate(ids):
-        sharing[i].append(x)
-    at_points = [_picker(points) for points in sharing]
-    for y in range(n):
-        column: set[int] = set()
-        for row, at in zip(rows, at_points):
-            column.update(at(inverses[ids[row[y]]]))
-        if len(column) != n:
-            return False
-    return True
-
-
 def _brace_report(brace: Brace, sample_budget: int, seed: int) -> SolutionReport | None:
     """The report of r(x, y) = (lambda_x(y), lambda_u^-1(x)), u = lambda_x(y),
     read from the k distinct lambdas; None when a check fails.
@@ -305,17 +288,19 @@ def _brace_report(brace: Brace, sample_budget: int, seed: int) -> SolutionReport
     are in range, row x of u is lambda_x, so r is left non-degenerate, and r
     is involutive: r(u, v) = (lambda_u(lambda_u^-1(x)), lambda_x^-1(u)) =
     (x, lambda_x^-1(lambda_x(y))) = (x, y).  So those three are k n work,
-    right non-degeneracy is checked a column of v at a time (n^2 lookups),
-    and the cycle-set law runs on the lambdas as the rows of u.  None (the
-    caller checks the table) when a lambda is not a permutation, r is right
-    degenerate, or the law is not True; a validated brace passes every one.
+    and the cycle-set law runs on the lambdas as the rows of u.  When it
+    holds, x . y = lambda_x^-1(y) makes the points a finite cycle set, and
+    every finite cycle set is non-degenerate (Rump, Adv. Math. 193 (2005),
+    Theorem 2): r is right non-degenerate too, with no column of v read.
+    None (the caller checks the table) when a lambda is not a permutation
+    or the law is not True; a validated brace passes both.
     """
     n, perms, lambda_ids = brace.order, brace.perms, brace.lambda_ids
     ids, rows = _interned(tuple(perms[lambda_ids[x]]) for x in range(n))
     if not _permutation_rows(n, rows):
         return None
     exhaustive, triples, used_seed = _stream_length(n, sample_budget, seed)
-    if _right_nondegenerate(n, ids, rows) and _cycle_set_law(n, ids, rows) is True:
+    if _cycle_set_law(n, ids, rows) is True:
         return SolutionReport(n, True, True, True, triples, exhaustive, used_seed, None)
     return None
 
@@ -339,10 +324,11 @@ def check_solution(sol: YBESolution | Brace, sample_budget: int = 1_000_000, see
     smaller budget raises ValueError, and so does an entry of u or v outside
     0..n-1.
 
-    A ``Brace`` is checked from its lambdas, with no table (``_brace_report``
-    gives the proof that this suffices).  If any of those checks fails, its solution
-    table is built by ``solution_from_brace`` and checked as above, so the
-    report is always the one ``check_solution(solution_from_brace(brace))``
+    A ``Brace`` is checked from its lambdas, with no table; right
+    non-degeneracy follows from the law (Rump 2005, Theorem 2), and
+    ``_brace_report`` gives the proof.  If any of those checks fails, its
+    solution table is built by ``solution_from_brace`` and checked as above,
+    so the report is always the one ``check_solution(solution_from_brace(brace))``
     gives.
     """
     if isinstance(sol, Brace):

@@ -224,6 +224,21 @@ def test_report_certificate_without_right_nilpotency(enumerations, tmp_path):
     assert doc["results"]["corpus_invariants"]["right_nilpotent_implies_certificate"]
 
 
+def test_report_order_one_brace_needs_no_certificate(tmp_path, capsys):
+    # the order-1 brace is right nilpotent, and a certificate is a nonzero
+    # element, so "right nilpotent implies a certificate" does not apply to it
+    corpus = tmp_path / "corpus"
+    assert run_cli(["enumerate", "", "--out-dir", str(corpus)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert run_cli(["report", "--corpus", str(corpus), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    (row,) = doc["results"]["rows"]
+    assert row["moduli"] == [] and row["right_nilpotent"] and row["certificate"] is None
+    inv = doc["results"]["corpus_invariants"]
+    assert inv["right_nilpotent_implies_certificate"] is True and inv["violations"] == []
+
+
 def test_report_builds_no_ybe_solution(builtin_corpus, monkeypatch, tmp_path):
     # a report row reads the multipermutation level from the socle series
     corpus = tmp_path / "corpus"

@@ -66,7 +66,8 @@ from bracelab.ybe import solution_from_brace
 # -- references --------------------------------------------------------------------
 
 
-def ref_fingerprint(group: TableGroup) -> tuple:
+def ref_fingerprint(group: TableGroup) -> tuple[tuple, set[int]]:
+    """The fingerprint fields by full scans, and the derived subgroup as a set."""
     n, mul, inv = group.order, group.mul_r, group.inv
     hist: dict[int, int] = {}
     exponent = 1
@@ -77,7 +78,7 @@ def ref_fingerprint(group: TableGroup) -> tuple:
     center = sum(1 for c in range(n) if all(mul(c, a) == mul(a, c) for a in range(n)))
     comms = {mul(mul(inv[a], inv[b]), mul(a, b)) for a in range(n) for b in range(n)}
     derived = group_closure(mul, comms)
-    return (n, abelian, exponent, tuple(sorted(hist.items())), center, len(derived))
+    return (n, abelian, exponent, tuple(sorted(hist.items())), center, len(derived)), derived
 
 
 def ref_subset_star(brace: Brace, xs, ys) -> Subgroup:
@@ -335,9 +336,12 @@ def test_corpus_holds_unused_automorphisms(kernel_braces):
 
 def test_fingerprint_matches_full_scan(kernel_braces):
     for b in kernel_braces:
-        fp = fingerprint(TableGroup(b.order, b.circ_r))
+        group = TableGroup(b.order, b.circ_r)
+        fp = fingerprint(group)
         got = (fp.order, fp.abelian, fp.exponent, fp.order_histogram, fp.center_order, fp.derived_order)
-        assert got == ref_fingerprint(TableGroup(b.order, b.circ_r)), b.name
+        ref, derived = ref_fingerprint(TableGroup(b.order, b.circ_r))
+        assert got == ref, b.name
+        assert group.derived == derived, b.name
 
 
 def _permutation_group(gens: list[tuple[int, ...]], seed: int) -> TableGroup:
@@ -368,7 +372,9 @@ def test_fingerprint_takes_the_normal_closure(seed):
         group = _permutation_group(gens, seed)
         fp = fingerprint(group)
         got = (fp.order, fp.abelian, fp.exponent, fp.order_histogram, fp.center_order, fp.derived_order)
-        assert got == ref_fingerprint(group)
+        ref, derived = ref_fingerprint(group)
+        assert got == ref
+        assert group.derived == derived
 
 
 @pytest.mark.parametrize("tag", NONABELIAN_TAGS)
@@ -376,7 +382,7 @@ def test_model_fingerprint_matches_full_scan(tag):
     model = build_model(tag, 3)
     fp = fingerprint(TableGroup(model.order, model.mul_r))
     got = (fp.order, fp.abelian, fp.exponent, fp.order_histogram, fp.center_order, fp.derived_order)
-    assert got == ref_fingerprint(model)
+    assert got == ref_fingerprint(model)[0]
     # the table-free fingerprint that classification reads is the proved table's
     for p in (3, 5):
         n, table = p**4, build_model(tag, p).table

@@ -10,7 +10,7 @@ import pytest
 
 from bracelab.abelian import abelian_basis
 from bracelab import nilpotency
-from bracelab.brace import Brace, trivial_brace
+from bracelab.brace import trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.enumeration import enumerate_braces
 from bracelab.nilpotency import (
@@ -541,16 +541,16 @@ def test_a_failed_stage_counts_its_failing_check_and_has_a_witness(stage, monkey
         P = b.rank(discover_theorem_context(b).P)
         inv = list(b.circle.inv)
         inv[P] = g.add_rank(inv[P], e)
-        monkeypatch.setattr(b.circle, "_inv", inv)
+        monkeypatch.setattr(b.circle, "inv", inv)
     else:
         pair = _wrong_pair(b, stage)
-        right = Brace.star_r
+        right = b.star_r
 
-        def star_r(self, x, y):
-            out = right(self, x, y)
+        def star_r(x, y):
+            out = right(x, y)
             return g.add_rank(out, e) if (x, y) == pair else out
 
-        monkeypatch.setattr(Brace, "star_r", star_r)
+        monkeypatch.setattr(b, "star_r", star_r)
 
     position = 0
     for holds in FAILURE_STAGES[stage](b):

@@ -435,13 +435,31 @@ def test_verify_checks_the_brace_solution_once(monkeypatch, capsys):
     assert not report.involutive and not report.nondegenerate and not report.passed
 
 
+def _law_holding_lambdas(count: int) -> list[Brace]:
+    """Seeded lambda assignments on C_n, n <= 6, that are no brace (some
+    lambda in use is not additive) but use two or more distinct permutations
+    and satisfy the cycle-set law, so their solutions pass on the lambdas."""
+    rng = random.Random(2005)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 6)
+        perms = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(2, n))]
+        ids = [rng.randrange(len(perms)) for _ in range(n)]
+        group = AbelianGroup((n,))
+        additive = set(all_automorphisms(group)).issuperset(perms[i] for i in ids)
+        if len(set(ids)) > 1 and not additive and ref_law_witness(_cycle_set_map([perms[i] for i in ids])) is None:
+            out.append(Brace(group, ids, perms))
+    return out
+
+
 def _unvalidated_braces() -> list[Brace]:
     """Lambda assignments that are no brace: random automorphisms of C3 x C3
     (with lambda_0 the identity in half of them), a lambda that is not a
-    permutation, and at order 169 the swap of ranks 1 and 2, a permutation
-    that is not additive, as lambda_1 alone and as every lambda_x.  The last
-    is still a solution, r(x, y) = (s(y), s^-1(x)); the others fail a check
-    of the lambdas and are checked on their table."""
+    permutation, at order 169 the swap of ranks 1 and 2, a permutation that
+    is not additive, as lambda_1 alone and as every lambda_x, and eight
+    law-holding assignments from ``_law_holding_lambdas``.  The first 42
+    fail a check of the lambdas and are checked on their table; the rest
+    are still solutions (the swap gives r(x, y) = (s(y), s^-1(x)))."""
     rng = random.Random(29)
     group = AbelianGroup((3, 3))
     auts = all_automorphisms(group)
@@ -456,7 +474,7 @@ def _unvalidated_braces() -> list[Brace]:
     swap = (0, 2, 1, *range(3, 169))
     out.append(Brace(big, [0, 1] + [0] * 167, [tuple(range(169)), swap]))
     out.append(Brace(big, [1] * 169, [tuple(range(169)), swap]))
-    return out
+    return out + _law_holding_lambdas(8)
 
 
 def test_a_brace_is_checked_as_its_solution_table(builtin_corpus, enumerated_braces, exponent5_brace):
@@ -466,10 +484,10 @@ def test_a_brace_is_checked_as_its_solution_table(builtin_corpus, enumerated_bra
     for brace, seed in itertools.product(braces + unvalidated, (0, 7)):
         assert check_solution(brace, seed=seed) == check_solution(solution_from_brace(brace), seed=seed)
     on_table = [ybe._brace_report(b, 1_000_000, 0) is None for b in unvalidated]
-    assert on_table == [True] * (len(unvalidated) - 1) + [False]
+    assert on_table == [True] * 42 + [False] * (len(unvalidated) - 42)
     assert [check_solution(b).passed for b in unvalidated] == [not t for t in on_table]
     # a budget below one is refused above order 81 on both paths, and only there
-    for brace in (exponent5_brace, unvalidated[-2], unvalidated[-1]):
+    for brace in (exponent5_brace, unvalidated[41], unvalidated[42]):
         for sol in (brace, solution_from_brace(brace)):
             with pytest.raises(ValueError, match="sample_budget must be at least 1 .*got 0"):
                 check_solution(sol, sample_budget=0)
