@@ -13,10 +13,9 @@ from .abelian import (
     NotBijective,
     NotHomomorphism,
     StructuralAnomaly,
-    Subgroup,
     all_automorphisms,
+    group_closure,
     multiples_subgroup,
-    subgroup_generated,
     validate_automorphism,
 )
 from .brace import (
@@ -53,7 +52,6 @@ from .nilpotency import (
     Theorem1Report,
     TheoremContext,
     annihilator_certificate,
-    center_star,
     certify_right_nilpotent,
     discover_theorem_context,
     identity_suite,

@@ -4,6 +4,8 @@ Elements are coordinate tuples, reduced componentwise; ranks follow a
 little-endian mixed-radix rule (rank(a) = sum a_i * prod_{j<i} d_j), and every
 table or file in the package indexes elements by that rank.  An additive
 automorphism is its rank permutation: the tuple of the images of all ranks.
+A set of elements (a subgroup, ideal, series term or central set) is the
+frozenset of their ranks.
 All values are immutable after construction, so concurrent reads are safe;
 derived views (tables, inverses, center, ...) are cached properties.
 """
@@ -11,11 +13,9 @@ derived views (tables, inverses, center, ...) are cached properties.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, isqrt, prod
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 Element = tuple[int, ...]
 
@@ -250,9 +250,6 @@ class TableGroup:
         """x^-1 = x^(ord(x) - 1)."""
         return [self.pow_r(i, o - 1) for i, o in enumerate(self.element_orders)]
 
-    def inv_r(self, i: int) -> int:
-        return self.inv[i]
-
     def pow_r(self, i: int, k: int) -> int:
         if k < 0:
             return self.inv[self.pow_r(i, -k)]
@@ -306,11 +303,11 @@ class TableGroup:
             derived, dgens = closure_generators(mul, seeds)
             conjugates = {mul(mul(inv[g], h), g) for h in dgens for g in gens}
             if conjugates <= derived:
-                return frozenset(derived)
+                return derived
             seeds = set(dgens) | conjugates
 
 
-def closure_generators(mul: Callable[[int, int], int], seeds: Iterable[int]) -> tuple[set[int], list[int]]:
+def closure_generators(mul: Callable[[int, int], int], seeds: Iterable[int]) -> tuple[frozenset[int], list[int]]:
     """Subgroup generated by the seeds, and the seeds kept as its generators.
 
     Seeds are taken in increasing order and one already reached is skipped,
@@ -332,7 +329,7 @@ def closure_generators(mul: Callable[[int, int], int], seeds: Iterable[int]) -> 
                 if y not in members:
                     members.add(y)
                     frontier.append(y)
-    return members, gens
+    return frozenset(members), gens
 
 
 def normal_form_images(mul: Callable[[int, int], int], bounds: Sequence[int], images: Sequence[int]) -> list[int]:
@@ -351,56 +348,17 @@ def normal_form_images(mul: Callable[[int, int], int], bounds: Sequence[int], im
     return out
 
 
-def group_closure(mul: Callable[[int, int], int], seeds: Iterable[int]) -> set[int]:
-    """Subgroup generated by the seeds."""
+def group_closure(mul: Callable[[int, int], int], seeds: Iterable[int]) -> frozenset[int]:
+    """Subgroup generated by the seeds; on ``AbelianGroup.add_rank``, the
+    additive subgroup."""
     return closure_generators(mul, seeds)[0]
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """Subgroup stored as the sorted tuple of its member ranks."""
-
-    ranks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ranks", tuple(sorted(self.ranks)))
-
-    @property
-    def order(self) -> int:
-        return len(self.ranks)
-
-    def members(self) -> frozenset[int]:
-        return frozenset(self.ranks)
-
-    def __contains__(self, rank: int) -> bool:
-        i = bisect_left(self.ranks, rank)
-        return i < len(self.ranks) and self.ranks[i] == rank
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.ranks)
-
-    def __len__(self) -> int:
-        return len(self.ranks)
-
-    def elements(self, group: AbelianGroup) -> list[Element]:
-        return [group.unrank(i) for i in self.ranks]
-
-
-def subgroup_closure(group: AbelianGroup, seed_ranks: Iterable[int]) -> Subgroup:
-    """Smallest additively closed subset containing the seeds and 0."""
-    return Subgroup(tuple(group_closure(group.add_rank, seed_ranks)))
-
-
-def subgroup_generated(group: AbelianGroup, gens: Iterable[Element]) -> Subgroup:
-    return subgroup_closure(group, [group.rank(e) for e in gens])
-
-
-def multiples_subgroup(group: AbelianGroup, k: int) -> Subgroup:
+def multiples_subgroup(group: AbelianGroup, k: int) -> frozenset[int]:
     """The subgroup {k*a : a in A}, computed by direct image enumeration."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranks = {group.rank(group.scalar_multiple(k, e)) for e in group.elements}
-    return Subgroup(tuple(ranks))
+    return frozenset(group.scalar_rank(k, i) for i in range(group.order))
 
 
 def primary_invariants(moduli: Sequence[int]) -> tuple[tuple[int, ...], ...]:

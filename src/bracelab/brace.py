@@ -33,13 +33,12 @@ from .abelian import (
     NotBijective,
     NotHomomorphism,
     StructuralAnomaly,
-    Subgroup,
     TableGroup,
     abelian_basis,
     closure_generators,
+    group_closure,
     normal_form_images,
     perm_order,
-    subgroup_closure,
     validate_automorphism,
 )
 
@@ -197,25 +196,17 @@ class Brace:
 
     # -- subset star and ideals --------------------------------------------------
 
-    def subset_star(self, xs: Iterable[int] | Subgroup, ys: Iterable[int] | Subgroup) -> Subgroup:
+    def subset_star(self, xs: Iterable[int], ys: Iterable[int]) -> frozenset[int]:
         """Additive subgroup generated by {x * y : x in X, y in Y} (rank sets).
 
         x * y is additive in y, so Y is replaced by the generators of <Y>
         that ``closure_generators`` keeps, which are elements of Y.
         """
-        xr = xs.ranks if isinstance(xs, Subgroup) else xs
-        yr = ys.ranks if isinstance(ys, Subgroup) else ys
-        gens = closure_generators(self.group.add_rank, yr)[1]
-        seeds = {self.star_r(x, y) for x in xr for y in gens}
-        return subgroup_closure(self.group, seeds)
+        add = self.group.add_rank
+        gens = closure_generators(add, ys)[1]
+        return group_closure(add, {self.star_r(x, y) for x in xs for y in gens})
 
-    def star_span(self) -> Subgroup:
-        """A * A, the additive span of all pairwise stars; ``series(brace,
-        "left").term(2)`` is the same subgroup, cached."""
-        n = range(self.order)
-        return self.subset_star(n, n)
-
-    def _ideal_closure(self, seeds: Iterable[int]) -> Subgroup:
+    def _ideal_closure(self, seeds: Iterable[int]) -> frozenset[int]:
         """The smallest ideal holding the seed ranks.
 
         Until nothing new appears: close under +, apply lambda_g for each
@@ -234,17 +225,17 @@ class Brace:
             new = {self.lam_r(g, x) for g in circle_gens for x in gens}
             new.update(self.star_r(x, e) for x in members for e in units)
             if new <= members:
-                return Subgroup(tuple(members))
+                return members
             members, gens = closure_generators(add, members | new)
 
-    def ideal_generated(self, c: Element) -> Subgroup:
+    def ideal_generated(self, c: Element) -> frozenset[int]:
         """Smallest set containing c closed under +, -, every lambda_a, and
         two-sided stars with arbitrary elements (see ``_ideal_closure``)."""
         return self._ideal_closure([self.rank(c)])
 
-    def is_ideal(self, sub: Subgroup) -> bool:
+    def is_ideal(self, sub: frozenset[int]) -> bool:
         """0 lies in sub and sub is its own ideal closure."""
-        return 0 in sub and self._ideal_closure(sub).members() == sub.members()
+        return 0 in sub and self._ideal_closure(sub) == sub
 
 
 def _check_cocycle(brace: Brace) -> tuple[Element, Element] | None:
@@ -401,8 +392,9 @@ def _is_circle_hom(pi: Sequence[int], src: Brace, dst: Brace) -> bool:
     )
 
 
-def quotient_brace(brace: Brace, ideal: Subgroup) -> tuple[Brace, dict[int, int]]:
-    """Brace on the cosets of an ideal, plus the rank projection map.
+def quotient_brace(brace: Brace, ideal: frozenset[int]) -> tuple[Brace, dict[int, int]]:
+    """Brace on the cosets of an ideal (a set of ranks), plus the rank
+    projection map.
 
     Raises NotAnIdeal when the closure conditions fail, and StructuralAnomaly
     if the coset coordinates are not a bijection or the projection is not a
@@ -411,11 +403,10 @@ def quotient_brace(brace: Brace, ideal: Subgroup) -> tuple[Brace, dict[int, int]
     brace homomorphism, and the induced lambda is then constant on cosets.
     """
     if not brace.is_ideal(ideal):
-        raise NotAnIdeal(f"subset of order {ideal.order} fails ideal closure")
+        raise NotAnIdeal(f"subset of order {len(ideal)} fails ideal closure")
     group = brace.group
     n = group.order
     add = group.add_rank
-    imembers = list(ideal.ranks)
 
     coset_id = [-1] * n
     reps: list[int] = []
@@ -424,7 +415,7 @@ def quotient_brace(brace: Brace, ideal: Subgroup) -> tuple[Brace, dict[int, int]
             continue
         cid = len(reps)
         reps.append(r)
-        for i in imembers:
+        for i in ideal:
             coset_id[add(r, i)] = cid
     m = len(reps)
 

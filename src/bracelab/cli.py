@@ -119,7 +119,7 @@ def _series_entry(brace: Brace, kind: str) -> dict[str, Any]:
     return {
         "kind": kind,
         "class": res.nilpotency_class,
-        "chain_orders": [t.order for t in res.chain],
+        "chain_orders": [len(t) for t in res.chain],
         "reaches_zero": res.reaches_zero,
     }
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .abelian import AbelianGroup, Element, closure_generators, subgroup_closure
+from .abelian import AbelianGroup, Element, closure_generators, group_closure
 from .brace import Brace, BraceError, trivial_brace, validate_brace
 
 __all__ = [
@@ -97,18 +97,18 @@ def ring_brace(moduli: Sequence[int], products: dict[tuple[int, int], Sequence[i
 
     # power ideal chain: T_{k+1} = span(T_k . A); nilpotent iff it reaches 0.
     # The product is bilinear, so T_{k+1} = span(g . e_j : g generates T_k).
-    term = subgroup_closure(group, range(group.order))
+    term = frozenset(range(group.order))
     seen = set()
-    while term.order > 1:
-        if term.ranks in seen:
+    while len(term) > 1:
+        if term in seen:
             raise NotNilpotent("power ideal chain stabilised above zero")
-        seen.add(term.ranks)
+        seen.add(term)
         prods = {
             group.rank(mul(group.unrank(x), e))
-            for x in closure_generators(group.add_rank, term.ranks)[1]
+            for x in closure_generators(group.add_rank, term)[1]
             for e in gens
         }
-        term = subgroup_closure(group, prods)
+        term = group_closure(group.add_rank, prods)
 
     table = []
     for a in group.elements:

@@ -30,12 +30,10 @@ from typing import Iterable, Iterator, Literal, Sequence
 from .abelian import (
     Element,
     StructuralAnomaly,
-    Subgroup,
     group_closure,
     multiples_subgroup,
     normal_form_images,
     prime_power,
-    subgroup_closure,
 )
 from .brace import Brace, BraceError, quotient_brace
 from .pgroups import InputShapeMismatch, _iso_from_model, presented
@@ -57,14 +55,14 @@ class PreconditionMismatch(BraceError):
 @dataclass(frozen=True)
 class SeriesResult:
     kind: SeriesKind
-    chain: tuple[Subgroup, ...]
+    chain: tuple[frozenset[int], ...]
     nilpotency_class: int | None  # smallest i with term(i) = {0}, 1-based
 
     @property
     def reaches_zero(self) -> bool:
         return self.nilpotency_class is not None
 
-    def term(self, i: int) -> Subgroup:
+    def term(self, i: int) -> frozenset[int]:
         """term(i) with the convention that the chain is constant past its end."""
         if i < 1:
             raise IndexError("series terms are 1-based")
@@ -84,24 +82,24 @@ def series(brace: Brace, kind: SeriesKind) -> SeriesResult:
     cached = brace.cache.get(("series", kind))
     if cached is not None:
         return cached
-    full = Subgroup(tuple(range(brace.order)))
-    chain: list[Subgroup] = [full]
+    full = frozenset(range(brace.order))
+    chain: list[frozenset[int]] = [full]
     if kind in ("left", "right"):
         while True:
             prev = chain[-1]
             nxt = brace.subset_star(full, prev) if kind == "left" else brace.subset_star(prev, full)
-            if nxt.ranks == prev.ranks:
+            if nxt == prev:
                 break
             chain.append(nxt)
     elif kind == "strong":
         horizon = brace.order + 2
-        while chain[-1].order > 1:
+        while len(chain[-1]) > 1:
             i = len(chain)
             seeds: set[int] = set()
             for j in range(1, i + 1):
-                seeds.update(brace.subset_star(chain[j - 1], chain[i - j]).ranks)
-            nxt = subgroup_closure(brace.group, seeds)
-            if nxt.ranks == chain[-1].ranks:
+                seeds.update(brace.subset_star(chain[j - 1], chain[i - j]))
+            nxt = group_closure(brace.group.add_rank, seeds)
+            if nxt == chain[-1]:
                 left_zero = series(brace, "left").reaches_zero
                 right_zero = series(brace, "right").reaches_zero
                 if not (left_zero and right_zero):
@@ -113,7 +111,7 @@ def series(brace: Brace, kind: SeriesKind) -> SeriesResult:
                 )
     else:
         raise ValueError(f"unknown series kind {kind!r}")
-    cls = next((i + 1 for i, t in enumerate(chain) if t.order == 1), None)
+    cls = next((i + 1 for i, t in enumerate(chain) if len(t) == 1), None)
     result = SeriesResult(kind, tuple(chain), cls)
     brace.cache[("series", kind)] = result
     return result
@@ -126,14 +124,6 @@ def left_class_at_most(brace: Brace, bound: int) -> bool:
 
 
 # -- central sets ------------------------------------------------------------------
-
-
-def center_star(brace: Brace) -> frozenset[int]:
-    """Ranks of elements c with c * a = a * c for every a (a plain set).
-
-    c o a = c * a + c + a, so this is the center of the circle group.
-    """
-    return brace.circle.center
 
 
 def socle(brace: Brace) -> frozenset[int]:
@@ -157,7 +147,7 @@ def socle_series_length(brace: Brace) -> int | None:
         soc = socle(current)
         if len(soc) == 1:
             return None
-        current, _ = quotient_brace(current, Subgroup(tuple(soc)))
+        current, _ = quotient_brace(current, soc)
         steps += 1
     return steps
 
@@ -177,19 +167,22 @@ def right_annihilated(brace: Brace) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A nonzero central c with A * c = 0, plus the ideal it generates.
+    """A nonzero central c with A * c = 0, plus the ideal it generates (the
+    frozenset of its ranks).
 
     c * A = 0 and the ideal being two-sided null are checked; a failure
     raises StructuralAnomaly, so a certificate carries no flags.
     """
 
     element: Element
-    ideal_ranks: tuple[int, ...]
+    ideal_ranks: frozenset[int]
     quotient_order: int
 
 
 def annihilator_certificate(brace: Brace) -> Certificate | None:
-    """Search Z(A) with A * c = 0 for the smallest-rank nonzero witness.
+    """Search Z(A) with A * c = 0 for the smallest-rank nonzero witness;
+    Z(A), the c with c * a = a * c for every a, is the center of the circle
+    group, since c o a = c * a + c + a.
 
     When a candidate is found, c * A = 0 must also hold, i.e. c lies in the
     socle; a failure there would contradict the central-annihilator lemma and
@@ -198,7 +191,7 @@ def annihilator_certificate(brace: Brace) -> Certificate | None:
     in the right-annihilated set (A * x = 0).
     """
     annihilated = right_annihilated(brace)
-    candidates = sorted(center_star(brace) & annihilated - {0})
+    candidates = sorted(brace.circle.center & annihilated - {0})
     if not candidates:
         return None
     c = candidates[0]
@@ -208,12 +201,12 @@ def annihilator_certificate(brace: Brace) -> Certificate | None:
             f"central element {brace.element(c)} has A*c=0 but c*A != 0"
         )
     ideal = brace.ideal_generated(brace.element(c))
-    if not ideal.members() <= soc & annihilated:
+    if not ideal <= soc & annihilated:
         raise StructuralAnomaly("ideal generated by certificate is not two-sided null")
     return Certificate(
         element=brace.element(c),
-        ideal_ranks=ideal.ranks,
-        quotient_order=brace.order // ideal.order,
+        ideal_ranks=ideal,
+        quotient_order=brace.order // len(ideal),
     )
 
 
@@ -250,7 +243,7 @@ def certify_right_nilpotent(brace: Brace) -> CertifyResult:
             transcript.append(CertifyStep(current.order, None, 0))
             break
         transcript.append(CertifyStep(current.order, cert.element, len(cert.ideal_ranks)))
-        current, _ = quotient_brace(current, Subgroup(cert.ideal_ranks))
+        current, _ = quotient_brace(current, cert.ideal_ranks)
 
     direct = series(brace, "right").reaches_zero
     if verdict != direct:
@@ -477,7 +470,7 @@ def theorem1_check(brace: Brace, P: Element, Qs: Sequence[Element], m: int) -> T
     c = circle.pow_r(pr, pm)
 
     hyps: list[HypothesisResult] = []
-    hyps.append(HypothesisResult(1, "P^{p^m} is central", c in center_star(brace)))
+    hyps.append(HypothesisResult(1, "P^{p^m} is central", c in circle.center))
     a2 = series(brace, "left").term(2)
     hyps.append(HypothesisResult(2, "P^{p^m} in A*A", c in a2, (g.unrank(c),)))
     orders = tuple(circle.element_orders[q] for q in q_ranks)
@@ -530,8 +523,8 @@ def discover_theorem_context(brace: Brace) -> TheoremContext | None:
         pm = p ** m
         n = brace.order
         a2 = series(brace, "left").term(2)
-        center = center_star(brace)
         circle = brace.circle
+        center = circle.center
         small = [q for q in range(1, n) if circle.element_orders[q] <= pm]
         for pr in range(1, n):
             c = circle.pow_r(pr, pm)
@@ -714,10 +707,9 @@ def pa_bound_check(brace: Brace) -> PABoundReport:
     pa = multiples_subgroup(brace.group, p)
     full = range(brace.order)
     a_pa = brace.subset_star(full, pa)
-    bound = a_pa.order <= p
+    bound = len(a_pa) <= p
     second: bool | None = None
-    if a_pa.order > 1:
-        second = brace.subset_star(full, a_pa).order == 1
-    z = center_star(brace)
-    pa_central = all(r in z for r in pa)
-    return PABoundReport(p, pa.order, a_pa.order, bound, second, pa_central)
+    if len(a_pa) > 1:
+        second = len(brace.subset_star(full, a_pa)) == 1
+    pa_central = pa <= brace.circle.center
+    return PABoundReport(p, len(pa), len(a_pa), bound, second, pa_central)

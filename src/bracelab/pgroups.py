@@ -414,10 +414,10 @@ def derived_relations(model: GroupModel) -> list[tuple[str, bool]]:
         out.append(("Q central", central(model.gen_rank("Q"))))
         out.append(("P^p central", central(pp)))
         R = model.gen_rank("R")
-        out.append(("R^-1 P^p R = P^p", _holds(lambda: mul(mul(model.inv_r(R), pp), R) == pp)))
+        out.append(("R^-1 P^p R = P^p", _holds(lambda: mul(mul(model.inv[R], pp), R) == pp)))
     elif tag in ("XI", "XII", "XIII"):
         R = model.gen_rank("R")
-        out.append(("R^-1 P^p R = P^p", _holds(lambda: mul(mul(model.inv_r(R), pp), R) == pp)))
+        out.append(("R^-1 P^p R = P^p", _holds(lambda: mul(mul(model.inv[R], pp), R) == pp)))
         out.append(("P^p central", central(pp)))
     return out
 

@@ -14,14 +14,14 @@ from bracelab.constructions import (
     diagonal_brace_m2,
     ring_brace,
 )
-from bracelab.nilpotency import center_star, series
+from bracelab.nilpotency import series
 
 
 def test_trivial_family():
     T = trivial_brace([4, 4])
-    assert T.star_span().order == 1
+    assert series(T, "left").term(2) == {0}
     assert series(trivial_brace([3, 27]), "right").nilpotency_class == 2
-    assert center_star(T) == frozenset(range(16))
+    assert T.circle.center == frozenset(range(16))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -41,9 +41,9 @@ def test_diagonal_m1_p2_star_value():
 
 def test_diagonal_m1_p5_star_span():
     A = diagonal_brace_m1(5)
-    span = A.star_span()
-    assert span.order == 5
-    assert set(span.elements(A.group)) == {(5 * k % 25, 0) for k in range(5)}
+    span = series(A, "left").term(2)
+    assert len(span) == 5
+    assert {A.element(r) for r in span} == {(5 * k % 25, 0) for k in range(5)}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

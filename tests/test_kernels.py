@@ -20,12 +20,10 @@ from bracelab.abelian import (
     NotBijective,
     NotHomomorphism,
     StructuralAnomaly,
-    Subgroup,
     TableGroup,
     abelian_basis,
     all_automorphisms,
     group_closure,
-    subgroup_closure,
     validate_automorphism,
 )
 from bracelab.brace import (
@@ -46,7 +44,6 @@ from bracelab.nilpotency import (
     _scan,
     _stage_commuting_powers,
     annihilator_certificate,
-    center_star,
     identity_suite,
     right_annihilated,
     series,
@@ -81,8 +78,8 @@ def ref_fingerprint(group: TableGroup) -> tuple[tuple, set[int]]:
     return (n, abelian, exponent, tuple(sorted(hist.items())), center, len(derived)), derived
 
 
-def ref_subset_star(brace: Brace, xs, ys) -> Subgroup:
-    return subgroup_closure(brace.group, {brace.star_r(x, y) for x in xs for y in ys})
+def ref_subset_star(brace: Brace, xs, ys) -> frozenset[int]:
+    return group_closure(brace.group.add_rank, {brace.star_r(x, y) for x in xs for y in ys})
 
 
 def ref_right_annihilated(brace: Brace) -> frozenset[int]:
@@ -150,7 +147,7 @@ def ref_group_table(model: GroupModel) -> bool:
 
 def ref_annihilator_certificate(brace: Brace) -> Certificate | None:
     """The star_r scans: c * a = 0 for every a, then x * a = a * x = 0 over the ideal."""
-    candidates = sorted(center_star(brace) & right_annihilated(brace) - {0})
+    candidates = sorted(brace.circle.center & right_annihilated(brace) - {0})
     if not candidates:
         return None
     c, n = candidates[0], brace.order
@@ -159,7 +156,7 @@ def ref_annihilator_certificate(brace: Brace) -> Certificate | None:
     ideal = brace.ideal_generated(brace.element(c))
     if not all(brace.star_r(x, a) == 0 and brace.star_r(a, x) == 0 for x in ideal for a in range(n)):
         raise StructuralAnomaly("ideal generated by certificate is not two-sided null")
-    return Certificate(brace.element(c), ideal.ranks, n // ideal.order)
+    return Certificate(brace.element(c), ideal, n // len(ideal))
 
 
 def ref_ppn_check(brace: Brace, P: int) -> tuple[int, int | None]:
@@ -208,10 +205,10 @@ def ref_perm(columns, group: AbelianGroup) -> tuple[int, ...]:
     return tuple(group.rank(apply(e)) for e in group.elements)
 
 
-def ref_ideal_generated(brace: Brace, c: int) -> Subgroup:
+def ref_ideal_generated(brace: Brace, c: int) -> frozenset[int]:
     """Closed under +, every lambda_a and stars with every a on both sides: 3 |I| n calls a pass."""
-    n = brace.order
-    members = set(subgroup_closure(brace.group, [c]).ranks)
+    n, add = brace.order, brace.group.add_rank
+    members = group_closure(add, [c])
     while True:
         new = {
             y
@@ -220,13 +217,12 @@ def ref_ideal_generated(brace: Brace, c: int) -> Subgroup:
             for y in (brace.lam_r(a, x), brace.star_r(a, x), brace.star_r(x, a))
         }
         if new <= members:
-            return Subgroup(tuple(members))
-        members = set(subgroup_closure(brace.group, members | new).ranks)
+            return members
+        members = group_closure(add, members | new)
 
 
-def ref_is_ideal(brace: Brace, sub: Subgroup) -> bool:
-    """0, -x and x + y in sub, and lambda_a(x), a * x and x * a in sub for every a."""
-    mem = sub.members()
+def ref_is_ideal(brace: Brace, mem: frozenset[int]) -> bool:
+    """0, -x and x + y in mem, and lambda_a(x), a * x and x * a in mem for every a."""
     add, neg = brace.group.add_rank, brace.group.neg_rank
     if 0 not in mem or any(neg[x] not in mem or any(add(x, y) not in mem for y in mem) for x in mem):
         return False
@@ -237,11 +233,11 @@ def ref_is_ideal(brace: Brace, sub: Subgroup) -> bool:
     )
 
 
-def ref_quotient(brace: Brace, ideal: Subgroup) -> tuple[Brace, dict[int, int]]:
+def ref_quotient(brace: Brace, ideal: frozenset[int]) -> tuple[Brace, dict[int, int]]:
     """Coset coordinates by repeated addition, the induced lambda checked constant
     on each coset, and the projection checked multiplicative on all n^2 pairs."""
     if not ref_is_ideal(brace, ideal):
-        raise NotAnIdeal(f"subset of order {ideal.order} fails ideal closure")
+        raise NotAnIdeal(f"subset of order {len(ideal)} fails ideal closure")
     group, n = brace.group, brace.order
     add = group.add_rank
     coset_id, reps = [-1] * n, []
@@ -393,23 +389,22 @@ def test_subset_star_matches_full_scan(kernel_braces):
     rng = random.Random(11)
     for b in kernel_braces:
         full = range(b.order)
-        terms = {t.ranks for kind in ("left", "right", "strong") for t in series(b, kind).chain}
-        for ranks in sorted(terms):
-            t = Subgroup(ranks)
-            assert b.subset_star(full, t) == ref_subset_star(b, full, ranks), b.name
-            assert b.subset_star(t, full) == ref_subset_star(b, ranks, full), b.name
-            assert b.subset_star(t, t) == ref_subset_star(b, ranks, ranks), b.name
+        terms = {t for kind in ("left", "right", "strong") for t in series(b, kind).chain}
+        for t in sorted(terms, key=sorted):
+            assert b.subset_star(full, t) == ref_subset_star(b, full, t), b.name
+            assert b.subset_star(t, full) == ref_subset_star(b, t, full), b.name
+            assert b.subset_star(t, t) == ref_subset_star(b, t, t), b.name
         # Y need not be a subgroup
         ys = rng.sample(range(b.order), min(3, b.order))
         assert b.subset_star(full, ys) == ref_subset_star(b, full, ys), b.name
-        assert b.star_span() == ref_subset_star(b, full, full), b.name
+        assert series(b, "left").term(2) == ref_subset_star(b, full, full), b.name
 
 
 def test_right_annihilated_and_center_match_full_scan(kernel_braces):
     for b in kernel_braces:
         b.cache.pop("right_annihilated", None)
         assert right_annihilated(b) == ref_right_annihilated(b), b.name
-        assert center_star(b) == ref_center_star(b), b.name
+        assert b.circle.center == ref_center_star(b), b.name
         assert TableGroup(b.order, b.circ_r).center == ref_center_star(b), b.name
 
 
@@ -689,15 +684,15 @@ def test_is_ideal_matches_the_full_scan(reference_braces):
     outcomes = set()
     for b in reference_braces:
         n = b.order
-        subs = [Subgroup((0,)), Subgroup(tuple(range(n)))]
+        subs = [frozenset({0}), frozenset(range(n))]
         for _ in range(4):
-            subs.append(subgroup_closure(b.group, rng.sample(range(n), rng.randint(1, 2))))
+            subs.append(group_closure(b.group.add_rank, rng.sample(range(n), rng.randint(1, 2))))
             # rank sets that need not be subgroups, with and without 0
-            subs.append(Subgroup(tuple({0, *rng.sample(range(n), min(n, 2))})))
-            subs.append(Subgroup(tuple(rng.sample(range(1, n), min(n - 1, 2)))))
+            subs.append(frozenset({0, *rng.sample(range(n), min(n, 2))}))
+            subs.append(frozenset(rng.sample(range(1, n), min(n - 1, 2))))
         for sub in subs:
             want = ref_is_ideal(b, sub)
-            assert b.is_ideal(sub) == want, (b.name, sub.ranks)
+            assert b.is_ideal(sub) == want, (b.name, sorted(sub))
             outcomes.add(want)
     assert outcomes == {True, False}
 
@@ -709,7 +704,7 @@ def test_quotients_match_the_full_scan_along_the_certificate_recursion(reference
             cert = annihilator_certificate(current)
             if cert is None:
                 break
-            ideal = Subgroup(cert.ideal_ranks)
+            ideal = cert.ideal_ranks
             got, projection = quotient_brace(current, ideal)
             want, want_projection = ref_quotient(current, ideal)
             assert (got.moduli, got.lambda_columns(), got.name) == (want.moduli, want.lambda_columns(), want.name)
@@ -748,7 +743,7 @@ def test_is_isomorphic_matches_the_full_scan(enumerations, small_corpus):
 def test_a_subgroup_with_i_star_a_inside_that_lambda_moves_is_not_an_ideal(enumerations):
     b = enumerations[(2, 4)].representatives[4]
     assert b.name == "enum(2, 4)-004"
-    sub = Subgroup((b.rank((0, 0)), b.rank((1, 0))))
+    sub = frozenset({b.rank((0, 0)), b.rank((1, 0))})
     assert all(b.star_r(x, a) in sub for x in sub for a in range(b.order))
     assert not all(b.lam_r(a, x) in sub for x in sub for a in range(b.order))
     assert not b.is_ideal(sub) and not ref_is_ideal(b, sub)

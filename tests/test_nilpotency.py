@@ -8,7 +8,7 @@ from math import comb, prod
 
 import pytest
 
-from bracelab.abelian import abelian_basis
+from bracelab.abelian import abelian_basis, multiples_subgroup
 from bracelab import nilpotency
 from bracelab.brace import trivial_brace
 from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
@@ -19,7 +19,6 @@ from bracelab.nilpotency import (
     SuiteScope,
     _coverage,
     annihilator_certificate,
-    center_star,
     certify_right_nilpotent,
     discover_theorem_context,
     find_g4_pair,
@@ -41,17 +40,17 @@ def test_series_trivial():
     for kind in ("left", "right", "strong"):
         res = series(T, kind)
         assert res.nilpotency_class == 2
-        assert [t.order for t in res.chain] == [16, 1]
+        assert [len(t) for t in res.chain] == [16, 1]
 
 
 def test_series_diagonal_chains():
     A = diagonal_brace_m1(2)
     right = series(A, "right")
     assert right.nilpotency_class == 3
-    assert set(right.chain[1].elements(A.group)) == {(0, 0), (2, 0)}
+    assert {A.element(r) for r in right.chain[1]} == {(0, 0), (2, 0)}
     left = series(A, "left")
     assert left.nilpotency_class == 3
-    assert set(left.chain[1].elements(A.group)) == {(0, 0), (2, 0)}
+    assert {A.element(r) for r in left.chain[1]} == {(0, 0), (2, 0)}
     strong = series(A, "strong")
     assert strong.nilpotency_class is not None
 
@@ -63,20 +62,38 @@ def test_series_chain_descends_and_strong_dominates():
         strong = series(brace, "strong")
         for res in (left, right, strong):
             for prev, nxt in zip(res.chain, res.chain[1:]):
-                assert nxt.members() <= prev.members()
+                assert nxt <= prev
         depth = max(len(left.chain), len(right.chain), len(strong.chain))
         for i in range(1, depth + 1):
-            assert left.term(i).members() <= strong.term(i).members()
-            assert right.term(i).members() <= strong.term(i).members()
+            assert left.term(i) <= strong.term(i)
+            assert right.term(i) <= strong.term(i)
 
 
 def test_center_star_examples():
     T = trivial_brace([2, 8])
-    assert center_star(T) == frozenset(range(16))
+    assert T.circle.center == frozenset(range(16))
     A = diagonal_brace_m1(2)
-    assert {A.element(c) for c in center_star(A)} == {(0, 0), (2, 0), (0, 2), (2, 2)}
+    assert {A.element(c) for c in A.circle.center} == {(0, 0), (2, 0), (0, 2), (2, 2)}
     B = diagonal_brace_m2(3)
-    assert B.rank((0, 9)) in center_star(B)
+    assert B.rank((0, 9)) in B.circle.center
+
+
+def test_every_set_of_ranks_is_a_frozenset():
+    A = diagonal_brace_m1(2)
+    full = range(A.order)
+    chains = [t for kind in ("left", "right", "strong") for t in series(A, kind).chain]
+    sets = [
+        A.subset_star(full, [1, 2]),
+        A.ideal_generated((2, 0)),
+        *chains,
+        socle(A),
+        right_annihilated(A),
+        multiples_subgroup(A.group, 2),
+        A.circle.center,
+        A.circle.derived,
+        annihilator_certificate(A).ideal_ranks,
+    ]
+    assert [type(s) for s in sets] == [frozenset] * len(sets)
 
 
 def test_socle(enumerated_braces):
@@ -107,12 +124,12 @@ def test_annihilator_certificate_examples():
     certa = annihilator_certificate(A)
     assert certa.element == (2, 0)
     assert A.rank(certa.element) in socle(A)
-    assert set(certa.ideal_ranks) <= socle(A) & right_annihilated(A)
+    assert certa.ideal_ranks <= socle(A) & right_annihilated(A)
     B = diagonal_brace_m2(3)
     certb = annihilator_certificate(B)
     # smallest-rank candidate; (0, 9) is also in the candidate set
     assert certb.element == (0, 3)
-    assert B.rank((0, 9)) in (center_star(B) & frozenset(range(B.order)))
+    assert B.rank((0, 9)) in B.circle.center
 
 
 def test_certify_right_nilpotent():

@@ -176,13 +176,13 @@ def test_models_build_and_validate_at_p3(tag):
 def test_g4_conjugation_value_at_p3():
     m = build_model("G4", 3)
     P, Q = m.gen_rank("P"), m.gen_rank("Q")
-    assert m.mul_r(m.mul_r(m.inv_r(Q), P), Q) == m.pow_r(P, 10)
+    assert m.mul_r(m.mul_r(m.inv[Q], P), Q) == m.pow_r(P, 10)
 
 
 def test_viii_conjugation_value_at_p3():
     m = build_model("VIII", 3)
     P, Q = m.gen_rank("P"), m.gen_rank("Q")
-    assert m.mul_r(m.mul_r(m.inv_r(Q), P), Q) == m.pow_r(P, 4)
+    assert m.mul_r(m.mul_r(m.inv[Q], P), Q) == m.pow_r(P, 4)
 
 
 def test_xi_family_derived_identity_at_p3():
@@ -190,7 +190,7 @@ def test_xi_family_derived_identity_at_p3():
         m = build_model(tag, 3)
         P, R = m.gen_rank("P"), m.gen_rank("R")
         pp = m.pow_r(P, 3)
-        assert m.mul_r(m.mul_r(m.inv_r(R), pp), R) == pp
+        assert m.mul_r(m.mul_r(m.inv[R], pp), R) == pp
 
 
 def test_unsupported_prime():
