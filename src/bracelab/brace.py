@@ -23,9 +23,8 @@ about a brace goes in ``brace.cache``; ``pgroups.model_fingerprint`` is an
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .abelian import (
     AbelianGroup,
@@ -71,8 +70,7 @@ class NotAnIdeal(BraceError):
     """A subset fails the ideal closure conditions."""
 
 
-@dataclass(frozen=True)
-class BraceReport:
+class BraceReport(NamedTuple):
     """Validation outcome with witnesses; empty violations means accepted."""
 
     order: int

@@ -29,8 +29,8 @@ classes to their orbits under conjugation by Aut(A,+).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .abelian import (
     AbelianGroup,
@@ -54,8 +54,7 @@ MAX_AUT = 1000
 ORACLE_MAX_AUT = 1000
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class _EnumerationFields(NamedTuple):
     moduli: tuple[int, ...]
     representatives: tuple[Brace, ...]
     total_tables: int
@@ -63,7 +62,15 @@ class EnumerationResult:
     class_sizes: tuple[int, ...]
     nodes_explored: int
 
-    def __post_init__(self) -> None:
+
+class EnumerationResult(_EnumerationFields):
+    """The fields of ``_EnumerationFields``; the class count and the table
+    count are checked against the class sizes at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> EnumerationResult:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.isomorphism_classes == len(self.representatives) == len(self.class_sizes):
             raise StructuralAnomaly(
                 f"{self.isomorphism_classes} classes but {len(self.representatives)} representatives"
@@ -71,6 +78,7 @@ class EnumerationResult:
             )
         if self.total_tables != sum(self.class_sizes):
             raise StructuralAnomaly(f"{self.total_tables} tables but class sizes sum to {sum(self.class_sizes)}")
+        return self
 
 
 def _p_part(m: int, p: int) -> int:
@@ -248,8 +256,7 @@ def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = F
 # -- holomorph oracle ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     moduli: tuple[int, ...]
     regular_subgroups: int
     aut_conjugacy_classes: int

@@ -23,9 +23,8 @@ first failing one, and every failed stage carries that check's witness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .abelian import (
     Element,
@@ -52,8 +51,7 @@ class PreconditionMismatch(BraceError):
 # -- series ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     kind: SeriesKind
     chain: tuple[frozenset[int], ...]
     nilpotency_class: int | None  # smallest i with term(i) = {0}, 1-based
@@ -165,8 +163,7 @@ def right_annihilated(brace: Brace) -> frozenset[int]:
 # -- certificates -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A nonzero central c with A * c = 0, plus the ideal it generates (the
     frozenset of its ranks).
 
@@ -210,15 +207,13 @@ def annihilator_certificate(brace: Brace) -> Certificate | None:
     )
 
 
-@dataclass(frozen=True)
-class CertifyStep:
+class CertifyStep(NamedTuple):
     order: int
     certificate: Element | None
     ideal_order: int
 
 
-@dataclass(frozen=True)
-class CertifyResult:
+class CertifyResult(NamedTuple):
     right_nilpotent: bool
     transcript: tuple[CertifyStep, ...]
 
@@ -256,8 +251,7 @@ def certify_right_nilpotent(brace: Brace) -> CertifyResult:
 # -- stage machinery -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StageResult:
+class StageResult(NamedTuple):
     name: str
     status: Literal["passed", "failed", "skipped"]
     checks: int = 0
@@ -269,8 +263,7 @@ class StageResult:
         return self.status != "failed"
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     stages: tuple[StageResult, ...]
 
     @property
@@ -333,8 +326,7 @@ def p4_shape(brace: Brace) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class TheoremContext:
+class TheoremContext(NamedTuple):
     """Generators feeding the staged identities: P plus the Q_i list."""
 
     p: int
@@ -423,16 +415,14 @@ def theorem_stage_results(brace: Brace, ctx: TheoremContext) -> list[StageResult
 # -- theorem pipeline ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypothesisResult:
+class HypothesisResult(NamedTuple):
     index: int
     description: str
     passed: bool
     detail: tuple = ()
 
 
-@dataclass(frozen=True)
-class Theorem1Report:
+class Theorem1Report(NamedTuple):
     p: int
     m: int
     P: Element
@@ -551,8 +541,7 @@ def discover_theorem_context(brace: Brace) -> TheoremContext | None:
 # -- identity suite ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteScope:
+class SuiteScope(NamedTuple):
     """Stage selection for the identity suite."""
 
     stages: tuple[str, ...] = (
@@ -601,7 +590,10 @@ def find_g4_pair(brace: Brace) -> tuple[int, int] | None:
     """A pair (P, Q) with circle orders p^3 and p, Q^{-1} o P o Q = P^{1+p^2},
     and {P^k o Q^c} covering the brace: the generator images of the first
     isomorphism from the G4 presentation onto the circle group (P by rank,
-    then Q by rank).  None when no such pair exists."""
+    then Q by rank).  Only a brace with additive group C_p x C_p^3
+    (``p4_shape`` m = 2) is searched: None when the additive group is any
+    other (a circle group of another additive type may still have such a
+    pair), or when no such pair exists."""
     shape = p4_shape(brace)
     if shape is None or shape[1] != 2:
         return None
@@ -677,8 +669,7 @@ def identity_suite(brace: Brace, scope: SuiteScope | None = None) -> SuiteReport
 # -- the pA bound -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PABoundReport:
+class PABoundReport(NamedTuple):
     p: int
     pa_order: int
     a_star_pa_order: int

@@ -36,11 +36,10 @@ Tag summary (odd p unless noted):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, prod
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .abelian import (
     StructuralAnomaly,
@@ -160,8 +159,7 @@ class GroupModel(TableGroup):
 # -- fingerprints -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupFingerprint:
+class GroupFingerprint(NamedTuple):
     order: int
     abelian: bool
     exponent: int
@@ -261,8 +259,7 @@ def _eval_word(
     return 0 if out is None else out
 
 
-@dataclass(frozen=True)
-class Presented:
+class Presented(NamedTuple):
     """A tag's presentation at p, parsed once; it holds no table.
 
     ``gen_names`` are the generators that have a power relation, sorted (the
@@ -422,8 +419,7 @@ def derived_relations(model: GroupModel) -> list[tuple[str, bool]]:
     return out
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     tag: str
     p: int
     defining: tuple[tuple[str, bool], ...]
@@ -544,8 +540,7 @@ def model_fingerprint(tag: str, p: int) -> GroupFingerprint:
 # -- classification --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # "abelian" | "tag" | "unmatched"
     tag: str | None  # canonical (first) matching tag
     abelian_type: tuple[int, ...] | None

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .abelian import perm_inverse
 from .brace import Brace, BraceError
@@ -52,8 +51,7 @@ class NotWellDefined(BraceError):
     """The retraction quotient is inconsistent on equivalence classes."""
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(NamedTuple):
     size: int
     involutive: bool
     nondegenerate: bool

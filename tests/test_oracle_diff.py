@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from bracelab.abelian import prime_power
 from bracelab.fileformat import doc_to_brace
-from bracelab.nilpotency import right_annihilated, series, socle_series_length
+from bracelab.nilpotency import find_g4_pair, p4_shape, right_annihilated, series, socle_series_length
+from bracelab.pgroups import classify_multiplicative_group, fingerprint
 
 pytest.importorskip("numpy")
 
@@ -32,8 +35,9 @@ def _load_oracle():
 oracle = _load_oracle()
 
 
-def _disagreements(brace, tables) -> list[str]:
-    """The answers on which bracelab and the oracle's tables differ."""
+def _disagreements(brace, tables, compared: Counter) -> list[str]:
+    """The answers on which bracelab and the oracle's tables differ; the
+    comparisons that only some braces reach are tallied in ``compared``."""
     out = [f"oracle axiom failure: {failure}" for failure in tables.axiom_failures()]
     for kind in ("left", "right", "strong"):
         if series(brace, kind).nilpotency_class != tables.series_class(kind):
@@ -43,25 +47,45 @@ def _disagreements(brace, tables) -> list[str]:
         out.append("certificate candidates")
     if socle_series_length(brace) != tables.multipermutation_level():
         out.append("multipermutation level")
+    fp = fingerprint(brace.circle)
+    if (fp.exponent, fp.abelian) != (tables.circ_exponent(), tables.circ_abelian()):
+        out.append("circle exponent or abelian-ness")
+    pk = prime_power(brace.order)
+    if pk is not None and pk[1] == 4:
+        classification = classify_multiplicative_group(brace)
+        if classification.kind == "abelian":
+            compared["abelian type"] += 1
+            if classification.abelian_type != tables.circ_abelian_type():
+                out.append("circle abelian type")
+    # find_g4_pair looks only on C_p x C_p^3; the oracle looks on every brace of order p^4
+    shape = p4_shape(brace)
+    if shape is not None and shape[1] == 2:
+        pair = find_g4_pair(brace)
+        compared["C_p x C_p^3"] += 1
+        compared["G4 pair"] += pair is not None
+        if (pair is None) != (tables.g4_pair() is None):
+            out.append("G4 pair")
     return out
 
 
 def test_the_report_inputs_agree_with_the_oracle():
     assert len(REPORT_INPUTS) == 197
     bad = {}
+    compared = Counter()
     for path in REPORT_INPUTS:
         doc = json.loads(path.read_text(encoding="utf-8"))
         tables = oracle.BraceTables(doc["moduli"], doc["lambda_table"])
-        found = _disagreements(doc_to_brace(doc), tables)
+        found = _disagreements(doc_to_brace(doc), tables, compared)
         if found:
             bad[path.relative_to(ROOT).as_posix()] = found
     assert not bad
+    assert compared == {"abelian type": 42, "C_p x C_p^3": 71, "G4 pair": 9}
 
 
 def test_the_enumerated_braces_agree_with_the_oracle(enumerated_braces):
     bad = {}
     for b in enumerated_braces:
-        found = _disagreements(b, oracle.BraceTables(b.moduli, b.lambda_columns()))
+        found = _disagreements(b, oracle.BraceTables(b.moduli, b.lambda_columns()), Counter())
         if found:
             bad[b.name] = found
     assert not bad
