@@ -3,23 +3,25 @@ by the verification suites, and classification of a brace's circle group.
 
 The relations of each tag are written once, as words in ``presentation``,
 and ``presented`` parses them: power relations give the generator names and
-bounds, conjugation and commuting relations the actions.  Every other fact
-about a tag is read from that parse.  ``_collect`` builds each model from it
-as iterated split extensions on ranks, proving each one at the automorphism
-level (the action is a bijective automorphism of N whose order divides the
-bound), and the model multiplies by its last extension without an n^2
-table.  Classification screens a tag by its largest bound and checks
-candidate generator images against its relations.
+bounds, conjugation and commuting relations the actions.  Every fact the
+models use is read from that parse; the one exception is
+``derived_relations``, which writes out per-tag consequences by hand.
+``_collect`` builds each model from the parse as iterated split extensions
+on ranks, proving each one at the automorphism level (the action is a
+bijective automorphism of N whose order divides the bound).  The product of
+N x| C_e is written once, in ``_extension_product``; each N's table
+tabulates it, and the model multiplies by the last one, so a model is
+exactly the product that was proved.  Classification screens a tag by its
+largest bound and checks candidate generator images against its relations.
 
-``build_model`` builds a model on every call and caches nothing; it also
-tabulates the model, proves the table a group from its generators (identity,
-generator rows that permute the ranks, generation, and Light's associativity
-test on the generators, exhaustive at every order) and checks the defining
-relations.  The tests compare that table with the product ``_collect``
-gives and with a hand-written collection formula, rank for rank.
+``build_model`` is ``_collect`` plus the defining relations; it caches
+nothing and builds no n^2 table until ``GroupModel.table`` is read.
 Classification reads ``model_fingerprint``, cached per (tag, p), which
-collects each model at most once per process, checks its defining relations
-and fingerprints its product; no table is built.
+builds each model at most once per process and fingerprints its product.
+Light's test (``_check_group``) proves an arbitrary table a group; it is
+the reference that ``verify_presentation_relations`` and the tests hold a
+table to, and the tests also compare each model with a hand-written
+collection formula, rank for rank.
 
 Tag summary (odd p unless noted):
 
@@ -91,13 +93,12 @@ class GroupModel(TableGroup):
 
     The generators are the unit exponent tuples, named and ordered as in the
     tag's ``presented`` parse.  Ranks follow ``_normal_forms`` of the bounds.
-    Given a flat n*n table, the model multiplies by it: ``table[i * n + j]``
-    is the rank of the product of ranks i and j.  ``_collect`` gives instead
-    its last split extension N x| C_e as ``extension``: N's table and the e
-    powers of psi, and the model multiplies (r1, c1)(r2, c2) =
-    (r1 psi^c1(r2), c1 + c2 mod e) at rank r + |N| c.  Then ``table``, a
-    cached view, is tabulated from that product on first read, and until
-    then the model holds no n^2 object.
+    ``_collect`` gives the model its product ``mul``, the last split
+    extension that it proved a group (``_extension_product``), and ``table``,
+    a cached view, tabulates that product on first read; until then the
+    model holds no n^2 object.  Given a flat n*n table instead, the model
+    multiplies by it: ``table[i * n + j]`` is the rank of the product of
+    ranks i and j.  That is how an arbitrary or tampered table is audited.
     """
 
     def __init__(
@@ -106,7 +107,7 @@ class GroupModel(TableGroup):
         p: int,
         bounds: tuple[int, ...],
         table: list[int] | None = None,
-        extension: tuple[list[int], list[list[int]]] | None = None,
+        mul: Callable[[int, int], int] | None = None,
     ):
         self.tag = tag
         self.p = p
@@ -116,32 +117,15 @@ class GroupModel(TableGroup):
         self.gens = {g: tuple(int(i == j) for i in range(k)) for j, g in enumerate(self.presented.gen_names)}
         self.elements = _normal_forms(bounds)
         self._weights = [prod(bounds[:j]) for j in range(k)]
-        self._extension = extension
         n = len(self.elements)
         if table is not None:
             self.table = table
-            super().__init__(n, lambda i, j: table[i * n + j])
-            return
-        # with m = |N| and rank i = r + m c: hi[i] = c, row[i] = m r (where r's
-        # row of N starts in base), moved[c'][i] = psi^c'(r), and
-        # shift[c1 + c2] = m (c1 + c2 mod e); no list here has n^2 entries
-        base, psi_pows = extension
-        m, e = len(psi_pows[0]), len(psi_pows)
-        hi = [i // m for i in range(n)]
-        row = [(i % m) * m for i in range(n)]
-        moved = [[psi[i % m] for i in range(n)] for psi in psi_pows]
-        shift = [m * (c % e) for c in range(2 * e)]
-
-        def mul(i: int, j: int) -> int:
-            c1 = hi[i]
-            return base[row[i] + moved[c1][j]] + shift[c1 + hi[j]]
-
-        super().__init__(n, mul)
+        super().__init__(n, mul if table is None else lambda i, j: table[i * n + j])
 
     @cached_property
     def table(self) -> list[int]:
-        """The flat n*n table; a collected model tabulates it on first read."""
-        return _extension_table(*self._extension)
+        """The flat n*n table; a collected model tabulates its product on first read."""
+        return _tabulate(self.order, self.mul_r)
 
     def rank(self, e: tuple) -> int:
         r = sum(c * w for c, w in zip(e, self._weights))
@@ -294,24 +278,32 @@ def presented(tag: str, p: int) -> Presented:
     return Presented(relations, gen_names, tuple(bounds[g] for g in gen_names), action)
 
 
-def _extension_table(base: list[int], psi_pows: list[list[int]]) -> list[int]:
-    """The flat table of N x| C_e from N's table and the e powers of psi, at
-    rank r + |N| c: row (r1, c1) is row r1 of N read along psi^c1, shifted by
-    |N| (c1 + c2 mod e) for each c2."""
-    n, e = len(psi_pows[0]), len(psi_pows)
-    rows = [base[a * n : (a + 1) * n] for a in range(n)]
-    # entries are the shared ints of one range, as in AbelianGroup.add_flat:
-    # a fresh int per entry above 256 would cost memory on every model
-    m = n * e
-    ranks = list(range(m))
-    table = [0] * (m * m)
-    for c1, moved in enumerate(psi_pows):
-        offsets = [n * ((c1 + c2) % e) for c2 in range(e)]
-        for r1, row in enumerate(rows):
-            base = [row[s] for s in moved]
-            a = r1 + n * c1
-            table[a * m : (a + 1) * m] = [ranks[t + o] for o in offsets for t in base]
-    return table
+def _tabulate(n: int, mul: Callable[[int, int], int]) -> list[int]:
+    """The flat n*n table of a product on ranks 0..n-1.  Its entries are the
+    shared ints of one range, as in AbelianGroup.add_flat: a fresh int per
+    entry above 256 would cost memory on every model."""
+    ranks = list(range(n))
+    return [ranks[mul(i, j)] for i in range(n) for j in range(n)]
+
+
+def _extension_product(base: list[int], psi_pows: list[list[int]]) -> Callable[[int, int], int]:
+    """The product of N x| C_e from N's flat table and the e powers of psi:
+    (r1, c1)(r2, c2) = (r1 psi^c1(r2), c1 + c2 mod e) at rank r + |N| c."""
+    # with m = |N| and rank i = r + m c: hi[i] = c, row[i] = m r (where r's
+    # row of N starts in base), moved[c'][i] = psi^c'(r), and
+    # shift[c1 + c2] = m (c1 + c2 mod e); no list here has n^2 entries
+    m, e = len(psi_pows[0]), len(psi_pows)
+    n = m * e
+    hi = [i // m for i in range(n)]
+    row = [(i % m) * m for i in range(n)]
+    moved = [[psi[i % m] for i in range(n)] for psi in psi_pows]
+    shift = [m * (c % e) for c in range(2 * e)]
+
+    def mul(i: int, j: int) -> int:
+        c1 = hi[i]
+        return base[row[i] + moved[c1][j]] + shift[c1 + hi[j]]
+
+    return mul
 
 
 def _collect(tag: str, p: int) -> GroupModel:
@@ -326,23 +318,24 @@ def _collect(tag: str, p: int) -> GroupModel:
     rank r + |N| c: collection from a polycyclic presentation (Holt, Eick
     and O'Brien, Handbook of Computational Group Theory, 2005, ch. 8).
 
-    Each N but the last is tabulated; the model multiplies by its last
-    extension, from N's table and the powers of psi.  By induction it is a
-    group: N x| C_e is one whenever psi is an automorphism of the group N
-    whose order divides e.
+    That product is ``_extension_product``, the one place it is written.
+    Each N's table tabulates the previous extension's product, and the model
+    multiplies by the last one, so the model is exactly what was proved.  By
+    induction it is a group: N x| C_e is one whenever psi is an automorphism
+    of the group N whose order divides e.
     """
     spec = presented(tag, p)
-    table, n, weights = [0], 1, []  # the trivial group; weights[j] = rank of gen_names[j]
+    mul, n, weights = (lambda i, j: 0), 1, []  # the trivial group; weights[j] = rank of gen_names[j]
     for x, e in zip(spec.gen_names, spec.bounds):
-        group = TableGroup(n, lambda i, j, t=table, n=n: t[i * n + j])
-        mul, pow_r = group.mul_r, group.pow_r
+        table = _tabulate(n, mul)
+        group = TableGroup(n, mul)
         images = dict(zip(spec.gen_names, weights))
         img = []
         for y in images:
             word = spec.action.get((x, y))
             if word is None or any(g not in images for g, _ in word):
                 raise GroupModelError(f"{tag}: no relation gives {x}^-1 {y} {x}")
-            img.append(_eval_word(mul, pow_r, word, images))
+            img.append(_eval_word(mul, group.pow_r, word, images))
         phi = normal_form_images(mul, spec.bounds[: len(weights)], img)
         if len(set(phi)) != n:
             raise RelationFailure(f"{tag}: {x}-action is not a bijection on N")
@@ -359,11 +352,9 @@ def _collect(tag: str, p: int) -> GroupModel:
         for _ in range(e - 1):
             psi_pows.append([psi[r] for r in psi_pows[-1]])
         weights.append(n)
-        if len(weights) == len(spec.bounds):
-            return GroupModel(tag, p, spec.bounds, extension=(table, psi_pows))
-        table = _extension_table(table, psi_pows)
+        mul = _extension_product(table, psi_pows)
         n *= e
-    return GroupModel(tag, p, spec.bounds, table)  # no generator: the trivial group
+    return GroupModel(tag, p, spec.bounds, mul=mul)
 
 
 def _holds(check: Callable[[], bool]) -> bool:
@@ -473,6 +464,9 @@ def verify_presentation_relations(model: GroupModel) -> RelationReport:
 def _check_group(model: GroupModel) -> None:
     """Prove the model's table is a group from its generators, or raise RelationFailure.
 
+    This is the reference audit of a table, arbitrary or tampered; a
+    collected model needs none, because ``_collect`` proved its product.
+
     Row 0 and column 0 are the identity, each generator's row is a
     permutation of the ranks, the generators reach every rank, and for each
     generator g and every x, row xg equals row x read along row g, i.e.
@@ -502,35 +496,24 @@ def _check_group(model: GroupModel) -> None:
                 raise RelationFailure(f"{where}: failed associativity")
 
 
-def _check_defining_relations(model: GroupModel) -> None:
+def build_model(tag: str, p: int) -> GroupModel:
+    """Collect the tag's model (``_collect`` proves it a group) and check its
+    defining relations; raises on an unsupported prime or a failed relation.
+    It builds a model on every call, caches nothing and tabulates nothing."""
+    model = _collect(tag, p)
     bad = [name for name, ok in defining_relations(model) if not ok]
     if bad:
-        raise RelationFailure(f"{model.tag} at p={model.p}: failed {bad}")
-
-
-def build_model(tag: str, p: int) -> GroupModel:
-    """Build a model, tabulate it, prove the table a group from its
-    generators (``_check_group``, Light's test) and check its defining
-    relations; raises on an unsupported prime or any failed check.  The
-    tests use it to check the product ``_collect`` gives against its table."""
-    model = _collect(tag, p)
-    _check_group(model)
-    _check_defining_relations(model)
+        raise RelationFailure(f"{tag} at p={p}: failed {bad}")
     return model
 
 
 @lru_cache(maxsize=None)
 def model_fingerprint(tag: str, p: int) -> GroupFingerprint:
-    """The fingerprint of the tag's model, collected once per process and
-    garbage when this returns; no n^2 table is built.
-
-    The model is a group because ``_collect`` proved each split extension at
-    the automorphism level, and no table exists that could disagree with
-    its product, so Light's test is left to ``build_model``.  The defining
-    relations are checked here.  Classification screens a tag by its largest
-    bound, so that bound must be the model's exponent."""
-    model = _collect(tag, p)
-    _check_defining_relations(model)
+    """The fingerprint of ``build_model(tag, p)``, built once per process and
+    garbage when this returns; no n^2 table is built.  Classification
+    screens a tag by its largest bound, so that bound must be the model's
+    exponent."""
+    model = build_model(tag, p)
     fp = fingerprint(model)
     if fp.exponent != max(model.bounds):
         raise StructuralAnomaly(f"{tag} at p={p}: exponent {fp.exponent} is not the largest bound {model.bounds}")

@@ -9,14 +9,26 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import random
 from collections import Counter
+from math import prod
 from pathlib import Path
 
 import pytest
 
-from bracelab.abelian import prime_power
+from bracelab.abelian import AbelianGroup, prime_power
+from bracelab.brace import brace_report
+from bracelab.constructions import diagonal_brace_m1, diagonal_brace_m2
 from bracelab.fileformat import doc_to_brace
-from bracelab.nilpotency import find_g4_pair, p4_shape, right_annihilated, series, socle_series_length
+from bracelab.nilpotency import (
+    discover_theorem_context,
+    find_g4_pair,
+    p4_shape,
+    right_annihilated,
+    series,
+    socle_series_length,
+    theorem1_check,
+)
 from bracelab.pgroups import classify_multiplicative_group, fingerprint
 
 pytest.importorskip("numpy")
@@ -33,6 +45,12 @@ def _load_oracle():
 
 
 oracle = _load_oracle()
+
+
+def _small_report_docs() -> list[dict]:
+    """The report inputs the oracle checks with its full n^3 laws."""
+    docs = [json.loads(path.read_text(encoding="utf-8")) for path in REPORT_INPUTS]
+    return [doc for doc in docs if prod(doc["moduli"]) <= oracle.CUBE_LIMIT]
 
 
 def _disagreements(brace, tables, compared: Counter) -> list[str]:
@@ -89,3 +107,46 @@ def test_the_enumerated_braces_agree_with_the_oracle(enumerated_braces):
         if found:
             bad[b.name] = found
     assert not bad
+
+
+def test_tampered_tables_are_rejected_exactly_when_the_oracle_rejects_them():
+    # one coordinate of one lambda column set to a value in 0..d-1; a draw
+    # that keeps the old value keeps a brace, so both outcomes occur
+    docs = _small_report_docs()
+    rng = random.Random(300)
+    outcomes = set()
+    for _ in range(300):
+        doc = rng.choice(docs)
+        moduli = tuple(doc["moduli"])
+        table = [[list(col) for col in entry] for entry in doc["lambda_table"]]
+        k = len(moduli)
+        a, j, t = rng.randrange(len(table)), rng.randrange(k), rng.randrange(k)
+        table[a][j][t] = rng.randrange(moduli[t])
+        passed = brace_report(AbelianGroup(moduli), table).passed
+        assert passed == (not oracle.BraceTables(moduli, table).axiom_failures()), (doc.get("metadata"), a, j, t)
+        outcomes.add(passed)
+    assert outcomes == {True, False}
+
+
+def test_theorem1_agrees_with_the_oracle():
+    # the generators of scripts/run_pipeline_demo.py, then every context
+    # discover_theorem_context finds on the report inputs the oracle cubes
+    cases = []
+    for p in (2, 3):
+        cases.append((diagonal_brace_m2(p), (0, 1), [(1, 0)], 2))
+        cases.append((diagonal_brace_m1(p), (1, 0), [(0, 1)], 1))
+    for doc in _small_report_docs():
+        brace = doc_to_brace(doc)
+        ctx = discover_theorem_context(brace)
+        if ctx is not None:
+            cases.append((brace, ctx.P, list(ctx.Qs), ctx.m))
+    bad = []
+    for brace, P, Qs, m in cases:
+        report = theorem1_check(brace, P, Qs, m)
+        tables = oracle.BraceTables(brace.moduli, brace.lambda_columns())
+        hyps, conclusion, ord_p = tables.theorem1(brace.rank(P), [brace.rank(q) for q in Qs], m)
+        got = ([h.passed for h in report.hypotheses], report.conclusion_passed, report.conclusion_window)
+        if got != (hyps, conclusion, (-ord_p, ord_p)):
+            bad.append((brace.name, P, Qs, m))
+    assert not bad
+    assert len(cases) == 117
