@@ -125,35 +125,26 @@ class AbelianGroup:
         return [self.rank(self.neg(e)) for e in self.elements]
 
     @cached_property
-    def add_flat(self) -> list[int]:
-        """Flat n*n addition table over ranks; built on first use.
+    def add_rank(self) -> Callable[[int, int], int]:
+        """(i, j) -> rank(i + j), a closure built on first read; no list in it
+        has more than max(n, m^2) entries, m = n / d_k.
 
-        Row a lists rank(a + b) over b in rank order, built digit by digit in
-        the mixed radix; entries are the shared ints of ``range(n)``.
+        Rank i is lo + m c with lo < m the rank of its first k-1 digits and c
+        its last digit, and digits add without carry.  So the first k-1 digits
+        add in the m*m table of ``_addition_table(moduli[:-1])`` and the last
+        one by arithmetic: h[i] = m c, and h[i] + h[j] is reduced by n.
+        A cyclic group has m = 1 and the empty product n = m = 1.
         """
         n = self.order
-        ranks = list(range(n))
-        weights = [prod(self.moduli[:t]) for t in range(len(self.moduli))]
-        # shifted[t][s]: the weighted digit t of b, after adding s to it
-        shifted = [
-            [[(s + x) % d * w for x in range(d)] for s in range(d)]
-            for d, w in zip(self.moduli, weights)
-        ]
-        flat = [0] * (n * n)
-        for i, a in enumerate(self.elements):
-            row = [0]
-            for t, s in enumerate(a):
-                row = [x + r for x in shifted[t][s] for r in row]
-            flat[i * n : (i + 1) * n] = [ranks[r] for r in row]
-        return flat
-
-    @cached_property
-    def add_rank(self) -> Callable[[int, int], int]:
-        """(i, j) -> rank(i + j): a closure over ``add_flat``, built on first read."""
-        flat, n = self.add_flat, self.order
+        m = n // self.moduli[-1] if self.moduli else 1
+        low = _addition_table(self.moduli[:-1])
+        lo_of = [i % m for i in range(n)]
+        lo_row = [lo * m for lo in lo_of]
+        h = [i - lo for i, lo in enumerate(lo_of)]
 
         def add_rank(i: int, j: int) -> int:
-            return flat[i * n + j]
+            s = h[i] + h[j]
+            return low[lo_row[i] + lo_of[j]] + (s - n if s >= n else s)
 
         return add_rank
 
@@ -165,6 +156,35 @@ class AbelianGroup:
 
     def __repr__(self) -> str:
         return f"AbelianGroup{self.moduli}"
+
+
+def _addition_table(moduli: Sequence[int]) -> list[int]:
+    """The flat m*m addition table of Z_{d_1} x ... x Z_{d_k} over ranks.
+
+    Row a lists rank(a + b) over b in rank order, built digit by digit in
+    the mixed radix; entries are the shared ints of ``range(m)``.
+    """
+    m = prod(moduli)
+    ranks = list(range(m))
+    weights = [prod(moduli[:t]) for t in range(len(moduli))]
+    # shifted[t][s]: the weighted digit t of b, after adding s to it
+    shifted = [[[(s + x) % d * w for x in range(d)] for s in range(d)] for d, w in zip(moduli, weights)]
+    flat = [0] * (m * m)
+    for i, a in enumerate(itertools.product(*[range(d) for d in reversed(moduli)])):
+        row = [0]
+        for t, s in enumerate(reversed(a)):
+            row = [x + r for x in shifted[t][s] for r in row]
+        flat[i * m : (i + 1) * m] = [ranks[r] for r in row]
+    return flat
+
+
+def tabulate(n: int, mul: Callable[[int, int], int]) -> list[int]:
+    """The flat n*n table of a product on ranks 0..n-1, ``table[i * n + j]``
+    = mul(i, j), for a search that reads it in its inner loop.  Its entries
+    are the shared ints of one range: a fresh int per entry above 256 would
+    cost memory on every table."""
+    ranks = list(range(n))
+    return [ranks[mul(i, j)] for i in range(n) for j in range(n)]
 
 
 def perm_inverse(perm: Sequence[int]) -> tuple[int, ...]:

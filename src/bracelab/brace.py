@@ -88,7 +88,8 @@ class Brace:
     lambda_a is the rank permutation ``perms[lambda_ids[a]]``; ``perms`` may
     list automorphisms that no rank uses.  ``circle`` is the circle group
     (A, o) on ranks; ``circ_r`` and ``star_r`` are the two products, which
-    read the n^2 addition table, so a brace that is only saved builds none.
+    add through ``group.add_rank``, bound on the first product, so a brace
+    that is only saved builds no addition.
     ``cache`` holds ``("series", kind)``, ``"right_annihilated"`` and
     ``"theorem_context"`` (see ``nilpotency``).
     """
@@ -145,10 +146,10 @@ class Brace:
     def circ_r(self) -> Callable[[int, int], int]:
         """a o b = a + lambda_a(b) on ranks: a closure over the tables, not a
         bound method, so the brace and its circle group form no cycle."""
-        add, n, perms, lambda_ids = self.group.add_flat, self.group.order, self.perms, self.lambda_ids
+        add, perms, lambda_ids = self.group.add_rank, self.perms, self.lambda_ids
 
         def circ_r(a: int, b: int) -> int:
-            return add[a * n + perms[lambda_ids[a]][b]]
+            return add(a, perms[lambda_ids[a]][b])
 
         return circ_r
 
@@ -156,10 +157,10 @@ class Brace:
     def star_r(self) -> Callable[[int, int], int]:
         """a * b = lambda_a(b) - b on ranks, a closure like ``circ_r``."""
         group, perms, lambda_ids = self.group, self.perms, self.lambda_ids
-        add, neg, n = group.add_flat, group.neg_rank, group.order
+        add, neg = group.add_rank, group.neg_rank
 
         def star_r(a: int, b: int) -> int:
-            return add[perms[lambda_ids[a]][b] * n + neg[b]]
+            return add(perms[lambda_ids[a]][b], neg[b])
 
         return star_r
 

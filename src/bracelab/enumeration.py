@@ -41,6 +41,7 @@ from .abelian import (
     perm_inverse,
     perm_order,
     prime_power,
+    tabulate,
 )
 from .brace import Brace, BraceError
 
@@ -168,7 +169,7 @@ def enumerate_braces(moduli, max_order: int = DEFAULT_MAX_ORDER, force: bool = F
     pp = prime_power(n)
     cands = sylow_subgroup(perms, pp[0]) if pp else list(range(k))
 
-    add = group.add_flat
+    add = tabulate(n, group.add_rank)
     identity_id = perm_index[tuple(range(n))]
 
     tables: list[tuple[int, ...]] = []
@@ -291,7 +292,7 @@ def holomorph_count_oracle(moduli) -> OracleResult:
     identity_id = aut_index[tuple(units)]
     inv_aut = [row.index(identity_id) for row in comp_table]
 
-    add = group.add_flat
+    add = tabulate(n, group.add_rank)
 
     def hmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
         (a, m), (b, mm) = x, y

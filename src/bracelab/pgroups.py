@@ -51,6 +51,7 @@ from .abelian import (
     normal_form_images,
     perm_inverse,
     prime_power,
+    tabulate,
 )
 from .brace import Brace, BraceError
 
@@ -125,7 +126,7 @@ class GroupModel(TableGroup):
     @cached_property
     def table(self) -> list[int]:
         """The flat n*n table; a collected model tabulates its product on first read."""
-        return _tabulate(self.order, self.mul_r)
+        return tabulate(self.order, self.mul_r)
 
     def rank(self, e: tuple) -> int:
         r = sum(c * w for c, w in zip(e, self._weights))
@@ -278,14 +279,6 @@ def presented(tag: str, p: int) -> Presented:
     return Presented(relations, gen_names, tuple(bounds[g] for g in gen_names), action)
 
 
-def _tabulate(n: int, mul: Callable[[int, int], int]) -> list[int]:
-    """The flat n*n table of a product on ranks 0..n-1.  Its entries are the
-    shared ints of one range, as in AbelianGroup.add_flat: a fresh int per
-    entry above 256 would cost memory on every model."""
-    ranks = list(range(n))
-    return [ranks[mul(i, j)] for i in range(n) for j in range(n)]
-
-
 def _extension_product(base: list[int], psi_pows: list[list[int]]) -> Callable[[int, int], int]:
     """The product of N x| C_e from N's flat table and the e powers of psi:
     (r1, c1)(r2, c2) = (r1 psi^c1(r2), c1 + c2 mod e) at rank r + |N| c."""
@@ -327,7 +320,7 @@ def _collect(tag: str, p: int) -> GroupModel:
     spec = presented(tag, p)
     mul, n, weights = (lambda i, j: 0), 1, []  # the trivial group; weights[j] = rank of gen_names[j]
     for x, e in zip(spec.gen_names, spec.bounds):
-        table = _tabulate(n, mul)
+        table = tabulate(n, mul)
         group = TableGroup(n, mul)
         images = dict(zip(spec.gen_names, weights))
         img = []

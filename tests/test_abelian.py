@@ -19,8 +19,10 @@ from bracelab.abelian import (
     group_closure,
     multiples_subgroup,
     primary_invariants,
+    tabulate,
     validate_automorphism,
 )
+from bracelab import enumeration
 from bracelab.brace import NotAutomorphism, validate_brace
 
 
@@ -76,6 +78,48 @@ def test_scalar_componentwise_property(n, data):
     g = AbelianGroup([4, 6])
     a = tuple(data.draw(st.integers(0, d - 1)) for d in g.moduli)
     assert g.scalar_multiple(n, a) == tuple((n * x) % d for x, d in zip(a, g.moduli))
+
+
+@pytest.mark.parametrize(
+    "moduli", [(), (7,), (625,), (2, 4), (3, 9), (2, 2, 4), (5, 25), (25, 5), (5, 5, 5, 5)]
+)
+def test_add_rank_is_coordinate_addition(moduli):
+    # every pair up to order 100; above it 40 seeded rows against every j
+    import random
+
+    g = AbelianGroup(moduli)
+    n = g.order
+    rows = range(n) if n <= 100 else random.Random(0).sample(range(n), 40)
+    for i in rows:
+        a = g.unrank(i)
+        assert [g.add_rank(i, j) for j in range(n)] == [g.rank(g.add(a, b)) for b in g.elements], (moduli, i)
+
+
+@pytest.mark.parametrize(
+    "search,moduli",
+    [("enumerate_braces", (2, 4)), ("enumerate_braces", (3, 3)), ("enumerate_braces", (2, 2, 4)),
+     ("holomorph_count_oracle", (2, 4))],
+)
+def test_enumeration_tabulates_add_rank(search, moduli, monkeypatch):
+    # the flat table the search and the oracle read is add_rank, entry by entry
+    seen = []
+
+    def spy(n, mul):
+        table = tabulate(n, mul)
+        seen.append((n, table))
+        return table
+
+    monkeypatch.setattr(enumeration, "tabulate", spy)
+    getattr(enumeration, search)(moduli)
+    g = AbelianGroup(moduli)
+    ((n, table),) = seen
+    assert n == g.order and table == [g.add_rank(i, j) for i in range(n) for j in range(n)]
+
+
+def test_tabulate_shares_one_int_per_rank():
+    g = AbelianGroup((25, 25))
+    table = tabulate(g.order, g.add_rank)
+    assert len({id(r) for r in table}) == g.order
 
 
 def _apply(g: AbelianGroup, perm: tuple[int, ...], e: tuple[int, ...]) -> tuple[int, ...]:

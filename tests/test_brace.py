@@ -112,13 +112,33 @@ def test_circle_product_is_not_bound_to_the_brace():
     assert B.circ_r is B.circle.mul_r
 
 
+def _held_list_sizes(obj) -> list[int]:
+    """Lengths of the lists an object holds as attributes or in the closures
+    of its callable attributes (the cached rank products)."""
+    held = []
+    for v in vars(obj).values():
+        held.append(v)
+        held.extend(c.cell_contents for c in getattr(v, "__closure__", None) or ())
+    return [len(v) for v in held if isinstance(v, list)]
+
+
 def test_a_saved_brace_builds_no_addition_table(tmp_path):
-    # the n^2 addition table is bound on the first product, not on construction
+    # addition is bound on the first product, not on construction
     B = trivial_brace([25, 25])
     save_brace(B, tmp_path / "trivial.json")
-    assert "add_flat" not in vars(B.group)
+    assert "add_rank" not in vars(B.group)
     assert B.star_r(7, 9) == 0 and B.circ_r(7, 9) == B.group.add_rank(7, 9)
-    assert "add_flat" in vars(B.group)
+    assert "add_rank" in vars(B.group)
+
+
+@pytest.mark.parametrize("moduli", [(25, 25), (5, 5, 5, 5)])
+def test_addition_holds_no_n2_list(moduli):
+    # after a circle product the group holds no list longer than max(n, m^2),
+    # m = n / d_k the order of the first k-1 factors
+    B = trivial_brace(moduli)
+    assert B.circ_r(7, 9) == B.group.add_rank(7, 9)
+    n, m = B.order, B.order // moduli[-1]
+    assert max(_held_list_sizes(B.group)) == max(n, m * m)
 
 
 def test_circ_inverse_and_powers():

@@ -14,6 +14,7 @@ import pytest
 from bracelab import cli, ybe
 from bracelab.cli import main
 from bracelab.brace import trivial_brace
+from bracelab.constructions import diagonal_brace_m1
 from bracelab.enumeration import DEFAULT_MAX_ORDER
 from bracelab.fileformat import load_brace, save_brace
 
@@ -299,16 +300,23 @@ def _peak_rss_kb(*argv: str) -> int:
 
 @pytest.mark.skipif(not (sys.platform.startswith("linux") and hasattr(os, "wait4")), reason="needs Linux os.wait4")
 def test_report_memory_does_not_grow_with_classification(tmp_path):
-    # the three order-625 rows against a small order-8 corpus: the difference
-    # is what those rows keep alive, independent of the interpreter's base size
+    # the three order-625 rows, and diagonal-m1 at p = 7, against a small
+    # order-8 corpus: the difference is what those rows keep alive,
+    # independent of the interpreter's base size.  An n^2 addition table
+    # would add about 3 MB at order 625 and 46 MB at order 2401; measured
+    # without one, about 0.3 MB and 4 MB (CPython 3.11 on Linux)
     inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "report"
     big = tmp_path / "big"
     big.mkdir()
     for name in ("04-trivial_25__25_.json", "07-diagonal-m1_p=5.json", "10-diagonal-m2_p=5.json"):
         (big / name).write_bytes((inputs / "builtin" / name).read_bytes())
-    grown_kb = _peak_rss_kb("report", "--corpus", str(big)) - _peak_rss_kb("report", "--corpus", str(inputs / "order8"))
-    grown_mb = grown_kb / 1024
-    assert grown_mb < 20, f"report on three order-625 braces peaks {grown_mb:.1f} MB above order 8"
+    p7 = tmp_path / "p7"
+    p7.mkdir()
+    save_brace(diagonal_brace_m1(7), p7 / "diagonal-m1-p7.json")
+    base_kb = _peak_rss_kb("report", "--corpus", str(inputs / "order8"))
+    for corpus, bound_mb in ((big, 2), (p7, 10)):
+        grown_mb = (_peak_rss_kb("report", "--corpus", str(corpus)) - base_kb) / 1024
+        assert grown_mb < bound_mb, f"report on {corpus.name} peaks {grown_mb:.1f} MB above order 8"
 
 
 @pytest.mark.skipif(not (sys.platform.startswith("linux") and hasattr(os, "wait4")), reason="needs Linux os.wait4")
