@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .abelian import AbelianGroup, Element, closure_generators, group_closure
+from .abelian import AbelianGroup, Element, closure_generators, group_closure, prime_power
 from .brace import Brace, BraceError, trivial_brace, validate_brace
 
 __all__ = [
@@ -42,7 +42,9 @@ class NotDistributive(BraceError):
 
 
 def diagonal_brace_m1(p: int) -> Brace:
-    """Brace on Z_{p^2} x Z_{p^2} whose circle group is nonabelian."""
+    """Brace on Z_{p^2} x Z_{p^2} whose circle group is nonabelian; p must be prime."""
+    if prime_power(p) != (p, 1):
+        raise ValueError(f"p = {p} is not prime")
     m = p * p
     group = AbelianGroup([m, m])
     table = [[(pow(1 + p, b, m), 0), (0, 1)] for (a, b) in group.elements]
@@ -50,7 +52,9 @@ def diagonal_brace_m1(p: int) -> Brace:
 
 
 def diagonal_brace_m2(p: int) -> Brace:
-    """Brace on Z_p x Z_{p^3} whose circle group has an element of order p^3."""
+    """Brace on Z_p x Z_{p^3} whose circle group has an element of order p^3; p must be prime."""
+    if prime_power(p) != (p, 1):
+        raise ValueError(f"p = {p} is not prime")
     m = p ** 3
     group = AbelianGroup([p, m])
     table = [[(1, 0), (0, pow(1 + p * p, a, m))] for (a, b) in group.elements]

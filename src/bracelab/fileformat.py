@@ -43,7 +43,7 @@ def _int_list(value: Any, length: int) -> bool:
     return isinstance(value, list) and len(value) == length and all(_is_int(x) for x in value)
 
 
-def brace_to_doc(brace: Brace, name: str | None = None, construction: str | None = None) -> dict[str, Any]:
+def brace_to_doc(brace: Brace, construction: str | None = None) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "format": FORMAT,
         "version": VERSION,
@@ -53,8 +53,8 @@ def brace_to_doc(brace: Brace, name: str | None = None, construction: str | None
         ],
     }
     meta: dict[str, Any] = {}
-    if name or brace.name:
-        meta["name"] = name or brace.name
+    if brace.name:
+        meta["name"] = brace.name
     if construction:
         meta["construction"] = construction
     if meta:
@@ -114,8 +114,8 @@ def doc_to_brace(doc: dict[str, Any]) -> Brace:
         raise BraceFileError(f"{type(exc).__name__}: {exc}") from exc
 
 
-def save_brace(brace: Brace, path: str | Path, name: str | None = None, construction: str | None = None) -> None:
-    doc = brace_to_doc(brace, name=name, construction=construction)
+def save_brace(brace: Brace, path: str | Path, construction: str | None = None) -> None:
+    doc = brace_to_doc(brace, construction=construction)
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8")
 
 

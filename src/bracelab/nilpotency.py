@@ -597,8 +597,7 @@ def find_g4_pair(brace: Brace) -> tuple[int, int] | None:
     shape = p4_shape(brace)
     if shape is None or shape[1] != 2:
         return None
-    witness = _iso_from_model(presented("G4", shape[0]), brace.circle)
-    return None if witness is None else (witness[(1, 0)], witness[(0, 1)])
+    return _iso_from_model(presented("G4", shape[0]), brace.circle)
 
 
 def _stage_rel_suite(brace: Brace) -> StageResult:

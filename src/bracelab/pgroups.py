@@ -83,17 +83,9 @@ def smallest_nonresidue(p: int) -> int:
     return next(a for a in range(2, p) if a % p not in squares)
 
 
-def _normal_forms(bounds: Sequence[int]) -> list[tuple[int, ...]]:
-    """Exponent tuples under ``bounds`` in rank order: little-endian, first
-    coordinate fastest, so the identity tuple has rank 0."""
-    return [tuple(reversed(e)) for e in itertools.product(*[range(b) for b in reversed(bounds)])]
-
-
 class GroupModel(TableGroup):
-    """A tagged group on exponent tuples.
-
-    The generators are the unit exponent tuples, named and ordered as in the
-    tag's ``presented`` parse.  Ranks follow ``_normal_forms`` of the bounds.
+    """A tagged group on ranks, with the bounds and generators of the tag's
+    ``presented`` parse; ``gens`` maps generator j to its rank prod(bounds[:j]).
     ``_collect`` gives the model its product ``mul``, the last split
     extension that it proved a group (``_extension_product``), and ``table``,
     a cached view, tabulates that product on first read; until then the
@@ -106,19 +98,15 @@ class GroupModel(TableGroup):
         self,
         tag: str,
         p: int,
-        bounds: tuple[int, ...],
         table: list[int] | None = None,
         mul: Callable[[int, int], int] | None = None,
     ):
         self.tag = tag
         self.p = p
         self.presented = presented(tag, p)
-        self.bounds = bounds
-        k = len(bounds)
-        self.gens = {g: tuple(int(i == j) for i in range(k)) for j, g in enumerate(self.presented.gen_names)}
-        self.elements = _normal_forms(bounds)
-        self._weights = [prod(bounds[:j]) for j in range(k)]
-        n = len(self.elements)
+        self.bounds = self.presented.bounds
+        self.gens = {g: prod(self.bounds[:j]) for j, g in enumerate(self.presented.gen_names)}
+        n = prod(self.bounds)
         if table is not None:
             self.table = table
         super().__init__(n, mul if table is None else lambda i, j: table[i * n + j])
@@ -127,15 +115,6 @@ class GroupModel(TableGroup):
     def table(self) -> list[int]:
         """The flat n*n table; a collected model tabulates its product on first read."""
         return tabulate(self.order, self.mul_r)
-
-    def rank(self, e: tuple) -> int:
-        r = sum(c * w for c, w in zip(e, self._weights))
-        if not (0 <= r < self.order and self.elements[r] == e):
-            raise KeyError(e)
-        return r
-
-    def gen_rank(self, name: str) -> int:
-        return self.rank(self.gens[name])
 
     def __repr__(self) -> str:
         return f"GroupModel({self.tag}, p={self.p})"
@@ -347,7 +326,7 @@ def _collect(tag: str, p: int) -> GroupModel:
         weights.append(n)
         mul = _extension_product(table, psi_pows)
         n *= e
-    return GroupModel(tag, p, spec.bounds, mul=mul)
+    return GroupModel(tag, p, mul=mul)
 
 
 def _holds(check: Callable[[], bool]) -> bool:
@@ -360,8 +339,7 @@ def _holds(check: Callable[[], bool]) -> bool:
 
 def defining_relations(model: GroupModel) -> list[tuple[str, bool]]:
     """Evaluate the tag's defining relations in the model."""
-    images = {g: model.gen_rank(g) for g in model.gens}
-    mul, pow_r = model.mul_r, model.pow_r
+    mul, pow_r, images = model.mul_r, model.pow_r, model.gens
     return [
         (name, _holds(lambda: _eval_word(mul, pow_r, lhs, images) == _eval_word(mul, pow_r, rhs, images)))
         for name, lhs, rhs in model.presented.relations
@@ -372,7 +350,7 @@ def derived_relations(model: GroupModel) -> list[tuple[str, bool]]:
     """Consequences each tag must also satisfy (centrality of P^p etc.)."""
     p = model.p
     tag = model.tag
-    P = model.gen_rank("P")
+    P = model.gens["P"]
     mul, pw = model.mul_r, model.pow_r
     n = model.order
     out: list[tuple[str, bool]] = []
@@ -390,14 +368,14 @@ def derived_relations(model: GroupModel) -> list[tuple[str, bool]]:
         out.append(("P^p central", central(pp)))
     elif tag == "VIII":
         out.append(("P^p central", central(pp)))
-        out.append(("Q^p central", central(pw(model.gen_rank("Q"), p))))
+        out.append(("Q^p central", central(pw(model.gens["Q"], p))))
     elif tag in ("IX", "X"):
-        out.append(("Q central", central(model.gen_rank("Q"))))
+        out.append(("Q central", central(model.gens["Q"])))
         out.append(("P^p central", central(pp)))
-        R = model.gen_rank("R")
+        R = model.gens["R"]
         out.append(("R^-1 P^p R = P^p", _holds(lambda: mul(mul(model.inv[R], pp), R) == pp)))
     elif tag in ("XI", "XII", "XIII"):
-        R = model.gen_rank("R")
+        R = model.gens["R"]
         out.append(("R^-1 P^p R = P^p", _holds(lambda: mul(mul(model.inv[R], pp), R) == pp)))
         out.append(("P^p central", central(pp)))
     return out
@@ -474,7 +452,7 @@ def _check_group(model: GroupModel) -> None:
     n, t = model.order, model.table
     where = f"{model.tag} at p={model.p}"
     ranks = list(range(n))
-    gens = [model.gen_rank(g) for g in model.gens]
+    gens = list(model.gens.values())
     if t[:n] != ranks or t[::n] != ranks:
         raise RelationFailure(f"{where}: rank 0 is not the identity")
     for g in gens:
@@ -521,7 +499,7 @@ class Classification(NamedTuple):
     tag: str | None  # canonical (first) matching tag
     abelian_type: tuple[int, ...] | None
     fingerprint: GroupFingerprint
-    witness: dict[tuple, int] | None  # model generator tuple -> target rank
+    witness: tuple[int, ...] | None  # target ranks of the tag's generators, in gen_names order
     matched_tags: tuple[str, ...] = ()  # every tag whose model is isomorphic
 
     def label(self) -> str:
@@ -532,7 +510,7 @@ class Classification(NamedTuple):
         return "unmatched"
 
 
-def _iso_from_model(model: Presented | GroupModel, target: TableGroup) -> dict[tuple, int] | None:
+def _iso_from_model(model: Presented | GroupModel, target: TableGroup) -> tuple[int, ...] | None:
     """Generator-image backtracking from a parsed presentation, or a built
     model's, into a table group.
 
@@ -543,7 +521,8 @@ def _iso_from_model(model: Presented | GroupModel, target: TableGroup) -> dict[t
     generator j the element (1_N, 1) of N x| C_e, so its order is its bound e
     and no table is read.  The normal-form extension is then checked
     bijective, which makes the map an isomorphism because the presentation
-    is faithful.  The witness maps each normal-form tuple to its image rank.
+    is faithful.  The witness is the generators' image ranks, in
+    ``gen_names`` order; ``normal_form_images`` extends it over the bounds.
     """
     spec = model.presented if isinstance(model, GroupModel) else model
     n = prod(spec.bounds)
@@ -564,10 +543,10 @@ def _iso_from_model(model: Presented | GroupModel, target: TableGroup) -> dict[t
     mul, pow_r = target.mul_r, lru_cache(maxsize=None)(target.pow_r)  # powers recur across branches
     images: dict[str, int] = {}
 
-    def search(i: int) -> dict[tuple, int] | None:
+    def search(i: int) -> tuple[int, ...] | None:
         if i == len(gen_names):
-            ranks = normal_form_images(mul, spec.bounds, [images[g] for g in gen_names])
-            return dict(zip(_normal_forms(spec.bounds), ranks)) if len(set(ranks)) == n else None
+            gens = tuple(images[g] for g in gen_names)
+            return gens if len(set(normal_form_images(mul, spec.bounds, gens))) == n else None
         g = gen_names[i]
         for c in cands[i]:
             images[g] = c
@@ -612,7 +591,7 @@ def classify_multiplicative_group(brace: Brace) -> Classification:
         shape = tuple(sorted(d for _, d in basis))
         return Classification("abelian", None, shape, fp, None)
     matched: list[str] = []
-    first_witness: dict[tuple, int] | None = None
+    first_witness: tuple[int, ...] | None = None
     for tag in NONABELIAN_TAGS:
         try:
             spec = presented(tag, p)

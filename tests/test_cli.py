@@ -399,9 +399,16 @@ def test_report_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_build_input_errors(tmp_path):
+def test_build_input_errors(tmp_path, capsys):
     assert run_cli(["build", "--family", "trivial", "--output", str(tmp_path / "x.json")]) == 2
     assert run_cli(["build", "--family", "ring", "--preset", "nope", "--output", str(tmp_path / "x.json")]) == 2
+    capsys.readouterr()
+    for family in ("diagonal-m1", "diagonal-m2"):
+        for prime in ("4", "6", "-3"):
+            assert run_cli(["build", "--family", family, "--prime", prime, "--output", str(tmp_path / "x.json")]) == 2
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["results"]["error"] == f"ValueError: p = {prime} is not prime"
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize(

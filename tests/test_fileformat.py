@@ -114,9 +114,9 @@ def test_rejects_unreadable_file(tmp_path):
 
 
 def test_metadata_round_trip(tmp_path):
-    brace = trivial_brace([2, 2])
+    brace = trivial_brace([2, 2], name="my-brace")
     path = tmp_path / "meta.json"
-    save_brace(brace, path, name="my-brace", construction="trivial")
+    save_brace(brace, path, construction="trivial")
     doc = json.loads(path.read_text())
     assert doc["metadata"]["construction"] == "trivial"
     assert load_brace(path).name == "my-brace"
@@ -137,7 +137,10 @@ def brace_documents(draw):
     """Documents near the schema: a stored brace, its circle table, or a random header,
     with random JSON values written over some fields and table entries."""
     brace = draw(st.sampled_from(SEED_BRACES))
-    doc = brace_to_doc(brace, name=draw(st.sampled_from([None, "b"])))
+    doc = brace_to_doc(brace)
+    name = draw(st.sampled_from([None, "b"]))
+    if name:
+        doc["metadata"] = {"name": name}
     if draw(st.booleans()):
         n = brace.order
         del doc["lambda_table"]

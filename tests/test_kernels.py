@@ -142,7 +142,7 @@ def ref_group_table(model: GroupModel) -> bool:
         return False
     if any(rows[rows[a][b]] != [rows[a][bc] for bc in rows[b]] for a in range(n) for b in range(n)):
         return False
-    return len(group_closure(model.mul_r, [model.gen_rank(g) for g in model.gens])) == n
+    return len(group_closure(model.mul_r, list(model.gens.values()))) == n
 
 
 def ref_annihilator_certificate(brace: Brace) -> Certificate | None:
@@ -519,10 +519,9 @@ def test_report_lists_a_bad_column_at_every_rank():
 
 def _tampered_model(tag: str, at: tuple[int, int], to: int, p: int = 3) -> GroupModel:
     model = build_model(tag, p)
-    bounds = tuple(max(e[t] for e in model.elements) + 1 for t in range(len(model.elements[0])))
     table = list(model.table)
     table[at[0] * model.order + at[1]] = to
-    return GroupModel(tag, p, bounds, table)
+    return GroupModel(tag, p, table)
 
 
 def test_associativity_count_on_tampered_models():
@@ -588,7 +587,7 @@ def test_group_gate_catches_what_the_associativity_sample_misses():
 
 def test_group_gate_rejects_a_generator_row_that_is_not_a_permutation():
     model = build_model("VIII", 3)
-    P = model.gen_rank("P")
+    P = model.gens["P"]
     twice = model.table[P * 81 + 2]  # P.1 is now P.2 too
     with pytest.raises(RelationFailure, match=f"row of generator rank {P} is not a permutation"):
         _check_group(_tampered_model("VIII", (P, 1), twice))
@@ -599,7 +598,7 @@ def test_group_gate_rejects_a_bad_identity_and_a_short_closure():
         _check_group(_tampered_model("IX", (5, 0), 6))
     model = build_model("G4", 3)
     # P and Q both stand for P: the generators reach only <P>, of order 27
-    stuck = GroupModel("G4", 3, (27, 3), model.table)
+    stuck = GroupModel("G4", 3, model.table)
     stuck.gens["Q"] = stuck.gens["P"]
     with pytest.raises(RelationFailure, match="G4 at p=3: generators do not generate"):
         _check_group(stuck)

@@ -127,7 +127,7 @@ def test_model_ranks_are_the_normal_forms_of_the_generators(tag):
     # rank r + |N| c is (r, c) = r . x^c, so extending the generators over the
     # normal forms gives every rank back
     model = build_model(tag, 3)
-    gens = [model.gen_rank(g) for g in model.gens]
+    gens = list(model.gens.values())
     assert normal_form_images(model.mul_r, model.bounds, gens) == list(range(model.order))
 
 
@@ -175,20 +175,20 @@ def test_models_build_and_validate_at_p3(tag):
 
 def test_g4_conjugation_value_at_p3():
     m = build_model("G4", 3)
-    P, Q = m.gen_rank("P"), m.gen_rank("Q")
+    P, Q = m.gens["P"], m.gens["Q"]
     assert m.mul_r(m.mul_r(m.inv[Q], P), Q) == m.pow_r(P, 10)
 
 
 def test_viii_conjugation_value_at_p3():
     m = build_model("VIII", 3)
-    P, Q = m.gen_rank("P"), m.gen_rank("Q")
+    P, Q = m.gens["P"], m.gens["Q"]
     assert m.mul_r(m.mul_r(m.inv[Q], P), Q) == m.pow_r(P, 4)
 
 
 def test_xi_family_derived_identity_at_p3():
     for tag in ("XI", "XII", "XIII"):
         m = build_model(tag, 3)
-        P, R = m.gen_rank("P"), m.gen_rank("R")
+        P, R = m.gens["P"], m.gens["R"]
         pp = m.pow_r(P, 3)
         assert m.mul_r(m.mul_r(m.inv[R], pp), R) == pp
 
@@ -245,12 +245,11 @@ def test_roundtrip_classification_p3_up_to_the_known_coincidence():
             assert matches == [tag]
 
 
-def assert_isomorphism(src, dst, mapping):
-    """The map from generator search is a bijection, multiplicative on all pairs."""
-    assert mapping is not None
-    img = [0] * src.order
-    for e, v in mapping.items():
-        img[src.rank(e)] = v
+def assert_isomorphism(src, dst, gens):
+    """The generator images from the search, extended over the source's
+    normal forms, are a bijection, multiplicative on all pairs."""
+    assert gens is not None and len(gens) == len(src.gens)
+    img = normal_form_images(dst.mul_r, src.bounds, gens)
     assert len(set(img)) == src.order
     for a in range(src.order):
         for b in range(src.order):
@@ -375,7 +374,7 @@ def test_four_generator_presentation_matches_the_exponent_p_ring_brace(monkeypat
 def test_generator_orders_are_the_bounds(tag, p):
     # _iso_from_model reads a generator's order from its bound, not the table
     model = build_model(tag, p)
-    assert [model.element_orders[model.gen_rank(g)] for g in model.gens] == list(model.bounds)
+    assert [model.element_orders[r] for r in model.gens.values()] == list(model.bounds)
 
 
 def _reference_classification(brace, models: dict) -> tuple:
@@ -412,6 +411,27 @@ def test_profile_classification_matches_the_model_path(builtin_corpus, enumerati
         assert got == _reference_classification(brace, models), brace.name
         kinds.add(cls.kind)
     assert kinds == {"abelian", "tag", "unmatched"}
+
+
+def test_classification_witness_is_an_isomorphism(builtin_corpus):
+    """On every built-in brace whose circle group gets a tag, the witness,
+    extended over the tag's bounds, is a bijection onto the circle group that
+    sends x . g to img(x) o img(g) for every x and every model generator g."""
+    tagged = []
+    for brace in builtin_corpus:
+        p = round(brace.order ** 0.25)
+        if p ** 4 != brace.order:
+            continue
+        cls = classify_multiplicative_group(brace)
+        if cls.kind != "tag":
+            continue
+        tagged.append(brace.name)
+        model, circle = build_model(cls.tag, p), brace.circle
+        img = normal_form_images(circle.mul_r, model.bounds, cls.witness)
+        assert sorted(img) == list(range(brace.order)), brace.name
+        for g in model.gens.values():
+            assert all(img[model.mul_r(x, g)] == circle.mul_r(img[x], img[g]) for x in range(model.order)), brace.name
+    assert tagged == [f"diagonal-m{m} p={p}" for m, p in ((1, 3), (1, 5), (2, 2), (2, 3), (2, 5))]
 
 
 def test_classification_keeps_no_model_alive(monkeypatch):

@@ -69,3 +69,18 @@ def test_gate_digest_runs_the_eighteen_benchmark_commands(tmp_path):
     # the exponent-5 circle group matches no order-p^4 model yet
     assert {name for name, code in codes.items() if code} == {"verify-exponent-5"}
     assert codes["verify-exponent-5"] == 1
+
+
+def test_tier1_timing_writes_counts_and_durations(tmp_path):
+    out = tmp_path / "timing.json"
+    # one test deselected, so the counts hold a second category
+    proc = _run("scripts/tier1_timing.py", str(out), "tests/test_records.py", "-q", "-k", "not importing")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads(out.read_text())
+    tests = doc["tests"]
+    passed = doc["outcomes"]["passed"]
+    assert doc["exit_code"] == 0 and doc["outcomes"] == {"passed": passed, "deselected": 1}
+    assert f"{passed} passed, 1 deselected" in proc.stdout
+    assert len(tests) == passed > 1 and all(t.startswith("tests/test_records.py::") for t in tests)
+    assert all(e["outcome"] == "passed" and e["duration_s"] >= 0 for e in tests.values())
+    assert 0 < sum(e["duration_s"] for e in tests.values()) <= doc["wall_s"]
