@@ -58,7 +58,6 @@ from .nilpotency import (
     pa_bound_check,
     series,
     socle,
-    socle_series_length,
     theorem1_check,
 )
 from .pgroups import (

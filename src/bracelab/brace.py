@@ -85,8 +85,9 @@ class BraceReport(NamedTuple):
 class Brace:
     """Validated left brace; construct via ``validate_brace`` or the builders.
 
-    lambda_a is the rank permutation ``perms[lambda_ids[a]]``; ``perms`` may
-    list automorphisms that no rank uses.  ``circle`` is the circle group
+    lambda_a is the rank permutation ``perms[lambda_ids[a]]``.  Ids are
+    renumbered by first appearance by rank and ``perms`` keeps those in use,
+    which validation makes distinct.  ``circle`` is the circle group
     (A, o) on ranks; ``circ_r`` and ``star_r`` are the two products, which
     add through ``group.add_rank``, bound on the first product, so a brace
     that is only saved builds no addition.
@@ -96,8 +97,9 @@ class Brace:
 
     def __init__(self, group: AbelianGroup, lambda_ids: list[int], perms: list[tuple[int, ...]], name: str = ""):
         self.group = group
-        self.lambda_ids = lambda_ids
-        self.perms = perms
+        first: dict[int, int] = {}
+        self.lambda_ids = [first.setdefault(i, len(first)) for i in lambda_ids]
+        self.perms = [perms[i] for i in first]
         self.cache: dict = {}
         self.name = name
 
@@ -120,7 +122,7 @@ class Brace:
     def lambda_columns(self) -> list[tuple[Element, ...]]:
         """Each lambda_a as its columns, the images of the unit ranks, by rank a."""
         units, unrank = self.group.unit_ranks, self.group.unrank
-        cols = {i: tuple(unrank(self.perms[i][u]) for u in units) for i in set(self.lambda_ids)}
+        cols = [tuple(unrank(p[u]) for u in units) for p in self.perms]
         return [cols[i] for i in self.lambda_ids]
 
     def __eq__(self, other: object) -> bool:
@@ -281,25 +283,25 @@ def _table_violations(
     """
     found: list[tuple[BraceError, tuple]] = []
     identity = tuple(range(group.order))
-    # each distinct column set is validated once; the verdict depends on it alone
-    verdicts: dict[tuple, tuple[int, ...] | NotHomomorphism | NotBijective] = {}
+    # each distinct column set is validated and its permutation interned once;
+    # columns that reduce to the same automorphism share its id
+    verdicts: dict[tuple, tuple[int, NotHomomorphism | NotBijective | None]] = {}
     index: dict[tuple[int, ...], int] = {}  # distinct perm -> its lambda id
     ids: list[int] = []
     for i, cols in enumerate(lambda_columns):
         key = tuple(map(tuple, cols))
-        verdict = verdicts.get(key)
-        if verdict is None:
+        if key not in verdicts:
             try:
-                verdict = validate_automorphism(group, cols)
-            except (NotHomomorphism, NotBijective) as exc:
-                verdict = exc
-            verdicts[key] = verdict
-        if isinstance(verdict, Exception):
-            err = NotAutomorphism(i, str(verdict))
-            err.__cause__ = verdict
-            found.append((err, (i, str(verdict))))
-            verdict = identity
-        ids.append(index.setdefault(verdict, len(index)))
+                perm, exc = validate_automorphism(group, cols), None
+            except (NotHomomorphism, NotBijective) as err:
+                perm, exc = identity, err
+            verdicts[key] = (index.setdefault(perm, len(index)), exc)
+        lambda_id, exc = verdicts[key]
+        if exc is not None:
+            err = NotAutomorphism(i, str(exc))
+            err.__cause__ = exc
+            found.append((err, (i, str(exc))))
+        ids.append(lambda_id)
     perms = list(index)
     if perms[ids[0]] != identity:
         found.append((BadLambdaZero("lambda at rank 0 must be the identity"), (0,)))
@@ -451,7 +453,7 @@ def quotient_brace(brace: Brace, ideal: frozenset[int]) -> tuple[Brace, dict[int
 
 def _fingerprints(brace: Brace) -> list[tuple[int, int, int]]:
     g = brace.group
-    lambda_orders = {i: perm_order(brace.perms[i]) for i in set(brace.lambda_ids)}
+    lambda_orders = [perm_order(p) for p in brace.perms]
     return [
         (
             g.element_order(g.unrank(r)),

@@ -33,11 +33,10 @@ from .nilpotency import (
     identity_suite,
     pa_bound_check,
     series,
-    socle_series_length,
     theorem1_check,
 )
 from .pgroups import NoMatch, classify_multiplicative_group
-from .ybe import check_solution
+from .ybe import check_solution, multipermutation_level
 
 REPORT_FORMAT = "bracelab/run-report"
 REPORT_VERSION = 1
@@ -47,6 +46,9 @@ EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
 ALL_SUITES = ("series", "identity", "certify", "classify", "pa-bound", "ybe")
+
+# build refuses a larger order before building: 13^4, the diagonal families at p = 13
+BUILD_MAX_ORDER = 28_561
 
 
 def _emit(doc: dict[str, Any], out: str | None) -> None:
@@ -213,7 +215,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "braid": rep.braid,
             "triples_checked": rep.triples_checked,
             "exhaustive": rep.exhaustive,
-            "multipermutation_level": socle_series_length(brace),
+            "multipermutation_level": multipermutation_level(brace),
         }
         failed |= not rep.passed
     if args.theorem1:
@@ -293,8 +295,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _report_row(corpus_dir: Path, fname: str) -> dict[str, Any]:
     """One report row.  The brace is a local, so it does not outlive the row.
-    The multipermutation level comes from the socle series of the brace, so
-    no YBE solution (2 n^2 entries) is built."""
+    The multipermutation level is read from the brace's distinct lambdas, so
+    no YBE solution (2 n^2 entries) and no quotient brace is built."""
     brace = load_brace(corpus_dir / fname)
     right = series(brace, "right")
     left = series(brace, "left")
@@ -311,7 +313,7 @@ def _report_row(corpus_dir: Path, fname: str) -> dict[str, Any]:
         "strong_class": strong.nilpotency_class,
         "right_nilpotent": right.reaches_zero,
         "certificate": list(cert.element) if cert else None,
-        "multipermutation_level": socle_series_length(brace),
+        "multipermutation_level": multipermutation_level(brace),
     }
 
 
@@ -365,6 +367,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     return _finish(doc, EXIT_CHECK_FAILURE if violations else EXIT_PASS, args.out, started)
 
 
+def _check_build_order(moduli: tuple[int, ...]) -> None:
+    """GuardExceeded when the group on these moduli has order above BUILD_MAX_ORDER."""
+    order = 1
+    for m in moduli:
+        order *= m
+    if order > BUILD_MAX_ORDER:
+        raise GuardExceeded(f"order {order} exceeds the build limit {BUILD_MAX_ORDER}")
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     started = time.monotonic()
     doc = _report_skeleton(
@@ -377,10 +388,13 @@ def cmd_build(args: argparse.Namespace) -> int:
         if args.family == "trivial":
             if not args.moduli:
                 raise ValueError("--moduli required for the trivial family")
-            brace = trivial_brace(tuple(_parse_moduli(args.moduli)))
+            moduli = tuple(_parse_moduli(args.moduli))
+            _check_build_order(moduli)
+            brace = trivial_brace(moduli)
         elif args.family in ("diagonal-m1", "diagonal-m2"):
             if not args.prime:
                 raise ValueError("--prime required for diagonal families")
+            _check_build_order((args.prime**4,))
             diagonal = diagonal_brace_m1 if args.family == "diagonal-m1" else diagonal_brace_m2
             brace = diagonal(args.prime)
         elif args.family == "ring":

@@ -125,37 +125,16 @@ def left_class_at_most(brace: Brace, bound: int) -> bool:
 
 
 def socle(brace: Brace) -> frozenset[int]:
-    """Ranks of elements a with a * b = 0 for every b: a * b = lambda_a(b) - b, so lambda_a = id."""
-    identity = tuple(range(brace.order))
-    ids = {i for i in set(brace.lambda_ids) if brace.perms[i] == identity}
-    return frozenset(a for a, i in enumerate(brace.lambda_ids) if i in ids)
-
-
-def socle_series_length(brace: Brace) -> int | None:
-    """Multipermutation level of the brace's YBE solution r_A, without building r_A.
-
-    Retraction merges x and y when lambda_x = lambda_y, that is when they lie
-    in one coset of Soc(A) = ker lambda, so Ret(r_A) is r_{A/Soc(A)} (Rump
-    2007; Cedo, Jespers and Okninski 2014).  The level is the number of socle
-    quotients down to order 1: 0 for the order-1 brace, None when the socle
-    is {0} above order 1 (the retraction stops shrinking).
-    """
-    steps, current = 0, brace
-    while current.order > 1:
-        soc = socle(current)
-        if len(soc) == 1:
-            return None
-        current, _ = quotient_brace(current, soc)
-        steps += 1
-    return steps
+    """Ranks of elements a with a * b = 0 for every b: a * b = lambda_a(b) - b, so
+    lambda_a = id = lambda_0; a brace's lambdas are distinct (``Brace``), so id 0."""
+    return frozenset(a for a, i in enumerate(brace.lambda_ids) if i == 0)
 
 
 def right_annihilated(brace: Brace) -> frozenset[int]:
     """Ranks of c with A * c = 0: a * c = lambda_a(c) - c, so every lambda in use fixes c."""
     cached = brace.cache.get("right_annihilated")
     if cached is None:
-        perms = [brace.perms[i] for i in set(brace.lambda_ids)]
-        cached = frozenset(c for c in range(brace.order) if all(p[c] == c for p in perms))
+        cached = frozenset(c for c in range(brace.order) if all(p[c] == c for p in brace.perms))
         brace.cache["right_annihilated"] = cached
     return cached
 

@@ -27,9 +27,10 @@ brace that fails any of these checks, which a validated one never does, is
 checked on its table.
 
 ``retraction`` and ``multipermutation_level`` work on any solution table.
-For a brace, Ret(r_A) = r_{A/Soc(A)} with Soc(A) = ker lambda, so
-``nilpotency.socle_series_length`` gives the same level from the socle
-quotients of the brace, without building the 2 n^2 table entries.
+``multipermutation_level`` also takes a ``Brace``: retraction merges x and y
+when lambda_x = lambda_y, so Ret(r_A) has one point per distinct lambda,
+k = |A/Soc(A)| points (Rump 2007; Cedo, Jespers and Okninski 2014), and its
+k^2 table is read from the lambdas without the 2 n^2 entries of r_A.
 """
 
 from __future__ import annotations
@@ -104,16 +105,6 @@ def twist_solution(n: int) -> YBESolution:
     return YBESolution(n, u, v)
 
 
-def identity_pair_map(n: int) -> YBESolution:
-    u = [0] * (n * n)
-    v = [0] * (n * n)
-    for x in range(n):
-        for y in range(n):
-            u[x * n + y] = x
-            v[x * n + y] = y
-    return YBESolution(n, u, v)
-
-
 def solution_from_brace(brace: Brace) -> YBESolution:
     """u = lambda_x(y), v = u' o x o y.
 
@@ -128,15 +119,14 @@ def solution_from_brace(brace: Brace) -> YBESolution:
     """
     n = brace.order
     ids, perms = brace.lambda_ids, brace.perms
-    inverses = {i: perm_inverse(perms[i]) for i in set(ids)}
-    inv_of = [inverses[i] for i in ids]  # lambda_u^-1 by rank u
+    inverses = [perm_inverse(p) for p in perms]
     u = [0] * (n * n)
     v = [0] * (n * n)
     for x in range(n):
         row = perms[ids[x]]
-        at_x = [q[x] for q in inv_of]  # lambda_u^-1(x) by rank u
+        at_x = [q[x] for q in inverses]  # lambda^-1(x) by lambda id
         u[x * n : (x + 1) * n] = row
-        v[x * n : (x + 1) * n] = [at_x[uu] for uu in row]
+        v[x * n : (x + 1) * n] = [at_x[ids[uu]] for uu in row]
     return YBESolution(n, u, v)
 
 
@@ -186,7 +176,8 @@ def _interned(rows: Iterable[tuple[int, ...]]) -> tuple[list[int], list[tuple[in
 def _cycle_set_law(n: int, ids: Sequence[int], rows: Sequence[tuple[int, ...]]) -> bool | tuple[int, int, int] | None:
     """sigma_x sigma_{sigma_x^-1(y)} = sigma_y sigma_{sigma_y^-1(x)} for all x, y,
     on an involutive, left non-degenerate map, with sigma_x = rows[ids[x]]
-    and ``rows`` distinct (the rows of u, or a brace's lambdas, ``_interned``).
+    (the distinct rows of u, ``_interned``, or a brace's lambdas; rows repeat
+    only in a lambda assignment that is no brace, and share one id).
 
     The distinct rows and their k^2 compositions are interned to ids, so with
     L(x, y) the id of sigma_x sigma_{sigma_x^-1(y)} the law says that L is
@@ -202,7 +193,7 @@ def _cycle_set_law(n: int, ids: Sequence[int], rows: Sequence[tuple[int, ...]]) 
     r12 r23 r12 at (x, y, z) is sigma_w sigma_{sigma_w^-1(x)}(z) with
     w = sigma_x(y), and that of r23 r12 r23 is sigma_x sigma_y(z).
     """
-    perm_id = {row: i for i, row in enumerate(rows)}
+    perm_id = {row: i for i, row in enumerate(dict.fromkeys(rows))}
     inverses = [perm_inverse(row) for row in rows]
     after = [_picker(row) for row in rows]  # after[j](s) = s o rows[j]
     comp = []  # comp[i][j]: the id of rows[i] o rows[j]
@@ -293,8 +284,7 @@ def _brace_report(brace: Brace, sample_budget: int, seed: int) -> SolutionReport
     None (the caller checks the table) when a lambda is not a permutation
     or the law is not True; a validated brace passes both.
     """
-    n, perms, lambda_ids = brace.order, brace.perms, brace.lambda_ids
-    ids, rows = _interned(tuple(perms[lambda_ids[x]]) for x in range(n))
+    n, ids, rows = brace.order, brace.lambda_ids, brace.perms
     if not _permutation_rows(n, rows):
         return None
     exhaustive, triples, used_seed = _stream_length(n, sample_budget, seed)
@@ -369,12 +359,9 @@ def retraction(sol: YBESolution) -> YBESolution:
 def _retract(sol: YBESolution) -> YBESolution:
     """``retraction`` of a solution whose entries are in range."""
     n = sol.n
-    class_of: dict[tuple[int, ...], int] = {}
-    cls = [class_of.setdefault(sol.sigma_row(x), len(class_of)) for x in range(n)]
-    m = len(class_of)
-    rep = [0] * m
-    for x in reversed(range(n)):
-        rep[cls[x]] = x
+    cls, rows = _interned(sol.sigma_row(x) for x in range(n))
+    m = len(rows)
+    rep = [cls.index(c) for c in range(m)]
 
     su, sv = sol.u, sol.v
     u = [cls[su[r * n + s]] for r in rep for s in rep]
@@ -389,16 +376,34 @@ def _retract(sol: YBESolution) -> YBESolution:
     return YBESolution(m, u, v)
 
 
-def multipermutation_level(sol: YBESolution) -> int | None:
+def _brace_retraction(brace: Brace) -> YBESolution:
+    """``retraction(solution_from_brace(brace))``, point i the ranks with lambda id i
+    (numbered by first appearance, as ``_retract`` numbers classes): at the
+    first ranks x of i and y of j, u is the id of lambda_x(y) and v that of
+    lambda_u^-1(x).  It is well defined, as Ret(r_A) = r_{A/Soc(A)}."""
+    ids, perms, k = brace.lambda_ids, brace.perms, len(brace.perms)
+    first = [ids.index(i) for i in range(k)]
+    inverses = [perm_inverse(p) for p in perms]
+    u = [ids[perms[i][y]] for i in range(k) for y in first]
+    v = [ids[inverses[u[i * k + j]][first[i]]] for i in range(k) for j in range(k)]
+    return YBESolution(k, u, v)
+
+
+def multipermutation_level(sol: YBESolution | Brace) -> int | None:
     """Least k with |Ret^k| = 1; None when the size stops shrinking above 1.
 
     Every step shrinks the solution or returns, so at most n - 1 steps run.
     The input is range-checked once, as in ``retraction``; each step's output
-    holds class indices, in range by construction.
+    holds class indices, in range by construction.  A ``Brace`` takes its first
+    step on its lambdas (``_brace_retraction``), and r_A is never built.
     """
-    _check_entries(sol)
-    steps = 0
-    current = sol
+    if isinstance(sol, Brace):
+        if len(sol.perms) == sol.order:
+            return 0 if sol.order == 1 else None
+        current, steps = _brace_retraction(sol), 1
+    else:
+        _check_entries(sol)
+        current, steps = sol, 0
     while current.n > 1:
         nxt = _retract(current)
         if nxt.n == current.n:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from bracelab import ybe
 from bracelab.abelian import AbelianGroup
 from bracelab.brace import validate_brace
 from bracelab.corpus import builtin_braces
@@ -42,3 +43,30 @@ def enumerated_braces(enumerations):
     for res in enumerations.values():
         out.extend(res.representatives)
     return out
+
+
+@pytest.fixture
+def refuse_brace_tables():
+    """``refuse(monkeypatch, orders)`` makes ``ybe.solution_from_brace``, and
+    any ``YBESolution`` on a number of points in ``orders``, raise.  A smaller
+    table, such as a brace's retraction, is still built; the list returned
+    records its size."""
+    table = ybe.YBESolution
+
+    def refuse(monkeypatch, orders):
+        built = []
+
+        def small_only(n, u, v):
+            if n in orders:
+                raise AssertionError(f"built a YBE solution table on {n} points")
+            built.append(n)
+            return table(n, u, v)
+
+        def no_solution(brace):
+            raise AssertionError(f"built the YBE solution of {brace.name}")
+
+        monkeypatch.setattr(ybe, "solution_from_brace", no_solution)
+        monkeypatch.setattr(ybe, "YBESolution", small_only)
+        return built
+
+    return refuse

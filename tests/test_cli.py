@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bracelab import cli, ybe
+from bracelab import cli
 from bracelab.cli import main
 from bracelab.brace import trivial_brace
 from bracelab.constructions import diagonal_brace_m1
@@ -240,22 +240,20 @@ def test_report_order_one_brace_needs_no_certificate(tmp_path, capsys):
     assert inv["right_nilpotent_implies_certificate"] is True and inv["violations"] == []
 
 
-def test_report_builds_no_ybe_solution(builtin_corpus, monkeypatch, tmp_path):
-    # a report row reads the multipermutation level from the socle series
+def test_report_builds_no_ybe_solution(builtin_corpus, monkeypatch, tmp_path, refuse_brace_tables):
+    # a report row reads the multipermutation level from the brace's
+    # retraction, one point per distinct lambda, with no n-point table
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     for i, brace in enumerate(builtin_corpus):
         save_brace(brace, corpus / f"{i:02d}.json")
-
-    def refuse(*args):
-        raise AssertionError("report built a YBE solution")
-
-    monkeypatch.setattr(ybe, "YBESolution", refuse)
+    built = refuse_brace_tables(monkeypatch, {b.order for b in builtin_corpus})
     out = tmp_path / "report.json"
     assert run_cli(["report", "--corpus", str(corpus), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["results"]["rows"]) == len(builtin_corpus)
     assert doc["results"]["corpus_invariants"]["mpl_iff_right_nilpotent"]
+    assert sorted(set(built)) == [1, 2, 3, 5]
 
 
 def test_report_no_match_row_fails_with_report(exponent5_brace, tmp_path):
@@ -408,6 +406,12 @@ def test_build_input_errors(tmp_path, capsys):
             assert run_cli(["build", "--family", family, "--prime", prime, "--output", str(tmp_path / "x.json")]) == 2
             doc = json.loads(capsys.readouterr().out)
             assert doc["results"]["error"] == f"ValueError: p = {prime} is not prime"
+    # an order above 13^4 is refused before anything is built
+    for family in (["--family", "diagonal-m1", "--prime", "31"], ["--family", "trivial", "--moduli", "100000,100000"]):
+        assert run_cli(["build", *family, "--output", str(tmp_path / "x.json")]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "error"
+        assert doc["results"]["error"].startswith("GuardExceeded: order ")
     assert not (tmp_path / "x.json").exists()
 
 

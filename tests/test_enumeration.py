@@ -39,8 +39,9 @@ def _pairwise_reference(moduli):
     """The same search with a full fixed-point closure at every node and a
     pairwise ``is_isomorphic`` dedupe, as a reference for the orbit marking.
 
-    Automorphisms are composed as columns of coordinate tuples.  Returns the
-    representative tables, the class sizes and the node count.
+    Automorphisms are composed as columns of coordinate tuples.  Returns each
+    representative's lambdas by rank, as permutations, the class sizes and
+    the node count.
     """
     group = AbelianGroup(moduli)
     perms = all_automorphisms(group)
@@ -98,7 +99,7 @@ def _pairwise_reference(moduli):
         else:
             reps.append(b)
             sizes.append(1)
-    return [r.lambda_ids for r in reps], sizes, nodes
+    return [[r.perms[i] for i in r.lambda_ids] for r in reps], sizes, nodes
 
 
 @pytest.mark.parametrize(
@@ -127,7 +128,7 @@ SYLOW_NODES = {(2, 8): 205, (2, 2, 2): 55, (2, 4): 41, (3, 3): 7}
 def test_orbit_classes_match_pairwise_reference(moduli):
     res = enumerate_braces(moduli)
     reps, sizes, nodes = _pairwise_reference(moduli)
-    assert [b.lambda_ids for b in res.representatives] == reps
+    assert [[b.perms[i] for i in b.lambda_ids] for b in res.representatives] == reps
     assert list(res.class_sizes) == sizes
     # the search branches over a Sylow subgroup of Aut, the reference over all of Aut
     assert res.nodes_explored == SYLOW_NODES[moduli] <= nodes
@@ -137,7 +138,8 @@ def test_orbit_classes_match_pairwise_reference(moduli):
 def _full_aut_reference(moduli):
     """The search over all of Aut(A,+) with first-table orbit marking: each
     table not yet in a known orbit, in search order, is the next
-    representative.  Returns the representative tables and the class sizes."""
+    representative.  Returns each representative's lambdas by rank, as
+    permutations, and the class sizes."""
     group = AbelianGroup(moduli)
     perms = all_automorphisms(group)
     n, k = group.order, len(perms)
@@ -192,7 +194,7 @@ def _full_aut_reference(moduli):
                 conj[perms[alpha][a]] = compose(compose(alpha, table[a]), ia)
             orbit.add(tuple(conj))
         marked |= orbit
-        reps.append(list(table))
+        reps.append([perms[i] for i in table])
         sizes.append(len(orbit))
     return reps, sizes
 
@@ -201,7 +203,7 @@ def _full_aut_reference(moduli):
 def test_sylow_search_matches_full_aut_search(enumerations, moduli):
     res = enumerations[moduli] if moduli in enumerations else enumerate_braces(moduli, max_order=27)
     reps, sizes = _full_aut_reference(moduli)
-    assert [b.lambda_ids for b in res.representatives] == reps
+    assert [[b.perms[i] for i in b.lambda_ids] for b in res.representatives] == reps
     assert [b.name for b in res.representatives] == [f"enum{moduli}-{i:03d}" for i in range(len(reps))]
     assert list(res.class_sizes) == sizes
     assert res.total_tables == sum(sizes)

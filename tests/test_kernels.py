@@ -324,9 +324,36 @@ def kernel_braces(enumerated_braces, small_corpus):
     return list(enumerated_braces) + [b for b in small_corpus if b.order == 81]
 
 
-def test_corpus_holds_unused_automorphisms(kernel_braces):
-    # right_annihilated must read the lambdas in use, not every listed automorphism
-    assert any(len(set(b.lambda_ids)) < len(b.perms) for b in kernel_braces)
+def test_perms_are_the_lambdas_in_use(kernel_braces, builtin_corpus, enumerated_braces, monkeypatch):
+    # a brace keeps only the lambdas in use, with ids numbered by first
+    # appearance by rank; a validated brace's perms are its distinct lambdas
+    quotients = []
+    quotient_brace = nilpotency.quotient_brace
+
+    def recording(brace, ideal):
+        out = quotient_brace(brace, ideal)
+        quotients.append(out[0])
+        return out
+
+    monkeypatch.setattr(nilpotency, "quotient_brace", recording)
+    for b in kernel_braces:
+        nilpotency.certify_right_nilpotent(b)
+    assert len(quotients) > len(kernel_braces)
+    group = AbelianGroup((3, 3))
+    # the identity written with unreduced columns is still one lambda
+    unreduced = validate_brace(group, [[(1 + 3 * (x % 2), 0), (0, 1)] for x in range(9)])
+    assert unreduced.perms == [tuple(range(9))]
+    auts = all_automorphisms(group)
+    ids = [5, 5, 0, 17, 0, 5, 40, 17, 3]  # 48 automorphisms, 5 in use
+    raw = Brace(group, ids, auts)
+    assert raw.perms == [auts[i] for i in (5, 0, 17, 40, 3)]
+    assert [raw.perms[i] for i in raw.lambda_ids] == [auts[i] for i in ids]
+    assert right_annihilated(raw) == frozenset(c for c in range(9) if all(auts[i][c] == c for i in ids))
+    validated = [*builtin_corpus, *enumerated_braces, *quotients, unreduced]
+    for b in [*validated, raw]:
+        assert list(dict.fromkeys(b.lambda_ids)) == list(range(len(b.perms))), b.name
+    for b in validated:
+        assert len(set(b.perms)) == len(b.perms), b.name
     assert sum(b.order == 81 for b in kernel_braces) == 4
 
 

@@ -26,10 +26,10 @@ from bracelab.nilpotency import (
     p4_shape,
     right_annihilated,
     series,
-    socle_series_length,
     theorem1_check,
 )
 from bracelab.pgroups import classify_multiplicative_group, fingerprint
+from bracelab.ybe import multipermutation_level
 
 pytest.importorskip("numpy")
 
@@ -63,7 +63,7 @@ def _disagreements(brace, tables, compared: Counter) -> list[str]:
     # a central c with A * c = 0 is exactly one with c * A = A * c = 0
     if brace.circle.center & right_annihilated(brace) - {0} != set(tables.certificate_candidates().tolist()):
         out.append("certificate candidates")
-    if socle_series_length(brace) != tables.multipermutation_level():
+    if multipermutation_level(brace) != tables.multipermutation_level():
         out.append("multipermutation level")
     fp = fingerprint(brace.circle)
     if (fp.exponent, fp.abelian) != (tables.circ_exponent(), tables.circ_abelian()):

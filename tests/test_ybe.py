@@ -21,12 +21,16 @@ from bracelab.ybe import (
     SolutionReport,
     YBESolution,
     check_solution,
-    identity_pair_map,
     multipermutation_level,
     retraction,
     solution_from_brace,
     twist_solution,
 )
+
+
+def identity_pair_map(n: int) -> YBESolution:
+    """r(x, y) = (x, y): involutive and braided, and degenerate above one point."""
+    return YBESolution(n, [x for x in range(n) for _ in range(n)], [y for _ in range(n) for y in range(n)])
 
 
 def test_trivial_brace_gives_twist():
@@ -132,6 +136,20 @@ def test_multipermutation_levels():
     assert multipermutation_level(solution_from_brace(trivial_brace([4, 4]))) == 1
     assert multipermutation_level(solution_from_brace(diagonal_brace_m1(2))) == 2
     assert multipermutation_level(solution_from_brace(diagonal_brace_m2(3))) == 2
+
+
+def test_a_brace_level_is_its_retraction_level(builtin_corpus, enumerated_braces, enumerations, exponent5_brace):
+    # Ret(r_A) has one point per distinct lambda, read from the lambdas: the
+    # same table and the same level as retracting the brace's solution
+    for b in [*builtin_corpus, *enumerated_braces, exponent5_brace, trivial_brace([])]:
+        sol = solution_from_brace(b)
+        assert multipermutation_level(b) == multipermutation_level(sol), b.name
+        if b.order > 1:
+            assert ybe._brace_retraction(b) == retraction(sol), b.name
+    assert multipermutation_level(trivial_brace([])) == 0
+    assert multipermutation_level(trivial_brace([4, 4])) == 1
+    c4c4 = [multipermutation_level(b) for b in enumerations[(4, 4)].representatives]
+    assert c4c4.count(None) == 5
 
 
 def test_infinite_flag_when_size_stagnates():
@@ -411,22 +429,21 @@ def test_solutions_that_keep_the_law_are_not_scanned(monkeypatch, capsys, builti
     }
 
 
-def test_verify_checks_the_brace_solution_once(monkeypatch, capsys):
-    # verify checks a brace's solution once, from its lambdas, and builds no
-    # table; check_solution of a table checks and reports both properties
+def test_verify_checks_the_brace_solution_once(monkeypatch, capsys, refuse_brace_tables):
+    # verify checks a brace's solution once, from its lambdas, and reads its
+    # level from the 5-point retraction, with no n-point table; check_solution
+    # of a table checks and reports both properties
     calls = []
     permutation_rows = ybe._permutation_rows
 
-    def refuse(*args):
-        raise AssertionError("verify built a YBE solution table")
-
     with monkeypatch.context() as m:
         m.setattr(ybe, "_permutation_rows", lambda n, rows: calls.append(n) or permutation_rows(n, rows))
-        m.setattr(ybe, "YBESolution", refuse)
+        built = refuse_brace_tables(m, {625})
         path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "verify" / "exponent-5.json"
         assert main(["verify", "--input", str(path), "--suite", "ybe", "--sample-budget", "10"]) == 0
     ybe_block = json.loads(capsys.readouterr().out)["results"]["ybe"]
     assert ybe_block["involutive"] and ybe_block["nondegenerate"] and ybe_block["braid"]
+    assert ybe_block["multipermutation_level"] == 2 and built == [5, 1]
     assert calls == [625]
     sol = solution_from_brace(diagonal_brace_m2(3))
     assert calls == [625]
